@@ -42,7 +42,6 @@ _CONFIG_KEYS = {
     "N": ("N", int),
     "E": ("E", int),
     "k_inv": ("k_inv", float),
-    "theta_base": ("theta_base", float),
     "heads": ("heads", int),
     "F": ("F", int),
     "L": ("L", int),
@@ -96,14 +95,10 @@ def _weave_params(args) -> WeaveParams:
         kwargs["tread"] = args.E
     if getattr(args, "k_inv", None) is not None:
         kwargs["leak"] = args.k_inv
-    if getattr(args, "theta_base", None) is not None:
-        kwargs["theta_base"] = args.theta_base
     if getattr(args, "W", None) is not None:
         kwargs["neighbor"] = args.W
     if getattr(args, "G", None) is not None:
         kwargs["group"] = args.G
-    if getattr(args, "heads", None) is not None:
-        kwargs["num_heads"] = args.heads
     return WeaveParams(**kwargs)
 
 
@@ -155,10 +150,13 @@ def cmd_verify_theory(args) -> int:
     if args.theorem in ("3", "corollary"):
         kwargs["cap"] = args.N if args.N is not None else 2
     if args.theorem == "corollary":
-        kwargs["tread"] = args.E if args.E is not None else 1
+        if args.E is None:
+            raise ValueError("the corollary needs --E, the staircase tread (E=1 is the identity weave: theorem 2)")
+        kwargs["tread"] = args.E
     t_max = args.t_max
     if t_max is None:
-        t_max = scan_cap(args.M, kwargs.get("cap", 0)) if args.theorem in ("3", "corollary") else 700
+        # each weave is scanned to its own closed-form ceiling
+        t_max = scan_cap(args.M, kwargs["cap"], tread=kwargs.get("tread")) if "cap" in kwargs else 700
     cfg = TheoryConfig(t_max=t_max, **kwargs)
     model = builder(cfg)
     report = threshold_scan(model)
@@ -277,10 +275,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--N", type=int, default=None)
     sp.add_argument("--E", type=int, default=None)
     sp.add_argument("--k-inv", dest="k_inv", type=float, default=None)
-    sp.add_argument("--theta-base", dest="theta_base", type=float, default=None)
     sp.add_argument("--W", type=int, default=None)
     sp.add_argument("--G", type=int, default=None)
-    sp.add_argument("--heads", type=int, default=None)
     common(sp)
     sp.set_defaults(func=cmd_gen_positions)
 
@@ -298,8 +294,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--M", type=int, required=True)
     sp.add_argument("--H", type=float, default=0.0)
     sp.add_argument("--N", type=int, default=None)
-    sp.add_argument("--E", type=int, default=None)
-    sp.add_argument("--t-max", dest="t_max", type=int, default=None)
+    sp.add_argument("--E", type=int, default=None, help="staircase tread; required for the corollary")
+    sp.add_argument("--t-max", dest="t_max", type=int, default=None,
+                    help="scan length; default: the weave's own ceiling scan_cap(M, N[, tread=E]), else 700")
     common(sp)
     sp.set_defaults(func=cmd_verify_theory)
 

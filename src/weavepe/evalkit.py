@@ -167,10 +167,16 @@ def bench_run(
     decode_tokens: int = 4,
     seed: int = 0,
 ) -> list[dict]:
-    """Wall-clock prefill+decode timings and peak allocation on the tiny model.
+    """Best-of-repeats prefill and decode seconds, the allocation peak, and
+    exact cell counts on the tiny model.
 
-    Single-threaded per trial so timings stay comparable across methods.
+    The peak comes from one more pass under tracemalloc that is not timed,
+    so no timed call pays for the allocation tracing.
     """
+    if method not in ("vanilla", "mesa"):
+        raise ValueError(f"unknown bench method {method}")
+    if repeats < 1:
+        raise ValueError("repeats must be >= 1")
     weights = weights or random_model(d=8, n_heads=2, n_layers=1, vocab=32, seed=seed)
     if config is None:
         from weavepe.pe_core import Scheme, WeaveParams
@@ -182,53 +188,49 @@ def bench_run(
             min_last=32,
             rest_max=16,
         )
+
+    def run(tokens) -> tuple[float, float, int]:
+        """(prefill seconds, decode seconds, prefill cells) of one pass."""
+        t0 = time.perf_counter()
+        if method == "vanilla":
+            forward(tokens, weights)
+            # no cached decode path for the vanilla baseline
+            return time.perf_counter() - t0, 0.0, count_cells("vanilla", len(tokens) + 1)
+        res = prefill(tokens, weights, config)
+        t1 = time.perf_counter()
+        logits, cache = res.logits, res.cache
+        for _ in range(decode_tokens):
+            logits, cache = decode_step(cache, int(np.argmax(logits)), weights, config)
+        return t1 - t0, time.perf_counter() - t1, res.report.total_cells
+
     rng = np.random.default_rng(seed)
     rows = []
     for n in n_list:
         tokens = rng.integers(1, weights.vocab_size, size=n - 1).tolist()
-        best_prefill = np.inf
-        best_decode = np.inf
-        peak = 0
-        cells = 0
-        for _ in range(repeats):
-            tracemalloc.start()
-            t0 = time.perf_counter()
-            if method == "vanilla":
-                forward(tokens, weights)
-                t1 = time.perf_counter()
-                t2 = t1  # no cached decode path for the vanilla baseline
-                cells = count_cells("vanilla", n)
-            elif method == "mesa":
-                res = prefill(tokens, weights, config)
-                t1 = time.perf_counter()
-                logits, cache = res.logits, res.cache
-                for _ in range(decode_tokens):
-                    logits, cache = decode_step(cache, int(np.argmax(logits)), weights, config)
-                t2 = time.perf_counter()
-                cells = res.report.total_cells
-            else:
-                raise ValueError(f"unknown bench method {method}")
-            _, peak_b = tracemalloc.get_traced_memory()
+        timed = [run(tokens) for _ in range(repeats)]
+        tracemalloc.start()
+        try:
+            run(tokens)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
             tracemalloc.stop()
-            best_prefill = min(best_prefill, t1 - t0)
-            best_decode = min(best_decode, t2 - t1)
-            peak = max(peak, peak_b)
         rows.append(
             {
                 "method": method,
                 "n": n,
-                "prefill_seconds": best_prefill,
-                "decode_seconds": best_decode,
+                "prefill_seconds": min(t[0] for t in timed),
+                "decode_seconds": min(t[1] for t in timed),
                 "peak_bytes": peak,
-                "cells": cells,
+                "cells": timed[-1][2],
             }
         )
     return rows
 
 
 def bench_table_csv(rows: list[dict]) -> str:
-    cols = ["method", "n", "prefill_seconds", "decode_seconds", "peak_bytes", "cells"]
+    """The deterministic columns of bench_run rows; timings stay out of files."""
+    cols = ["method", "n", "peak_bytes", "cells"]
     lines = [",".join(cols)]
     for r in rows:
-        lines.append(",".join(f"{r[c]:.6g}" if isinstance(r[c], float) else str(r[c]) for c in cols))
+        lines.append(",".join(str(r[c]) for c in cols))
     return "\n".join(lines) + "\n"

@@ -17,10 +17,13 @@ import numpy as np
 
 from weavepe.masks import AttentionMask, causal_mask
 from weavepe.pe_core import (
+    IDENTITY_SCHEMES,
     Scheme,
     WeaveParams,
     alibi_slopes,
+    apply_rotary,
     position_matrix,
+    rotary_table,
     scores_additive,
     scores_approx_additive,
     scores_dot,
@@ -103,6 +106,11 @@ class ModelWeights:
     def vocab_size(self) -> int:
         return self.w_e.shape[1]
 
+    @property
+    def head_dim(self) -> int:
+        """Query/key dimension h, shared by every head."""
+        return self.layers[0].heads[0].w_q.shape[0]
+
     def slope_for_head(self, m: int) -> float:
         if self.head_slopes is not None:
             return self.head_slopes[m]
@@ -140,14 +148,22 @@ def head_scores(
     dmat: np.ndarray | None,
     key_idx: np.ndarray | None = None,
     n_total: int | None = None,
+    rot: tuple | None = None,
 ) -> np.ndarray:
-    """Dispatch to the model's score kernel; q, k are (m, h) and (n, h)."""
+    """Dispatch to the model's score kernel; q, k are (m, h) and (n, h).
+
+    The rotary family takes rot, the query and key rotary_table when the
+    distances are coordinate differences, in place of dmat: both sides are
+    rotated and one matmul replaces the per-cell trig of scores_rotary.
+    """
     fam = weights.pe_family
     if fam == "dot":
         return scores_dot(q, k)
     if fam == "rotary":
+        if rot is not None:
+            return apply_rotary(q.T, rot[0]).T @ apply_rotary(k.T, rot[1])
         if dmat is None:
-            raise ValueError("rotary family needs a distance matrix")
+            raise ValueError("rotary family needs a distance matrix or coordinate rotations")
         return scores_rotary(q, k, dmat, weights.theta_base)
     if fam == "additive":
         if dmat is None:
@@ -167,6 +183,7 @@ def attention_head(
     slope: float,
     allowed: np.ndarray,
     dmat: np.ndarray | None,
+    rot: tuple | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """One causal attention head over all positions; returns (output d x n, alpha n x n)."""
     q = (head.w_q @ h_prev).T  # (n, h)
@@ -174,7 +191,7 @@ def attention_head(
     v = head.w_v @ h_prev      # (h, n)
     n = h_prev.shape[1]
     key_idx = np.arange(n)
-    s = head_scores(q, k, weights, slope, dmat, key_idx=key_idx, n_total=n)
+    s = head_scores(q, k, weights, slope, dmat, key_idx=key_idx, n_total=n, rot=rot)
     s = np.where(allowed, s, -np.inf)
     alpha = softmax_rows(s)
     out = head.w_o @ (v @ alpha.T)
@@ -203,12 +220,13 @@ def transformer_layer(
     weights: ModelWeights,
     allowed: np.ndarray,
     dmat: np.ndarray | None,
+    rot: tuple | None = None,
 ) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
     """Residual + FF(lambda(residual)) per column; heads are summed additively."""
     a = np.zeros_like(h_prev)
     alphas = []
     for m, head in enumerate(layer.heads):
-        out, alpha = attention_head(h_prev, head, weights, weights.slope_for_head(m), allowed, dmat)
+        out, alpha = attention_head(h_prev, head, weights, weights.slope_for_head(m), allowed, dmat, rot)
         a += out
         alphas.append(alpha)
     z = a + h_prev
@@ -225,8 +243,10 @@ def forward(
 ) -> ForwardTrace:
     """Full forward pass; deterministic in all arguments.
 
-    The distance matrix is built once from the weave scheme (identity when
-    None) and shared by every layer.
+    The positional input is built once and shared by every layer and head.
+    A rotary model under an identity weave (or None) rotates queries and keys
+    by their positions 0..n-1, since R(t)^T R(i) = R(t - i); any other weave,
+    and the additive family, get the distance matrix of the scheme.
     """
     if len(tokens) == 0:
         raise ValueError("empty input")
@@ -235,15 +255,18 @@ def forward(
     if mask is not None and mask.n != n:
         raise ValueError(f"mask length {mask.n} does not match sequence length {n}")
     allowed = (mask or causal_mask(n)).dense()
-    dmat = None
-    if weights.pe_family in ("rotary", "additive"):
+    dmat = rot = None
+    if weights.pe_family == "rotary" and (weave is None or weave.scheme in IDENTITY_SCHEMES):
+        table = rotary_table(np.arange(n), weights.head_dim, weights.theta_base)
+        rot = (table, table)
+    elif weights.pe_family in ("rotary", "additive"):
         params = weave or WeaveParams(scheme=Scheme.ROPE)
         dmat = position_matrix(params, n).entries
     hidden = [h]
     attn = []
     alphas = []
     for layer in weights.layers:
-        h, a, al = transformer_layer(h, layer, weights, allowed, dmat)
+        h, a, al = transformer_layer(h, layer, weights, allowed, dmat, rot)
         hidden.append(h)
         attn.append(a)
         alphas.append(al)

@@ -51,8 +51,6 @@ class WeaveParams:
     leak: float = 1.0
     neighbor: int = 4
     group: int = 2
-    theta_base: float = 10000.0
-    num_heads: int = 1
 
     def __post_init__(self) -> None:
         if self.cap < 1:
@@ -65,10 +63,6 @@ class WeaveParams:
             raise ValueError(f"group must be >= 1, got {self.group}")
         if self.neighbor < 1:
             raise ValueError(f"neighbor must be >= 1, got {self.neighbor}")
-        if self.theta_base <= 0:
-            raise ValueError(f"theta_base must be > 0, got {self.theta_base}")
-        if self.num_heads < 1:
-            raise ValueError(f"num_heads must be >= 1, got {self.num_heads}")
 
 
 def _as_int_array(d) -> np.ndarray:
@@ -222,21 +216,34 @@ def rope_score(q, k, distance: float, theta_base: float = 10000.0) -> float:
     return float(np.sum(np.cos(ang) * (qa * ka + qb * kb) + np.sin(ang) * (qb * ka - qa * kb)))
 
 
+def rotary_table(coords, dim: int, theta_base: float) -> tuple[np.ndarray, np.ndarray]:
+    """cos and sin of -coord * theta per pair: two (dim/2, n) arrays.
+
+    Build it once per set of coordinates and apply it with apply_rotary to
+    every head and layer that shares them.
+    """
+    theta = rope_angles(dim, theta_base)
+    ang = -np.outer(theta, np.asarray(coords, dtype=np.float64))  # (dim/2, n)
+    return np.cos(ang), np.sin(ang)
+
+
+def apply_rotary(x: np.ndarray, table: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """Rotate the columns of x (dim x n) by a rotary_table built for them."""
+    c, s = table
+    xa, xb = x[0::2, :], x[1::2, :]
+    out = np.empty_like(x)
+    out[0::2, :] = xa * c - xb * s
+    out[1::2, :] = xa * s + xb * c
+    return out
+
+
 def rotate_by_coords(x: np.ndarray, coords: np.ndarray, theta_base: float) -> np.ndarray:
     """Rotate columns of x (dim x n) by -coord * theta per pair.
 
     With both sides rotated this way, a dot product between a query at
     coordinate c_q and a key at c_k equals rope_score(q, k, c_q - c_k).
     """
-    dim, n = x.shape
-    theta = rope_angles(dim, theta_base)
-    ang = -np.outer(theta, np.asarray(coords, dtype=np.float64))  # (dim/2, n)
-    c, s = np.cos(ang), np.sin(ang)
-    xa, xb = x[0::2, :], x[1::2, :]
-    out = np.empty_like(x)
-    out[0::2, :] = xa * c - xb * s
-    out[1::2, :] = xa * s + xb * c
-    return out
+    return apply_rotary(x, rotary_table(coords, x.shape[0], theta_base))
 
 
 def scores_dot(q: np.ndarray, k: np.ndarray) -> np.ndarray:
@@ -262,10 +269,13 @@ def scores_approx_additive(
 
 
 def scores_rotary(q: np.ndarray, k: np.ndarray, dmat: np.ndarray, theta_base: float) -> np.ndarray:
-    """Rotary scores for an arbitrary (possibly fractional) distance matrix.
+    """Rotary scores for a distance matrix that does not factor into coordinates.
 
-    S[a, b] = q_a^T R(D[a, b] * theta) k_b, expanded per dimension pair.  Use
-    rotate_by_coords + matmul when distances factor into coordinates.
+    S[a, b] = q_a^T R(D[a, b] * theta) k_b, expanded per dimension pair, so it
+    takes cos/sin of the whole matrix for every pair.  A woven position matrix
+    (capped, leaky, stair or grouped over all pairs) needs it; when D[a, b] =
+    c_a - c_b (raw positions, or the pipeline's per-chunk coordinates), rotate
+    both sides once with rotary_table + apply_rotary and take one matmul.
     """
     m, h = q.shape
     if h % 2 != 0:

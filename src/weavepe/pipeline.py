@@ -7,6 +7,12 @@ full concatenated cache with staircase-woven coordinates anchored at the
 final token.  Decode re-anchors the woven coordinates at each new token, so
 every decode query sees exactly the woven distance to every key.
 
+Every distance a chunk or decode step feeds the positional term is a
+difference of coordinates, so the coordinates, and for the rotary family the
+cos/sin tables of the query and key rotations, are built once per chunk and
+once per decode step, before the layer loop, and shared by every layer and
+head; no per-cell trigonometry runs on these paths.
+
 Middle chunks are independent given the first chunk's keys and values and
 could run in parallel; this implementation processes them sequentially.
 """
@@ -22,12 +28,14 @@ from weavepe.model import (
     KVCache,
     ModelWeights,
     forward,
+    head_scores,
     layer_norm_cols,
 )
 from weavepe.pe_core import (
     Scheme,
     WeaveParams,
-    rotate_by_coords,
+    rotary_table,
+    rotate_by_coords,  # noqa: F401  kept importable here: perfbench/layertrace.py wraps this name
     weave_fn,
 )
 from weavepe.splitter import ChunkPlan, chunk_spans, dynamic_split
@@ -125,19 +133,21 @@ def _n_heads(weights: ModelWeights) -> int:
     return len(weights.layers[0].heads)
 
 
-def _chunk_scores(weights, head_idx, q, k, q_coords, k_coords):
-    """Score kernel on explicit coordinates; q (m,h), k (n,h)."""
+def _positions(weights: ModelWeights, q_coords: np.ndarray, k_coords: np.ndarray):
+    """Positional input of head_scores for one chunk or decode step.
+
+    Returns (dmat, rot), built once and shared by every layer and head: the
+    distance matrix for the additive family, the query and key rotary tables
+    for the rotary family, None where the family does not use it.
+    """
     fam = weights.pe_family
     if fam == "dot":
-        return q @ k.T
-    if fam == "rotary":
-        qr = rotate_by_coords(q.T, q_coords, weights.theta_base).T
-        kr = rotate_by_coords(k.T, k_coords, weights.theta_base).T
-        return qr @ kr.T
+        return None, None
     if fam == "additive":
-        slope = weights.slope_for_head(head_idx)
-        dmat = np.asarray(q_coords, dtype=np.float64)[:, None] - np.asarray(k_coords, dtype=np.float64)[None, :]
-        return q @ k.T - slope * dmat
+        return q_coords[:, None] - k_coords[None, :], None
+    if fam == "rotary":
+        dim, base = weights.head_dim, weights.theta_base
+        return None, (rotary_table(q_coords, dim, base), rotary_table(k_coords, dim, base))
     raise ValueError(f"pipeline does not support pe_family {fam}")
 
 
@@ -171,11 +181,8 @@ def _run_chunk(
     allowed = q_raw[:, None] >= k_raw[None, :]
 
     cells = int(np.sum(allowed))
-    if cells:
-        dist = q_coords[:, None] - k_coords[None, :]
-        max_pe = float(np.max(np.abs(dist[allowed])))
-    else:
-        max_pe = 0.0
+    max_pe = float(np.max(np.abs(q_coords[:, None] - k_coords[None, :])[allowed])) if cells else 0.0
+    dmat, rot = _positions(weights, q_coords, k_coords)
 
     new_k = [[None] * _n_heads(weights) for _ in weights.layers]
     new_v = [[None] * _n_heads(weights) for _ in weights.layers]
@@ -193,7 +200,7 @@ def _run_chunk(
             else:
                 k_all, v_all = k_self, v_self
             q = head.w_q @ h
-            s = _chunk_scores(weights, mi, q.T, k_all.T, q_coords, k_coords)
+            s = head_scores(q.T, k_all.T, weights, weights.slope_for_head(mi), dmat, rot=rot)
             s = np.where(allowed, s, -np.inf)
             mx = np.max(s, axis=1, keepdims=True)
             e = np.exp(s - mx)
@@ -208,7 +215,7 @@ def _run_chunk(
 
 def _fill_cache_from_forward(seq_ids: np.ndarray, weights: ModelWeights) -> tuple[np.ndarray, KVCache]:
     """Vanilla single-pass forward; raw K/V recomputed per layer for the cache."""
-    trace = forward(seq_ids[1:], weights, weave=_identity_weave(weights))
+    trace = forward(seq_ids[1:], weights)
     cache = KVCache(len(weights.layers), _n_heads(weights))
     idx = np.arange(len(seq_ids))
     k_blocks = []
@@ -220,11 +227,6 @@ def _fill_cache_from_forward(seq_ids: np.ndarray, weights: ModelWeights) -> tupl
     cache.append(idx, k_blocks, v_blocks)
     logits = weights.w_e.T @ trace.hidden[-1][:, -1]
     return logits, cache
-
-
-def _identity_weave(weights: ModelWeights) -> WeaveParams:
-    scheme = Scheme.ROPE if weights.pe_family == "rotary" else Scheme.ALIBI
-    return WeaveParams(scheme=scheme, theta_base=weights.theta_base)
 
 
 def prefill(tokens, weights: ModelWeights, config: MesaConfig) -> PrefillResult:
@@ -301,6 +303,11 @@ def prefill(tokens, weights: ModelWeights, config: MesaConfig) -> PrefillResult:
     return PrefillResult(logits=logits, cache=cache, report=report)
 
 
+def _woven_key_coords(t_new: int, idx: np.ndarray, config: MesaConfig) -> np.ndarray:
+    """Coordinates of keys idx seen from a decode query at t_new: t_new - weave(t_new - idx)."""
+    return t_new - np.asarray(weave_fn(config.weave)(t_new - idx), dtype=np.float64)
+
+
 def decode_step(
     cache: KVCache, next_token: int, weights: ModelWeights, config: MesaConfig
 ) -> tuple[np.ndarray, KVCache]:
@@ -308,7 +315,8 @@ def decode_step(
     if not (0 <= int(next_token) < weights.vocab_size):
         raise ValueError(f"unknown token id {next_token}")
     t_new = len(cache)
-    remap = weave_fn(config.weave)
+    k_coords = _woven_key_coords(t_new, np.append(cache.indices, t_new), config)
+    dmat, rot = _positions(weights, np.asarray([float(t_new)]), k_coords)
     h = weights.w_e[:, [int(next_token)]].astype(np.float64)
 
     new_k = [[None] * _n_heads(weights) for _ in weights.layers]
@@ -320,13 +328,11 @@ def decode_step(
             v_self = head.w_v @ h
             new_k[li][mi] = k_self
             new_v[li][mi] = v_self
-            k_ctx, v_ctx, idx = cache.view(li, mi)
+            k_ctx, v_ctx, _ = cache.view(li, mi)
             k_all = np.concatenate([k_ctx, k_self], axis=1)
             v_all = np.concatenate([v_ctx, v_self], axis=1)
-            all_idx = np.concatenate([idx, [t_new]])
-            k_coords = t_new - np.asarray(remap(t_new - all_idx), dtype=np.float64)
             q = head.w_q @ h
-            s = _chunk_scores(weights, mi, q.T, k_all.T, np.asarray([float(t_new)]), k_coords)
+            s = head_scores(q.T, k_all.T, weights, weights.slope_for_head(mi), dmat, rot=rot)
             mx = np.max(s)
             e = np.exp(s - mx)
             alpha = e / np.sum(e)
@@ -373,7 +379,4 @@ def generate(
 def decode_distances(cache_len: int, config: MesaConfig) -> np.ndarray:
     """Effective woven distance from a decode query at position cache_len to
     each cached key; exposed for exactness checks."""
-    remap = weave_fn(config.weave)
-    idx = np.arange(cache_len + 1)
-    k_coords = cache_len - np.asarray(remap(cache_len - idx), dtype=np.float64)
-    return cache_len - k_coords
+    return cache_len - _woven_key_coords(cache_len, np.arange(cache_len + 1), config)

@@ -62,6 +62,25 @@ def test_verify_theory_corollary(tmp_path, capsys):
     assert doc["agrees_with_closed_form"] is True
 
 
+def test_verify_theory_corollary_scans_to_stair_ceiling(tmp_path, capsys):
+    # without --t-max the staircase is scanned to its own ceiling
+    # scan_cap(16, 4, tread=5) = 160, where the rescue holds on every row
+    out = tmp_path / "t"
+    assert run_cli(["verify-theory", "--theorem", "corollary", "--M", 16, "--N", 4, "--E", 5, "--out", out]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["t_max"] == 160
+    rows = (out / "threshold_theoremcorollary_M16.csv").read_text().splitlines()[1:]
+    assert len(rows) == 160
+    assert not [r for r in rows if r.endswith(",fail")]
+
+
+def test_verify_theory_corollary_requires_tread(tmp_path, capsys):
+    code = run_cli(["verify-theory", "--theorem", "corollary", "--M", 16, "--N", 4, "--out", tmp_path])
+    assert code != 0
+    err = json.loads(capsys.readouterr().err)
+    assert "--E" in err["error"]
+
+
 def test_run_report_deterministic(tmp_path, capsys):
     args = [
         "run", "--random-tokens", 300, "--T", 64, "--N", 32, "--E", 4,
@@ -108,6 +127,8 @@ def test_bench_writes_table(tmp_path, capsys):
     capsys.readouterr()
     table = (out / "bench.csv").read_text().splitlines()
     assert len(table) == 3
+    # timings go to stdout only; the file holds the deterministic columns
+    assert table[0] == "method,n,peak_bytes,cells"
 
 
 def test_env_override_applies(tmp_path, capsys, monkeypatch):

@@ -121,6 +121,25 @@ def test_bench_run_smoke():
     assert len(csv.splitlines()) == 5
 
 
+def test_bench_run_times_no_call_under_tracemalloc(monkeypatch):
+    import tracemalloc
+
+    from weavepe import evalkit
+
+    traced = []
+    real = evalkit.forward
+
+    def spy(*args, **kwargs):
+        traced.append(tracemalloc.is_tracing())
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(evalkit, "forward", spy)
+    rows = bench_run("vanilla", [32], repeats=3)
+    # three timed passes, then one untimed pass for the allocation peak
+    assert traced == [False, False, False, True]
+    assert rows[0]["peak_bytes"] > 0
+
+
 def test_templates_contain_no_digits():
     # filler and task text must not collide with digit keys
     assert not any(ch.isdigit() for ch in TASK_DESCRIPT + DEFAULT_CONTENT)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from weavepe.masks import causal_mask
+from weavepe.masks import causal_mask, sink_mask
 from weavepe.model import (
     BOS_ID,
     DenseFF,
@@ -14,13 +14,14 @@ from weavepe.model import (
     WhitespaceVocab,
     embed,
     forward,
+    head_scores,
     load_weights,
     random_model,
     save_weights,
     softmax_rows,
     zero_ff,
 )
-from weavepe.pe_core import Scheme, WeaveParams
+from weavepe.pe_core import Scheme, WeaveParams, rotary_table
 from weavepe.theory import TheoryConfig, build_theorem1, build_theorem2
 
 
@@ -134,17 +135,39 @@ def test_additive_head_view_equals_concat_projection():
 
 
 def test_forward_translation_covariance_rotary():
-    from weavepe.pipeline import _chunk_scores
-
     w = random_model(d=8, n_heads=1, n_layers=1, vocab=8, seed=2)
     rng = np.random.default_rng(3)
     q = rng.normal(size=(4, 8))
     k = rng.normal(size=(6, 8))
     qc = np.array([3.0, 5.0, 8.0, 9.0])
     kc = np.array([0.0, 1.0, 2.0, 3.0, 4.0, 5.0])
-    a = _chunk_scores(w, 0, q, k, qc, kc)
-    b = _chunk_scores(w, 0, q, k, qc + 117.0, kc + 117.0)
-    assert np.allclose(a, b, atol=1e-12)
+
+    def scores(shift):
+        rot = (rotary_table(qc + shift, 8, w.theta_base), rotary_table(kc + shift, 8, w.theta_base))
+        return head_scores(q, k, w, 0.0, None, rot=rot)
+
+    assert np.allclose(scores(0.0), scores(117.0), atol=1e-12)
+
+
+@pytest.mark.parametrize("case", ["causal", "sink", "layer_norm"])
+def test_rotary_identity_path_matches_dense_kernel(case):
+    # raw distances factor into coordinates, so the default rotary forward
+    # rotates q and k by 0..n-1; a stair weave with cap n has the same
+    # distances but takes the dense scores_rotary path
+    w = random_model(d=16, n_heads=2, n_layers=3, vocab=16, seed=11)
+    if case == "layer_norm":
+        for layer in w.layers:
+            layer.layer_norm = "standard"
+    tokens = np.random.default_rng(12).integers(1, 16, size=63).tolist()
+    n = len(tokens) + 1
+    mask = sink_mask(n, 3, 20) if case == "sink" else None
+    fast = forward(tokens, w, mask=mask)
+    dense = forward(tokens, w, weave=WeaveParams(scheme=Scheme.STAIR, cap=n), mask=mask)
+    for a, b in zip(fast.hidden, dense.hidden):
+        assert np.max(np.abs(a - b)) <= 1e-12
+    for layer_a, layer_b in zip(fast.alphas, dense.alphas):
+        for a, b in zip(layer_a, layer_b):
+            assert np.max(np.abs(a - b)) <= 1e-12
 
 
 def test_mask_argument_restricts_attention():

@@ -178,6 +178,60 @@ def test_decode_matches_forward_inside_weave_window():
     assert np.allclose(logits, want, atol=1e-12)
 
 
+def test_in_window_rotary_prefill_skips_dense_kernel(monkeypatch):
+    from weavepe import model
+
+    def dense_path(*args, **kwargs):
+        raise AssertionError("in-window rotary prefill took the dense distance-matrix path")
+
+    monkeypatch.setattr(model, "scores_rotary", dense_path)
+    monkeypatch.setattr(model, "position_matrix", dense_path)
+    w = random_model(d=8, n_heads=2, n_layers=2, vocab=16, seed=3)
+    res = prefill(_tokens(40), w, TOY)
+    assert res.report.fallback
+    assert np.isfinite(res.logits).all()
+
+
+def _count_rotations(monkeypatch):
+    """Record the column count of every rotary table and each weave_stair call."""
+    from weavepe import pe_core, pipeline
+
+    tables, stairs = [], []
+    real_table, real_stair = pipeline.rotary_table, pe_core.weave_stair
+
+    def table(coords, *args):
+        tables.append(len(coords))
+        return real_table(coords, *args)
+
+    def stair(*args):
+        stairs.append(args)
+        return real_stair(*args)
+
+    monkeypatch.setattr(pipeline, "rotary_table", table)
+    monkeypatch.setattr(pe_core, "weave_stair", stair)
+    return tables, stairs
+
+
+def test_decode_step_builds_each_rotation_once(monkeypatch):
+    w = random_model(d=8, n_heads=2, n_layers=3, vocab=16, seed=3)
+    res = prefill(_tokens(40), w, TOY)
+    n = len(res.cache)
+    tables, stairs = _count_rotations(monkeypatch)
+    decode_step(res.cache, 3, w, TOY)
+    # one query and one key rotation, and one weave of the key distances,
+    # not one per layer x head
+    assert sorted(tables) == [1, n + 1]
+    assert len(stairs) == 1
+
+
+def test_prefill_builds_each_rotation_once_per_chunk(monkeypatch):
+    w = random_model(d=8, n_heads=2, n_layers=3, vocab=16, seed=3)
+    tables, _ = _count_rotations(monkeypatch)
+    res = prefill(_tokens(199), w, TOY)
+    assert not res.report.fallback
+    assert len(tables) == 2 * len(res.report.chunks)
+
+
 def test_generate_deterministic_and_stops():
     w = random_model(d=8, n_heads=2, n_layers=1, vocab=16, seed=4)
     a = generate(_tokens(30), w, TOY, max_new=6)
