@@ -235,18 +235,21 @@ def transformer_layer(
     return h_new, a, alphas
 
 
-def forward(
+def forward_layers(
     tokens,
     weights: ModelWeights,
     weave: WeaveParams | None = None,
     mask: AttentionMask | None = None,
-) -> ForwardTrace:
-    """Full forward pass; deterministic in all arguments.
+):
+    """The forward pass one layer at a time: yields (layer input, layer output,
+    attention-sublayer output, head weights) per layer.
 
     The positional input is built once and shared by every layer and head.
     A rotary model under an identity weave (or None) rotates queries and keys
     by their positions 0..n-1, since R(t)^T R(i) = R(t - i); any other weave,
-    and the additive family, get the distance matrix of the scheme.
+    and the additive family, get the distance matrix of the scheme.  A caller
+    that keeps only the hidden states lets each layer's n x n head weights go
+    as the next layer runs.
     """
     if len(tokens) == 0:
         raise ValueError("empty input")
@@ -262,15 +265,26 @@ def forward(
     elif weights.pe_family in ("rotary", "additive"):
         params = weave or WeaveParams(scheme=Scheme.ROPE)
         dmat = position_matrix(params, n).entries
-    hidden = [h]
-    attn = []
-    alphas = []
     for layer in weights.layers:
-        h, a, al = transformer_layer(h, layer, weights, allowed, dmat, rot)
-        hidden.append(h)
-        attn.append(a)
-        alphas.append(al)
-    return ForwardTrace(hidden=hidden, attn=attn, alphas=alphas)
+        h_out, a, alphas = transformer_layer(h, layer, weights, allowed, dmat, rot)
+        yield h, h_out, a, alphas
+        h = h_out
+
+
+def forward(
+    tokens,
+    weights: ModelWeights,
+    weave: WeaveParams | None = None,
+    mask: AttentionMask | None = None,
+) -> ForwardTrace:
+    """Full forward pass, every layer's states kept; deterministic in all arguments."""
+    trace = ForwardTrace(hidden=[], attn=[], alphas=[])
+    for h, h_out, a, alphas in forward_layers(tokens, weights, weave, mask):
+        trace.hidden.append(h)
+        trace.attn.append(a)
+        trace.alphas.append(alphas)
+    trace.hidden.append(h_out)
+    return trace
 
 
 class KVCache:
@@ -315,13 +329,19 @@ class KVCache:
 
     def view(self, layer: int, head: int, span: tuple[int, int] | None = None):
         """Keys, values (h x n) and indices for one layer/head, optionally sliced
-        to positions in [span)."""
-        k = np.concatenate(self._k[layer][head], axis=1) if self._k[layer][head] else np.zeros((0, 0))
-        v = np.concatenate(self._v[layer][head], axis=1) if self._v[layer][head] else np.zeros((0, 0))
-        idx = self.indices
+        to positions in [span); only the blocks that overlap span are copied."""
+        if not self._idx:
+            return np.zeros((0, 0)), np.zeros((0, 0)), np.zeros(0, dtype=np.int64)
+        blocks = range(len(self._idx))
         if span is not None:
-            sel = (idx >= span[0]) & (idx < span[1])
-            return k[:, sel], v[:, sel], idx[sel]
+            # keep one block even when none overlaps, so the shapes stay (h, 0)
+            blocks = [b for b in blocks if self._idx[b][0] < span[1] and self._idx[b][-1] >= span[0]] or [0]
+        k = np.concatenate([self._k[layer][head][b] for b in blocks], axis=1)
+        v = np.concatenate([self._v[layer][head][b] for b in blocks], axis=1)
+        idx = np.concatenate([self._idx[b] for b in blocks])
+        if span is not None:
+            lo, hi = np.searchsorted(idx, span)
+            return k[:, lo:hi], v[:, lo:hi], idx[lo:hi]
         return k, v, idx
 
 

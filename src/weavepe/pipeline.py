@@ -13,8 +13,19 @@ cos/sin tables of the query and key rotations, are built once per chunk and
 once per decode step, before the layer loop, and shared by every layer and
 head; no per-cell trigonometry runs on these paths.
 
-Middle chunks are independent given the first chunk's keys and values and
-could run in parallel; this implementation processes them sequentially.
+Attention runs in tiles of TILE_ROWS query rows, through one routine shared
+by chunks and decode steps (a decode step is one row over every cached
+key).  Queries and keys are rotated once per head and sliced per tile.  A
+tile ending at chunk row r1 scores only the keys [0, c + r1) it may see, c
+being the chunk's context length; the causal -inf is added on the tile's
+rows x rows diagonal tail alone, the softmax runs in place on the one tile
+buffer, and its normalisation is deferred past the value product, as in
+FlashAttention (Dao et al., arXiv 2205.14135).  No m x n score, mask or
+distance matrix is built, and a chunk's cell count and largest distance
+are computed in closed form from its coordinates.  Middle chunks are
+independent given the first chunk's keys and values but run one after
+another: the time goes to the elementwise passes over the scores, not to
+the Python loop.
 """
 
 from __future__ import annotations
@@ -27,18 +38,25 @@ import numpy as np
 from weavepe.model import (
     KVCache,
     ModelWeights,
-    forward,
-    head_scores,
+    forward,  # noqa: F401  kept importable here: perfbench/layertrace.py wraps this name
+    forward_layers,
     layer_norm_cols,
 )
 from weavepe.pe_core import (
     Scheme,
     WeaveParams,
+    apply_rotary,
     rotary_table,
     rotate_by_coords,  # noqa: F401  kept importable here: perfbench/layertrace.py wraps this name
     weave_fn,
 )
 from weavepe.splitter import ChunkPlan, chunk_spans, dynamic_split
+
+#: query rows per attention tile; REF's last-chunk attention (577 x 16,385) is
+#: fastest from 48 to 64 rows, and about 35 % slower at 32 or 128
+TILE_ROWS = 64
+#: additive causal mask for a full tile's diagonal tail: -inf above the diagonal
+_CAUSAL_TAIL = np.triu(np.full((TILE_ROWS, TILE_ROWS), -np.inf), 1)
 
 
 @dataclass(frozen=True)
@@ -71,7 +89,7 @@ class ChunkTrace:
     kind: str                      # "single" | "first" | "middle" | "last" | "decode"
     q_span: tuple[int, int]        # raw token indices of the queries
     ctx_indices: np.ndarray        # raw indices of out-of-chunk context keys
-    cells: int                     # attention score entries computed (one head, one layer)
+    cells: int                     # visible (query, key) pairs, the scores softmaxed (one head, one layer)
     max_pe_distance: float         # largest coordinate distance fed to the PE
 
     def allowed_pairs(self) -> set[tuple[int, int]]:
@@ -134,21 +152,86 @@ def _n_heads(weights: ModelWeights) -> int:
 
 
 def _positions(weights: ModelWeights, q_coords: np.ndarray, k_coords: np.ndarray):
-    """Positional input of head_scores for one chunk or decode step.
+    """Positional input of _attend for one chunk or decode step.
 
-    Returns (dmat, rot), built once and shared by every layer and head: the
-    distance matrix for the additive family, the query and key rotary tables
-    for the rotary family, None where the family does not use it.
+    Built once and shared by every layer and head: the query and key rotary
+    tables for the rotary family, the coordinates themselves for the additive
+    family (its distances are taken per tile), None for the dot family.
     """
     fam = weights.pe_family
     if fam == "dot":
-        return None, None
+        return None
     if fam == "additive":
-        return q_coords[:, None] - k_coords[None, :], None
+        return q_coords, k_coords
     if fam == "rotary":
         dim, base = weights.head_dim, weights.theta_base
-        return None, (rotary_table(q_coords, dim, base), rotary_table(k_coords, dim, base))
+        return rotary_table(q_coords, dim, base), rotary_table(k_coords, dim, base)
     raise ValueError(f"pipeline does not support pe_family {fam}")
+
+
+def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, ctx_len: int, fam: str, slope: float, pos) -> np.ndarray:
+    """Causal attention of the m columns of q over ctx_len context keys, then
+    the m queries' own keys; k and v are h x (ctx_len + m).
+
+    Query row r sees keys [0, ctx_len + r].  Rows run in tiles of TILE_ROWS:
+    a tile ending at row r1 scores only keys [0, ctx_len + r1), the causal
+    -inf goes on its rows x rows diagonal tail alone, and the softmax runs in
+    place on the tile with its normalisation deferred past the value product.
+    Returns the h x m attention-weighted values.
+    """
+    if fam == "rotary":
+        q, k = apply_rotary(q, pos[0]), apply_rotary(k, pos[1])
+    qt = q.T
+    m = qt.shape[0]
+    out = np.empty((v.shape[0], m))
+    for r0 in range(0, m, TILE_ROWS):
+        r1 = min(r0 + TILE_ROWS, m)
+        nk = ctx_len + r1
+        s = qt[r0:r1] @ k[:, :nk]
+        if fam == "additive":
+            s -= slope * (pos[0][r0:r1, None] - pos[1][None, :nk])
+        s[:, ctx_len + r0 :] += _CAUSAL_TAIL[: r1 - r0, : r1 - r0]
+        s -= s.max(axis=1, keepdims=True)
+        np.exp(s, out=s)
+        out[:, r0:r1] = (v[:, :nk] @ s.T) / s.sum(axis=1)
+    return out
+
+
+def _run_layers(h: np.ndarray, q_raw: np.ndarray, weights: ModelWeights, cache: KVCache, ctx_span, pos) -> np.ndarray:
+    """Run the columns of h (tokens q_raw) through every layer; appends their raw K/V.
+
+    Their queries see the cached keys in ctx_span (every cached key when
+    ctx_span is None), then their own keys causally; pos is the _positions
+    of exactly those keys.  Returns the final hidden state.
+    """
+    ctx_len = len(cache) if ctx_span is None else ctx_span[1] - ctx_span[0]
+    new_k = [[None] * _n_heads(weights) for _ in weights.layers]
+    new_v = [[None] * _n_heads(weights) for _ in weights.layers]
+    for li, layer in enumerate(weights.layers):
+        a = np.zeros_like(h)
+        for mi, head in enumerate(layer.heads):
+            k = new_k[li][mi] = head.w_k @ h
+            v = new_v[li][mi] = head.w_v @ h
+            if ctx_len:
+                k_ctx, v_ctx, _ = cache.view(li, mi, span=ctx_span)
+                k = np.concatenate([k_ctx, k], axis=1)
+                v = np.concatenate([v_ctx, v], axis=1)
+            att = _attend(head.w_q @ h, k, v, ctx_len, weights.pe_family, weights.slope_for_head(mi), pos)
+            a += head.w_o @ att
+        z = a + h
+        zz = layer_norm_cols(z) if layer.layer_norm == "standard" else z
+        h = layer.ff(zz) + z
+    cache.append(q_raw, new_k, new_v)
+    return h
+
+
+def _max_visible_distance(q_coords: np.ndarray, k_coords: np.ndarray, ctx_len: int) -> float:
+    """Largest |q - k| coordinate gap over the pairs _attend scores: query row
+    r against keys [0, ctx_len + r], via prefix minima and maxima of the keys."""
+    rows = slice(ctx_len, ctx_len + q_coords.size)
+    lo = np.minimum.accumulate(k_coords)[rows]
+    hi = np.maximum.accumulate(k_coords)[rows]
+    return float(max(np.max(np.abs(q_coords - lo)), np.max(np.abs(q_coords - hi))))
 
 
 def _run_chunk(
@@ -156,76 +239,42 @@ def _run_chunk(
     weights: ModelWeights,
     cache: KVCache,
     span: tuple[int, int],
-    ctx_span: tuple[int, int] | None,
+    ctx_idx: np.ndarray,
     coords_of,  # callable raw index array -> PE coordinates array
 ) -> tuple[np.ndarray, int, float]:
-    """Process tokens in span against cached context; appends their raw K/V.
+    """Process tokens in span against the cached context keys ctx_idx, which
+    are 0..c-1; appends their raw K/V.
 
-    Returns (hidden d x m of the chunk through all layers, cells computed per
+    Returns (hidden d x m of the chunk through all layers, visible pairs per
     layer/head, max coordinate distance used).
     """
     lo, hi = span
-    ids = seq_ids[lo:hi]
-    h = weights.w_e[:, ids].astype(np.float64)
-    m = hi - lo
+    m, c = hi - lo, ctx_idx.size
+    h = weights.w_e[:, seq_ids[lo:hi]].astype(np.float64)
     q_raw = np.arange(lo, hi)
-    q_coords = np.asarray(coords_of(q_raw), dtype=np.float64)
+    k_coords = np.asarray(coords_of(np.concatenate([ctx_idx, q_raw])), dtype=np.float64)
+    q_coords = k_coords[c:]
 
-    if ctx_span is not None and ctx_span[1] > ctx_span[0]:
-        _, _, ctx_idx = cache.view(0, 0, span=ctx_span)
-    else:
-        ctx_idx = np.zeros(0, dtype=np.int64)
-    ctx_coords = np.asarray(coords_of(ctx_idx), dtype=np.float64) if ctx_idx.size else np.zeros(0)
-    k_raw = np.concatenate([ctx_idx, q_raw])
-    k_coords = np.concatenate([ctx_coords, q_coords])
-    allowed = q_raw[:, None] >= k_raw[None, :]
-
-    cells = int(np.sum(allowed))
-    max_pe = float(np.max(np.abs(q_coords[:, None] - k_coords[None, :])[allowed])) if cells else 0.0
-    dmat, rot = _positions(weights, q_coords, k_coords)
-
-    new_k = [[None] * _n_heads(weights) for _ in weights.layers]
-    new_v = [[None] * _n_heads(weights) for _ in weights.layers]
-    for li, layer in enumerate(weights.layers):
-        a = np.zeros_like(h)
-        for mi, head in enumerate(layer.heads):
-            k_self = head.w_k @ h
-            v_self = head.w_v @ h
-            new_k[li][mi] = k_self
-            new_v[li][mi] = v_self
-            if ctx_idx.size:
-                k_ctx, v_ctx, _ = cache.view(li, mi, span=ctx_span)
-                k_all = np.concatenate([k_ctx, k_self], axis=1)
-                v_all = np.concatenate([v_ctx, v_self], axis=1)
-            else:
-                k_all, v_all = k_self, v_self
-            q = head.w_q @ h
-            s = head_scores(q.T, k_all.T, weights, weights.slope_for_head(mi), dmat, rot=rot)
-            s = np.where(allowed, s, -np.inf)
-            mx = np.max(s, axis=1, keepdims=True)
-            e = np.exp(s - mx)
-            alpha = e / np.sum(e, axis=1, keepdims=True)
-            a += head.w_o @ (v_all @ alpha.T)
-        z = a + h
-        zz = layer_norm_cols(z) if layer.layer_norm == "standard" else z
-        h = layer.ff(zz) + z
-    cache.append(q_raw, new_k, new_v)
+    cells = m * c + m * (m + 1) // 2
+    max_pe = _max_visible_distance(q_coords, k_coords, c)
+    h = _run_layers(h, q_raw, weights, cache, (0, c), _positions(weights, q_coords, k_coords))
     return h, cells, max_pe
 
 
 def _fill_cache_from_forward(seq_ids: np.ndarray, weights: ModelWeights) -> tuple[np.ndarray, KVCache]:
-    """Vanilla single-pass forward; raw K/V recomputed per layer for the cache."""
-    trace = forward(seq_ids[1:], weights)
-    cache = KVCache(len(weights.layers), _n_heads(weights))
-    idx = np.arange(len(seq_ids))
+    """Vanilla single-pass forward; raw K/V taken from each layer's input.
+
+    The layers run one at a time and only their hidden states are kept, so
+    each layer's n x n attention matrices are dropped as the next one runs.
+    """
     k_blocks = []
     v_blocks = []
-    for li, layer in enumerate(weights.layers):
-        h_in = trace.hidden[li]
+    for layer, (h_in, h, _, _) in zip(weights.layers, forward_layers(seq_ids[1:], weights)):
         k_blocks.append([head.w_k @ h_in for head in layer.heads])
         v_blocks.append([head.w_v @ h_in for head in layer.heads])
-    cache.append(idx, k_blocks, v_blocks)
-    logits = weights.w_e.T @ trace.hidden[-1][:, -1]
+    cache = KVCache(len(weights.layers), _n_heads(weights))
+    cache.append(np.arange(len(seq_ids)), k_blocks, v_blocks)
+    logits = weights.w_e.T @ h[:, -1]
     return logits, cache
 
 
@@ -271,9 +320,9 @@ def prefill(tokens, weights: ModelWeights, config: MesaConfig) -> PrefillResult:
     h_last = None
     for ci, span in enumerate(spans):
         if ci == 0:
-            kind, ctx, coords = "first", None, raw_coords
+            kind, ctx_len, coords = "first", 0, raw_coords
         elif ci < len(spans) - 1:
-            kind, ctx = "middle", (0, plan.first_len)
+            kind, ctx_len = "middle", plan.first_len
             offset = span[0] - plan.first_len
 
             def coords(idx, off=offset):
@@ -282,17 +331,14 @@ def prefill(tokens, weights: ModelWeights, config: MesaConfig) -> PrefillResult:
                 return np.where(idx < plan.first_len, idx, idx - off)
 
         else:
-            kind, ctx = "last", (0, span[0])
+            kind, ctx_len = "last", span[0]
 
             def coords(idx):
                 idx = np.asarray(idx, dtype=np.int64)
                 return anchor - remap(anchor - idx)
 
-        h_chunk, cells, max_pe = _run_chunk(seq_ids, weights, cache, span, ctx, coords)
-        if ctx is not None and ctx[1] > ctx[0]:
-            ctx_idx = np.arange(ctx[0], ctx[1], dtype=np.int64)
-        else:
-            ctx_idx = np.zeros(0, dtype=np.int64)
+        ctx_idx = np.arange(ctx_len, dtype=np.int64)
+        h_chunk, cells, max_pe = _run_chunk(seq_ids, weights, cache, span, ctx_idx, coords)
         report.chunks.append(
             ChunkTrace(kind=kind, q_span=span, ctx_indices=ctx_idx, cells=cells, max_pe_distance=max_pe)
         )
@@ -316,31 +362,9 @@ def decode_step(
         raise ValueError(f"unknown token id {next_token}")
     t_new = len(cache)
     k_coords = _woven_key_coords(t_new, np.append(cache.indices, t_new), config)
-    dmat, rot = _positions(weights, np.asarray([float(t_new)]), k_coords)
+    pos = _positions(weights, np.asarray([float(t_new)]), k_coords)
     h = weights.w_e[:, [int(next_token)]].astype(np.float64)
-
-    new_k = [[None] * _n_heads(weights) for _ in weights.layers]
-    new_v = [[None] * _n_heads(weights) for _ in weights.layers]
-    for li, layer in enumerate(weights.layers):
-        a = np.zeros_like(h)
-        for mi, head in enumerate(layer.heads):
-            k_self = head.w_k @ h
-            v_self = head.w_v @ h
-            new_k[li][mi] = k_self
-            new_v[li][mi] = v_self
-            k_ctx, v_ctx, _ = cache.view(li, mi)
-            k_all = np.concatenate([k_ctx, k_self], axis=1)
-            v_all = np.concatenate([v_ctx, v_self], axis=1)
-            q = head.w_q @ h
-            s = head_scores(q.T, k_all.T, weights, weights.slope_for_head(mi), dmat, rot=rot)
-            mx = np.max(s)
-            e = np.exp(s - mx)
-            alpha = e / np.sum(e)
-            a += head.w_o @ (v_all @ alpha.T)
-        z = a + h
-        zz = layer_norm_cols(z) if layer.layer_norm == "standard" else z
-        h = layer.ff(zz) + z
-    cache.append(np.asarray([t_new]), new_k, new_v)
+    h = _run_layers(h, np.asarray([t_new]), weights, cache, None, pos)
     logits = weights.w_e.T @ h[:, -1]
     return logits, cache
 

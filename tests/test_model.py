@@ -200,6 +200,40 @@ def test_kv_cache_round_trip():
     assert np.array_equal(k2[:, 0], ka[:, 2] * 2)
 
 
+@pytest.mark.parametrize(
+    "span",
+    [(0, 3), (3, 5), (0, 5), (2, 4), (1, 8), (5, 8), (6, 9), (3, 3), (0, 20), (9, 20), (-4, 0)],
+)
+def test_kv_cache_span_view_equals_sliced_full_view(span):
+    # blocks hold positions 0-2, 3-4 and 6-8 (5 is absent, as after a gap)
+    cache = KVCache(n_layers=2, n_heads=2)
+    rng = np.random.default_rng(1)
+    for idx in (np.arange(3), np.array([3, 4]), np.array([6, 7, 8])):
+        k = [[rng.normal(size=(3, idx.size)) for _ in range(2)] for _ in range(2)]
+        v = [[rng.normal(size=(3, idx.size)) for _ in range(2)] for _ in range(2)]
+        cache.append(idx, k, v)
+    for layer in range(2):
+        for head in range(2):
+            k_full, v_full, idx_full = cache.view(layer, head)
+            sel = (idx_full >= span[0]) & (idx_full < span[1])
+            k, v, idx = cache.view(layer, head, span=span)
+            assert k.shape == (3, int(sel.sum())) and v.shape == k.shape
+            assert np.array_equal(k, k_full[:, sel])
+            assert np.array_equal(v, v_full[:, sel])
+            assert np.array_equal(idx, idx_full[sel])
+    # only the blocks overlapping the span were copied
+    overlap = sum(b.size for b in cache._idx if b[0] < span[1] and b[-1] >= span[0]) or 3
+    k, _, _ = cache.view(0, 0, span=span)
+    assert (k if k.base is None else k.base).shape[1] == overlap
+
+
+def test_kv_cache_empty_views():
+    cache = KVCache(n_layers=1, n_heads=1)
+    for span in (None, (0, 4)):
+        k, v, idx = cache.view(0, 0, span=span)
+        assert k.shape == v.shape == (0, 0) and idx.size == 0
+
+
 def test_kv_cache_rejects_non_monotonic():
     cache = KVCache(n_layers=1, n_heads=1)
     k = np.zeros((2, 2))
