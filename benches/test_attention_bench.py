@@ -1,18 +1,20 @@
-"""Micro-benchmarks of the tiled attention at the reference config's sizes.
+"""Micro-benchmarks of the tiled attention and the decode path at the
+reference config's sizes.
 
 Not part of the test suite (pytest's testpaths is tests/); run with
 
     PYTHONPATH=src python -m pytest benches/ --benchmark-only
 
 Reference config: random_model(d=64, n_heads=4, n_layers=4, vocab=256),
-rotary, 16,384-token prompt; its last chunk is 577 queries over 16,385 keys.
+rotary, STAIR cap=512 tread=50, 16,384-token prompt; its last chunk is 577
+queries over 16,385 keys.
 """
 
 import numpy as np
 import pytest
 
 from weavepe.model import KVCache, random_model
-from weavepe.pe_core import Scheme, WeaveParams, rotary_table
+from weavepe.pe_core import Scheme, WeaveParams, rotary_table, weave_stair
 from weavepe.pipeline import MesaConfig, _attend, decode_step
 
 HEAD_DIM = 16
@@ -31,12 +33,17 @@ def test_last_chunk_attention(benchmark):
     assert out.shape == (HEAD_DIM, LAST_ROWS) and np.isfinite(out).all()
 
 
+def _ref_blocks(n):
+    rng = np.random.default_rng(1)
+    return [[rng.normal(size=(HEAD_DIM, n)) for _ in range(4)] for _ in range(4)]
+
+
 @pytest.fixture(scope="module")
 def ref_cache():
+    # sized to the prompt, as prefill sizes it; the first step grows it by 1/8
     weights = random_model(d=64, n_heads=4, n_layers=4, vocab=256, seed=0)
-    cache = KVCache(len(weights.layers), 4)
-    rng = np.random.default_rng(1)
-    blocks = [[rng.normal(size=(HEAD_DIM, KEYS - 1)) for _ in range(4)] for _ in weights.layers]
+    cache = KVCache(len(weights.layers), 4, capacity=KEYS - 1)
+    blocks = _ref_blocks(KEYS - 1)
     cache.append(np.arange(KEYS - 1), blocks, blocks)
     return weights, cache
 
@@ -47,3 +54,23 @@ def test_decode_step_16k_keys(benchmark, ref_cache):
     # each call appends one token, so the cache grows by one key per round
     logits, _ = benchmark(decode_step, cache, 3, weights, config)
     assert np.isfinite(logits).all()
+
+
+def test_kv_cache_append_and_view_16k(benchmark):
+    # a fresh prompt-sized cache per round: one 16k-key append, then every
+    # layer/head view, as a prefill fills it and a decode step reads it
+    blocks = _ref_blocks(KEYS - 1)
+
+    def fill_and_view():
+        cache = KVCache(4, 4, capacity=KEYS - 1)
+        cache.append(np.arange(KEYS - 1), blocks, blocks)
+        return [cache.view(layer, head) for layer in range(4) for head in range(4)]
+
+    views = benchmark(fill_and_view)
+    assert views[-1][0].shape == (HEAD_DIM, KEYS - 1)
+
+
+def test_weave_stair_16k(benchmark):
+    dist = np.arange(KEYS)[::-1]
+    woven = benchmark(weave_stair, dist, 512, 50)
+    assert woven[0] == 512 + -(-(KEYS - 1 - 512) // 50)

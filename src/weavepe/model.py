@@ -290,59 +290,106 @@ def forward(
 class KVCache:
     """Append-only store of raw (pre-positional) keys and values per layer/head.
 
-    Indices are the absolute token positions, shared across layers, and must
-    stay strictly increasing across appends.
+    Layout: per layer, one (heads, h, capacity) array each for K and V, plus
+    one index array shared by the layers; the first len(cache) slots hold the
+    appended tokens in order.  Indices are the absolute token positions and
+    must stay strictly increasing across appends.  view returns slices of
+    this storage, never copies.
+
+    A step writes each head's new keys and values into the slots past
+    len(cache) (write), attends over them in place, and append then commits
+    their positions.  Capacity starts at the constructor's (prefill passes the
+    prompt length); a write that runs past it grows that layer's arrays, and
+    append the index array, to the larger of the need and capacity + 1/8 —
+    never by doubling, so growing a full cache allocates at most one layer's
+    K or V again at a time.
     """
 
-    def __init__(self, n_layers: int, n_heads: int):
+    def __init__(self, n_layers: int, n_heads: int, capacity: int = 0):
         self.n_layers = n_layers
         self.n_heads = n_heads
-        self._k: list[list[list[np.ndarray]]] = [[[] for _ in range(n_heads)] for _ in range(n_layers)]
-        self._v: list[list[list[np.ndarray]]] = [[[] for _ in range(n_heads)] for _ in range(n_layers)]
-        self._idx: list[np.ndarray] = []
+        self._k: list[np.ndarray | None] = [None] * n_layers
+        self._v: list[np.ndarray | None] = [None] * n_layers
+        self._idx = np.empty(capacity, dtype=np.int64)
+        self._len = 0
 
     def __len__(self) -> int:
-        return int(sum(b.shape[0] for b in self._idx))
+        return self._len
+
+    @property
+    def capacity(self) -> int:
+        return self._idx.size
 
     @property
     def indices(self) -> np.ndarray:
-        if not self._idx:
-            return np.zeros(0, dtype=np.int64)
-        return np.concatenate(self._idx)
+        return self._idx[: self._len]
 
-    def append(self, indices, k_blocks: list[list[np.ndarray]], v_blocks: list[list[np.ndarray]]) -> None:
-        """Add one block of token positions with their per-layer/head raw K and V."""
+    @staticmethod
+    def _grown(size: int, need: int) -> int:
+        return size if need <= size else max(need, size + size // 8)
+
+    def _layer_storage(self, layer: int, head_dim: int, need: int) -> tuple[np.ndarray, np.ndarray]:
+        """This layer's K and V arrays, grown (K first, then V) to hold need slots."""
+        for store in (self._k, self._v):
+            old = store[layer]
+            size = self.capacity if old is None else old.shape[2]
+            if old is None or need > size:
+                new = np.empty((self.n_heads, head_dim, self._grown(size, need)))
+                if old is not None:
+                    new[:, :, : self._len] = old[:, :, : self._len]
+                store[layer] = new
+        return self._k[layer], self._v[layer]
+
+    def write(self, layer: int, head: int, k: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Store one head's keys and values (h x m) in the m slots past len(self);
+        append then commits them.  Returns that head's keys and values over
+        every filled slot and the new ones: h x (len + m) views of the storage."""
+        n, m = self._len, k.shape[1]
+        ks, vs = self._layer_storage(layer, k.shape[0], n + m)
+        ks[head, :, n : n + m] = k
+        vs[head, :, n : n + m] = v
+        return ks[head, :, : n + m], vs[head, :, : n + m]
+
+    def append(
+        self, indices, k_blocks: list[list[np.ndarray]] | None = None, v_blocks: list[list[np.ndarray]] | None = None
+    ) -> None:
+        """Commit one block of token positions to the slots past len(self).
+
+        With k_blocks and v_blocks ([layer][head] -> h x m raw K and V) they are
+        written there first; without, every layer's keys and values must
+        already be in those slots (write).
+        """
         idx = np.asarray(indices, dtype=np.int64)
         if idx.size == 0:
             return
         if np.any(np.diff(idx) <= 0):
             raise ValueError("appended indices must be strictly increasing")
-        if len(self._idx) and idx[0] <= self._idx[-1][-1]:
+        if self._len and idx[0] <= self._idx[self._len - 1]:
             raise ValueError("appended indices must follow the existing maximum")
-        self._idx.append(idx)
-        for l in range(self.n_layers):
-            for m in range(self.n_heads):
-                if k_blocks[l][m].shape[1] != idx.size or v_blocks[l][m].shape[1] != idx.size:
-                    raise ValueError("key/value blocks must match the index count")
-                self._k[l][m].append(k_blocks[l][m])
-                self._v[l][m].append(v_blocks[l][m])
+        n = self._len + idx.size
+        if k_blocks is not None:
+            for l in range(self.n_layers):
+                for m in range(self.n_heads):
+                    if k_blocks[l][m].shape[1] != idx.size or v_blocks[l][m].shape[1] != idx.size:
+                        raise ValueError("key/value blocks must match the index count")
+                    self.write(l, m, k_blocks[l][m], v_blocks[l][m])
+        elif any(ks is None or ks.shape[2] < n for ks in self._k):
+            raise ValueError("no keys and values were written for the appended positions")
+        if n > self.capacity:
+            grown = np.empty(self._grown(self.capacity, n), dtype=np.int64)
+            grown[: self._len] = self.indices
+            self._idx = grown
+        self._idx[self._len : n] = idx
+        self._len = n
 
     def view(self, layer: int, head: int, span: tuple[int, int] | None = None):
-        """Keys, values (h x n) and indices for one layer/head, optionally sliced
-        to positions in [span); only the blocks that overlap span are copied."""
-        if not self._idx:
+        """Keys, values (h x n) and indices for one layer/head, optionally only
+        the positions in [span); slices of the storage, not copies."""
+        ks = self._k[layer]
+        if ks is None:
             return np.zeros((0, 0)), np.zeros((0, 0)), np.zeros(0, dtype=np.int64)
-        blocks = range(len(self._idx))
-        if span is not None:
-            # keep one block even when none overlaps, so the shapes stay (h, 0)
-            blocks = [b for b in blocks if self._idx[b][0] < span[1] and self._idx[b][-1] >= span[0]] or [0]
-        k = np.concatenate([self._k[layer][head][b] for b in blocks], axis=1)
-        v = np.concatenate([self._v[layer][head][b] for b in blocks], axis=1)
-        idx = np.concatenate([self._idx[b] for b in blocks])
-        if span is not None:
-            lo, hi = np.searchsorted(idx, span)
-            return k[:, lo:hi], v[:, lo:hi], idx[lo:hi]
-        return k, v, idx
+        lo, hi = (0, self._len) if span is None else np.searchsorted(self.indices, span)
+        return ks[head, :, lo:hi], self._v[layer][head, :, lo:hi], self._idx[lo:hi]
 
 
 def random_model(

@@ -3,15 +3,23 @@
 Prefill runs the first chunk alone at local positions, each middle chunk
 against the first chunk only (both at local coordinates, so no positional
 distance ever exceeds the trained window), and the last chunk against the
-full concatenated cache with staircase-woven coordinates anchored at the
-final token.  Decode re-anchors the woven coordinates at each new token, so
-every decode query sees exactly the woven distance to every key.
+full cache with staircase-woven coordinates anchored at the final token.
+Decode re-anchors at each new token, so every decode query sees exactly the
+woven distance to every key.
 
-Every distance a chunk or decode step feeds the positional term is a
-difference of coordinates, so the coordinates, and for the rotary family the
-cos/sin tables of the query and key rotations, are built once per chunk and
-once per decode step, before the layer loop, and shared by every layer and
-head; no per-cell trigonometry runs on these paths.
+Every distance a chunk feeds the positional term is a difference of
+coordinates, so the coordinates, and for the rotary family the cos/sin
+tables of the query and key rotations, are built once per chunk, before the
+layer loop, and shared by every layer and head.  A decode step scores the
+raw cached keys by woven distance instead: key i at distance w_i scores
+(R(-w_i theta) q) . k_i, so one table over the step's distinct distances
+rotates the query, and no key is rotated and no per-key trigonometry runs.
+No per-cell trigonometry runs on these paths.
+
+Each chunk or step writes its raw keys and values into the preallocated
+cache slots past the filled ones before attending, so the last chunk and a
+decode step attend over a plain slice of the cache; a middle chunk joins
+only the first chunk's columns to its own.
 
 Attention runs in tiles of TILE_ROWS query rows, through one routine shared
 by chunks and decode steps (a decode step is one row over every cached
@@ -151,22 +159,64 @@ def _n_heads(weights: ModelWeights) -> int:
     return len(weights.layers[0].heads)
 
 
-def _positions(weights: ModelWeights, q_coords: np.ndarray, k_coords: np.ndarray):
+@dataclass(frozen=True)
+class _Woven:
+    """Positional input of a decode step: one query over keys at woven distances.
+
+    Key i scores (R(-w_i theta) q) . k_i, the rotation moved off the key onto
+    the query, so no key is rotated.  The distances never increase with the
+    key index, so equal ones form runs, and consecutive runs of one length
+    form segments: for the staircase, a possibly shorter run furthest away,
+    the runs of E keys, then one key per distance up to N.  The rotary
+    family rotates the query once per run (table) and scores each segment
+    through an (h, runs, length) view of its keys, so no key is copied
+    either.
+    """
+
+    dist: np.ndarray            # woven distance w_i of each key
+    table: tuple | None = None  # rotary: rotary_table over one distance per run
+    segments: tuple = ()        # rotary: (first run, end run, run length, first key) each
+
+    def scores(self, q: np.ndarray, k: np.ndarray, slope: float) -> np.ndarray:
+        """1 x n scores of the query q (h x 1) against the keys k (h x n)."""
+        if self.table is None:  # additive
+            return q.T @ k - slope * self.dist
+        qw = apply_rotary(np.broadcast_to(q, (q.shape[0], self.table[0].shape[1])), self.table)
+        s = np.empty((1, k.shape[1]))
+        for r0, r1, length, a in self.segments:
+            b = a + (r1 - r0) * length
+            s[0, a:b] = np.einsum("hr,hrl->rl", qw[:, r0:r1], k[:, a:b].reshape(-1, r1 - r0, length)).ravel()
+        return s
+
+
+def _positions(weights: ModelWeights, coords=None, dist: np.ndarray | None = None):
     """Positional input of _attend for one chunk or decode step.
 
-    Built once and shared by every layer and head: the query and key rotary
-    tables for the rotary family, the coordinates themselves for the additive
-    family (its distances are taken per tile), None for the dot family.
+    Built once and shared by every layer and head.  A chunk passes coords,
+    its (query, key) coordinates: the rotary family gets their two rotary
+    tables, the additive family the coordinates themselves (its distances are
+    taken per tile).  A decode step passes dist, each key's woven distance
+    from its query, and gets a _Woven: for the rotary family one table over
+    the step's distinct distances and the segments of equal runs.  The dot
+    family gets None.
     """
     fam = weights.pe_family
     if fam == "dot":
         return None
+    if fam not in ("additive", "rotary"):
+        raise ValueError(f"pipeline does not support pe_family {fam}")
+    dim, base = weights.head_dim, weights.theta_base
+    if dist is None:
+        return coords if fam == "additive" else tuple(rotary_table(c, dim, base) for c in coords)
     if fam == "additive":
-        return q_coords, k_coords
-    if fam == "rotary":
-        dim, base = weights.head_dim, weights.theta_base
-        return rotary_table(q_coords, dim, base), rotary_table(k_coords, dim, base)
-    raise ValueError(f"pipeline does not support pe_family {fam}")
+        return _Woven(dist)
+    starts = np.flatnonzero(np.r_[True, dist[1:] != dist[:-1]])  # first key of each run
+    runs = np.diff(np.r_[starts, dist.size])
+    first = np.flatnonzero(np.r_[True, runs[1:] != runs[:-1]])  # first run of each segment
+    segments = tuple(
+        (int(r0), int(r1), int(runs[r0]), int(starts[r0])) for r0, r1 in zip(first, np.r_[first[1:], runs.size])
+    )
+    return _Woven(dist, rotary_table(dist[starts], dim, base), segments)
 
 
 def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, ctx_len: int, fam: str, slope: float, pos) -> np.ndarray:
@@ -177,9 +227,11 @@ def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, ctx_len: int, fam: str,
     a tile ending at row r1 scores only keys [0, ctx_len + r1), the causal
     -inf goes on its rows x rows diagonal tail alone, and the softmax runs in
     place on the tile with its normalisation deferred past the value product.
-    Returns the h x m attention-weighted values.
+    A decode step (pos a _Woven) is one row over every key.  Returns the
+    h x m attention-weighted values.
     """
-    if fam == "rotary":
+    woven = isinstance(pos, _Woven)
+    if fam == "rotary" and not woven:
         q, k = apply_rotary(q, pos[0]), apply_rotary(k, pos[1])
     qt = q.T
     m = qt.shape[0]
@@ -187,9 +239,12 @@ def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, ctx_len: int, fam: str,
     for r0 in range(0, m, TILE_ROWS):
         r1 = min(r0 + TILE_ROWS, m)
         nk = ctx_len + r1
-        s = qt[r0:r1] @ k[:, :nk]
-        if fam == "additive":
-            s -= slope * (pos[0][r0:r1, None] - pos[1][None, :nk])
+        if woven:
+            s = pos.scores(q, k, slope)
+        else:
+            s = qt[r0:r1] @ k[:, :nk]
+            if fam == "additive":
+                s -= slope * (pos[0][r0:r1, None] - pos[1][None, :nk])
         s[:, ctx_len + r0 :] += _CAUSAL_TAIL[: r1 - r0, : r1 - r0]
         s -= s.max(axis=1, keepdims=True)
         np.exp(s, out=s)
@@ -197,41 +252,33 @@ def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, ctx_len: int, fam: str,
     return out
 
 
-def _run_layers(h: np.ndarray, q_raw: np.ndarray, weights: ModelWeights, cache: KVCache, ctx_span, pos) -> np.ndarray:
+def _run_layers(
+    h: np.ndarray, q_raw: np.ndarray, weights: ModelWeights, cache: KVCache, ctx_len: int, pos
+) -> np.ndarray:
     """Run the columns of h (tokens q_raw) through every layer; appends their raw K/V.
 
-    Their queries see the cached keys in ctx_span (every cached key when
-    ctx_span is None), then their own keys causally; pos is the _positions
-    of exactly those keys.  Returns the final hidden state.
+    Each head first writes its new keys and values into the cache slots past
+    len(cache).  The queries see the first ctx_len cached keys, then their
+    own keys causally: a plain slice of the cache when ctx_len is len(cache)
+    (the first and last chunk, a decode step), else (a middle chunk) those
+    ctx_len columns joined to the new ones.  pos is the _positions of exactly
+    those keys.  Returns the final hidden state.
     """
-    ctx_len = len(cache) if ctx_span is None else ctx_span[1] - ctx_span[0]
-    new_k = [[None] * _n_heads(weights) for _ in weights.layers]
-    new_v = [[None] * _n_heads(weights) for _ in weights.layers]
+    n = len(cache)
     for li, layer in enumerate(weights.layers):
         a = np.zeros_like(h)
         for mi, head in enumerate(layer.heads):
-            k = new_k[li][mi] = head.w_k @ h
-            v = new_v[li][mi] = head.w_v @ h
-            if ctx_len:
-                k_ctx, v_ctx, _ = cache.view(li, mi, span=ctx_span)
-                k = np.concatenate([k_ctx, k], axis=1)
-                v = np.concatenate([v_ctx, v], axis=1)
+            k, v = cache.write(li, mi, head.w_k @ h, head.w_v @ h)
+            if ctx_len < n:
+                k = np.concatenate([k[:, :ctx_len], k[:, n:]], axis=1)
+                v = np.concatenate([v[:, :ctx_len], v[:, n:]], axis=1)
             att = _attend(head.w_q @ h, k, v, ctx_len, weights.pe_family, weights.slope_for_head(mi), pos)
             a += head.w_o @ att
         z = a + h
         zz = layer_norm_cols(z) if layer.layer_norm == "standard" else z
         h = layer.ff(zz) + z
-    cache.append(q_raw, new_k, new_v)
+    cache.append(q_raw)
     return h
-
-
-def _max_visible_distance(q_coords: np.ndarray, k_coords: np.ndarray, ctx_len: int) -> float:
-    """Largest |q - k| coordinate gap over the pairs _attend scores: query row
-    r against keys [0, ctx_len + r], via prefix minima and maxima of the keys."""
-    rows = slice(ctx_len, ctx_len + q_coords.size)
-    lo = np.minimum.accumulate(k_coords)[rows]
-    hi = np.maximum.accumulate(k_coords)[rows]
-    return float(max(np.max(np.abs(q_coords - lo)), np.max(np.abs(q_coords - hi))))
 
 
 def _run_chunk(
@@ -256,8 +303,10 @@ def _run_chunk(
     q_coords = k_coords[c:]
 
     cells = m * c + m * (m + 1) // 2
-    max_pe = _max_visible_distance(q_coords, k_coords, c)
-    h = _run_layers(h, q_raw, weights, cache, (0, c), _positions(weights, q_coords, k_coords))
+    # coordinates never decrease with the key index under every weave here, so
+    # the largest distance scored is the last query's to the first key
+    max_pe = float(q_coords[-1] - k_coords[0])
+    h = _run_layers(h, q_raw, weights, cache, c, _positions(weights, (q_coords, k_coords)))
     return h, cells, max_pe
 
 
@@ -267,13 +316,12 @@ def _fill_cache_from_forward(seq_ids: np.ndarray, weights: ModelWeights) -> tupl
     The layers run one at a time and only their hidden states are kept, so
     each layer's n x n attention matrices are dropped as the next one runs.
     """
-    k_blocks = []
-    v_blocks = []
-    for layer, (h_in, h, _, _) in zip(weights.layers, forward_layers(seq_ids[1:], weights)):
-        k_blocks.append([head.w_k @ h_in for head in layer.heads])
-        v_blocks.append([head.w_v @ h_in for head in layer.heads])
+    # the first write sizes the storage to the prompt
     cache = KVCache(len(weights.layers), _n_heads(weights))
-    cache.append(np.arange(len(seq_ids)), k_blocks, v_blocks)
+    for li, (h_in, h, _, _) in enumerate(forward_layers(seq_ids[1:], weights)):
+        for mi, head in enumerate(weights.layers[li].heads):
+            cache.write(li, mi, head.w_k @ h_in, head.w_v @ h_in)
+    cache.append(np.arange(len(seq_ids)))
     logits = weights.w_e.T @ h[:, -1]
     return logits, cache
 
@@ -309,7 +357,7 @@ def prefill(tokens, weights: ModelWeights, config: MesaConfig) -> PrefillResult:
 
     plan = dynamic_split(total, config.train_len, config.first_len, config.min_last, config.rest_max)
     spans = chunk_spans(plan)
-    cache = KVCache(len(weights.layers), _n_heads(weights))
+    cache = KVCache(len(weights.layers), _n_heads(weights), capacity=total)
     report = RunReport(plan=plan, fallback=False)
     remap = weave_fn(config.weave)
     anchor = total - 1
@@ -349,22 +397,16 @@ def prefill(tokens, weights: ModelWeights, config: MesaConfig) -> PrefillResult:
     return PrefillResult(logits=logits, cache=cache, report=report)
 
 
-def _woven_key_coords(t_new: int, idx: np.ndarray, config: MesaConfig) -> np.ndarray:
-    """Coordinates of keys idx seen from a decode query at t_new: t_new - weave(t_new - idx)."""
-    return t_new - np.asarray(weave_fn(config.weave)(t_new - idx), dtype=np.float64)
-
-
 def decode_step(
     cache: KVCache, next_token: int, weights: ModelWeights, config: MesaConfig
 ) -> tuple[np.ndarray, KVCache]:
-    """Append one token; its query attends every cached key at woven distances."""
+    """Append one token; its query scores every cached raw key at its woven distance."""
     if not (0 <= int(next_token) < weights.vocab_size):
         raise ValueError(f"unknown token id {next_token}")
     t_new = len(cache)
-    k_coords = _woven_key_coords(t_new, np.append(cache.indices, t_new), config)
-    pos = _positions(weights, np.asarray([float(t_new)]), k_coords)
+    pos = _positions(weights, dist=decode_distances(t_new, config))
     h = weights.w_e[:, [int(next_token)]].astype(np.float64)
-    h = _run_layers(h, np.asarray([t_new]), weights, cache, None, pos)
+    h = _run_layers(h, np.asarray([t_new]), weights, cache, t_new, pos)
     logits = weights.w_e.T @ h[:, -1]
     return logits, cache
 
@@ -401,6 +443,6 @@ def generate(
 
 
 def decode_distances(cache_len: int, config: MesaConfig) -> np.ndarray:
-    """Effective woven distance from a decode query at position cache_len to
-    each cached key; exposed for exactness checks."""
-    return cache_len - _woven_key_coords(cache_len, np.arange(cache_len + 1), config)
+    """Woven distance from a decode query at position cache_len to each of the
+    keys 0..cache_len."""
+    return weave_fn(config.weave)(cache_len - np.arange(cache_len + 1))

@@ -221,10 +221,39 @@ def test_kv_cache_span_view_equals_sliced_full_view(span):
             assert np.array_equal(k, k_full[:, sel])
             assert np.array_equal(v, v_full[:, sel])
             assert np.array_equal(idx, idx_full[sel])
-    # only the blocks overlapping the span were copied
-    overlap = sum(b.size for b in cache._idx if b[0] < span[1] and b[-1] >= span[0]) or 3
-    k, _, _ = cache.view(0, 0, span=span)
-    assert (k if k.base is None else k.base).shape[1] == overlap
+            # a view is a slice of the cache's storage, not a copy
+            if k.size:
+                assert np.shares_memory(k, cache._k[layer]) and np.shares_memory(v, cache._v[layer])
+
+
+def test_kv_cache_growth_keeps_earlier_columns():
+    cache = KVCache(n_layers=2, n_heads=2, capacity=64)
+    rng = np.random.default_rng(2)
+    blocks, capacities = [], []
+    # fill, grow by 1/8 (64 -> 72), then past 72 + 9 straight to the need (85)
+    for idx in (np.arange(64), np.array([64]), np.arange(70, 90)):
+        k = [[rng.normal(size=(3, idx.size)) for _ in range(2)] for _ in range(2)]
+        v = [[rng.normal(size=(3, idx.size)) for _ in range(2)] for _ in range(2)]
+        cache.append(idx, k, v)
+        blocks.append((idx, k, v))
+        capacities.append(cache.capacity)
+    assert capacities == [64, 72, 85] and len(cache) == 85
+    for layer in range(2):
+        for head in range(2):
+            k, v, idx = cache.view(layer, head)
+            assert np.array_equal(idx, np.concatenate([b[0] for b in blocks]))
+            assert np.array_equal(k, np.concatenate([b[1][layer][head] for b in blocks], axis=1))
+            assert np.array_equal(v, np.concatenate([b[2][layer][head] for b in blocks], axis=1))
+
+
+def test_kv_cache_append_needs_written_slots():
+    cache = KVCache(n_layers=2, n_heads=1)
+    cache.write(0, 0, np.ones((3, 2)), np.ones((3, 2)))
+    with pytest.raises(ValueError):
+        cache.append(np.arange(2))
+    cache.write(1, 0, np.ones((3, 2)), np.ones((3, 2)))
+    cache.append(np.arange(2))
+    assert len(cache) == 2
 
 
 def test_kv_cache_empty_views():

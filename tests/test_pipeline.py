@@ -216,11 +216,12 @@ def test_decode_step_builds_each_rotation_once(monkeypatch):
     w = random_model(d=8, n_heads=2, n_layers=3, vocab=16, seed=3)
     res = prefill(_tokens(40), w, TOY)
     n = len(res.cache)
+    distinct = np.unique(decode_distances(n, TOY)).size
     tables, stairs = _count_rotations(monkeypatch)
     decode_step(res.cache, 3, w, TOY)
-    # one query and one key rotation, and one weave of the key distances,
-    # not one per layer x head
-    assert sorted(tables) == [1, n + 1]
+    # one table over the step's distinct woven distances, none over the n + 1
+    # keys, and one weave of the key distances, not one per layer x head
+    assert tables == [distinct] and distinct < n + 1
     assert len(stairs) == 1
 
 

@@ -5,9 +5,9 @@ chunk's queries score every token of the input through an explicit
 (queries x all keys) visibility mask and an explicit coordinate-difference
 matrix, then take a plain masked softmax.  The first chunk sits alone at raw
 positions; a middle chunk sees the first chunk at raw positions and itself
-shifted to start at F; the last chunk sees everything at staircase-woven
-coordinates anchored at the final token; a decode query sees everything at
-woven distances from itself.
+shifted to start at F; the last chunk sees everything at woven coordinates
+(staircase, capped or leaky) anchored at the final token; a decode query
+sees everything at woven distances from itself.
 """
 
 from unittest import mock
@@ -18,12 +18,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weavepe import pipeline
-from weavepe.model import layer_norm_cols, random_model, softmax_rows
+from weavepe.model import layer_norm_cols, random_model
 from weavepe.pe_core import Scheme, WeaveParams, scores_rotary, weave_fn
 from weavepe.pipeline import MesaConfig, decode_step, prefill
 from weavepe.splitter import chunk_spans
 
 TOL = 1e-12
+
+
+def _masked_softmax(scores, visible):
+    """Row softmax over the visible cells only; every row has one."""
+    e = np.where(visible, np.exp(scores - np.max(np.where(visible, scores, -np.inf), axis=1, keepdims=True)), 0.0)
+    return e / e.sum(axis=1, keepdims=True)
 
 
 def _dense_layer(h_all, q_cols, layer, weights, visible, dist):
@@ -39,7 +45,7 @@ def _dense_layer(h_all, q_cols, layer, weights, visible, dist):
             s = q @ k.T
             if weights.pe_family == "additive":
                 s = s - weights.slope_for_head(mi) * dist
-        alpha = softmax_rows(np.where(visible, s, -np.inf))
+        alpha = _masked_softmax(s, visible)
         a += head.w_o @ ((head.w_v @ h_all) @ alpha.T)
     z = a + h
     zz = layer_norm_cols(z) if layer.layer_norm == "standard" else z
@@ -77,15 +83,17 @@ def _oracle(weights, seq, cfg, plan):
 
 
 def _oracle_decode(weights, layer_in, token, cfg):
-    """Logits of one decode step: token at position t, right after the prompt."""
+    """One decode step, token at position t right after the t tokens of
+    layer_in: its logits, and the inputs of every layer with its column added."""
     t = layer_in[0].shape[1]
     keys = np.arange(t + 1)
     dist = np.asarray(weave_fn(cfg.weave)(t - keys), dtype=np.float64)[None, :]
     h = weights.w_e[:, [token]].astype(np.float64)
+    grown = []
     for li, layer in enumerate(weights.layers):
-        h_all = np.concatenate([layer_in[li], h], axis=1)
-        h = _dense_layer(h_all, [t], layer, weights, np.ones_like(dist, dtype=bool), dist)
-    return weights.w_e.T @ h[:, -1]
+        grown.append(np.concatenate([layer_in[li], h], axis=1))
+        h = _dense_layer(grown[-1], [t], layer, weights, np.ones_like(dist, dtype=bool), dist)
+    return weights.w_e.T @ h[:, -1], grown
 
 
 def _check_against_oracle(weights, cfg, n_tokens, seed):
@@ -106,16 +114,22 @@ def _check_against_oracle(weights, cfg, n_tokens, seed):
                 np.testing.assert_allclose(k, head.w_k @ h_in, rtol=0, atol=TOL)
                 np.testing.assert_allclose(v, head.w_v @ h_in, rtol=0, atol=TOL)
     np.testing.assert_allclose(res.logits, logits, rtol=0, atol=TOL)
-    token = int(np.argmax(res.logits))
-    step_logits, _ = decode_step(res.cache, token, weights, cfg)
-    np.testing.assert_allclose(step_logits, _oracle_decode(weights, layer_in, token, cfg), rtol=0, atol=TOL)
+    # prefill sizes the cache to the prompt, so the first step grows it
+    cache, step_logits = res.cache, res.logits
+    assert cache.capacity == len(cache)
+    for _ in range(3):
+        token = int(np.argmax(step_logits))
+        want, layer_in = _oracle_decode(weights, layer_in, token, cfg)
+        step_logits, cache = decode_step(cache, token, weights, cfg)
+        np.testing.assert_allclose(step_logits, want, rtol=0, atol=TOL)
+    assert len(cache) == len(seq) + 3 <= cache.capacity
     return res.report
 
 
-def _model(family, seed, standard_norm=False):
-    w = random_model(d=8, n_heads=2, n_layers=2, vocab=16, seed=seed, pe_family=family)
+def _model(family, seed, standard_norm=False, n_layers=2, n_heads=2):
+    w = random_model(d=4 * n_heads, n_heads=n_heads, n_layers=n_layers, vocab=16, seed=seed, pe_family=family)
     if standard_norm:
-        w.layers[1].layer_norm = "standard"
+        w.layers[-1].layer_norm = "standard"
     return w
 
 
@@ -123,7 +137,12 @@ def _model(family, seed, standard_norm=False):
 def _cases(draw):
     first = draw(st.integers(1, 8))
     train = draw(st.integers(first + 1, 48))
-    weave = WeaveParams(scheme=Scheme.STAIR, cap=draw(st.integers(1, train - 1)), tread=draw(st.integers(1, 6)))
+    weave = WeaveParams(
+        scheme=draw(st.sampled_from([Scheme.STAIR, Scheme.REROPE, Scheme.LEAKY_REROPE])),
+        cap=draw(st.integers(1, train - 1)),
+        tread=draw(st.integers(1, 6)),
+        leak=draw(st.floats(0.05, 1.0)),
+    )
     cfg = MesaConfig(
         train_len=train,
         weave=weave,
@@ -135,16 +154,17 @@ def _cases(draw):
     total = draw(st.integers(floor + 1, floor + 120))
     family = draw(st.sampled_from(["rotary", "additive", "dot"]))
     tile = draw(st.sampled_from([1, 2, 3, 4, 7, 16]))
-    return cfg, total, family, tile, draw(st.booleans()), draw(st.integers(0, 2**16))
+    shape = {"n_layers": draw(st.integers(1, 3)), "n_heads": draw(st.integers(1, 3))}
+    return cfg, total, family, tile, draw(st.booleans()), shape, draw(st.integers(0, 2**16))
 
 
 @given(_cases())
 @settings(deadline=None, max_examples=60)
 def test_every_chunk_matches_dense_oracle(case):
     # small tiles put chunk lengths below, at, and off multiples of the tile height
-    cfg, total, family, tile, standard_norm, seed = case
+    cfg, total, family, tile, standard_norm, shape, seed = case
     with mock.patch.object(pipeline, "TILE_ROWS", tile):
-        _check_against_oracle(_model(family, seed, standard_norm), cfg, total - 1, seed)
+        _check_against_oracle(_model(family, seed, standard_norm, **shape), cfg, total - 1, seed)
 
 
 @pytest.mark.parametrize("family", ["rotary", "additive", "dot"])
