@@ -1,5 +1,5 @@
-"""Micro-benchmarks of the tiled attention and the decode path at the
-reference config's sizes.
+"""Micro-benchmarks of the tiled attention, the in-window prefill and the
+decode path at the reference config's sizes.
 
 Not part of the test suite (pytest's testpaths is tests/); run with
 
@@ -13,9 +13,9 @@ queries over 16,385 keys.
 import numpy as np
 import pytest
 
-from weavepe.model import KVCache, random_model
+from weavepe.model import KVCache, _attend, random_model
 from weavepe.pe_core import Scheme, WeaveParams, rotary_table, weave_stair
-from weavepe.pipeline import MesaConfig, _attend, decode_step
+from weavepe.pipeline import MesaConfig, decode_step, prefill
 
 HEAD_DIM = 16
 LAST_ROWS, KEYS = 577, 16_385
@@ -38,13 +38,20 @@ def _ref_blocks(n):
     return [[rng.normal(size=(HEAD_DIM, n)) for _ in range(4)] for _ in range(4)]
 
 
+def _fill(cache, blocks):
+    """Write blocks ([layer][head] -> h x n) as every head's keys and values, then commit them."""
+    for layer, heads in enumerate(blocks):
+        for head, kv in enumerate(heads):
+            cache.write(layer, head, kv, kv)
+    cache.append(np.arange(blocks[0][0].shape[1]))
+
+
 @pytest.fixture(scope="module")
 def ref_cache():
     # sized to the prompt, as prefill sizes it; the first step grows it by 1/8
     weights = random_model(d=64, n_heads=4, n_layers=4, vocab=256, seed=0)
     cache = KVCache(len(weights.layers), 4, capacity=KEYS - 1)
-    blocks = _ref_blocks(KEYS - 1)
-    cache.append(np.arange(KEYS - 1), blocks, blocks)
+    _fill(cache, _ref_blocks(KEYS - 1))
     return weights, cache
 
 
@@ -63,11 +70,20 @@ def test_kv_cache_append_and_view_16k(benchmark):
 
     def fill_and_view():
         cache = KVCache(4, 4, capacity=KEYS - 1)
-        cache.append(np.arange(KEYS - 1), blocks, blocks)
+        _fill(cache, blocks)
         return [cache.view(layer, head) for layer in range(4) for head in range(4)]
 
     views = benchmark(fill_and_view)
     assert views[-1][0].shape == (HEAD_DIM, KEYS - 1)
+
+
+def test_in_window_prefill(benchmark):
+    # REF's in-window prompt: 1,000 tokens plus <bos>, one chunk at raw positions
+    weights = random_model(d=64, n_heads=4, n_layers=4, vocab=256, seed=0)
+    config = MesaConfig(train_len=1024, weave=WeaveParams(scheme=Scheme.STAIR, cap=512, tread=50))
+    tokens = np.random.default_rng(2).integers(1, 256, size=1000).tolist()
+    res = benchmark(prefill, tokens, weights, config)
+    assert res.report.fallback and len(res.cache) == 1001 and np.isfinite(res.logits).all()
 
 
 def test_weave_stair_16k(benchmark):

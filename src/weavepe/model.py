@@ -1,10 +1,20 @@
-"""Minimal decoder-only transformer with pluggable positional score kernels.
+"""Minimal decoder-only transformer with pluggable positional score kernels,
+and the one attention core that every path runs.
 
 Double precision throughout; the threshold constructions depend on it.  The
 multi-head sub-layer uses the additive view (head outputs summed), which is
 equivalent to concatenate-then-project for block-structured output weights.
 Keys and values are cached before any rotation so the same cached key can be
 assigned different woven positions later.
+
+forward, each prefill chunk and each decode step run the same layers
+(_run_layers) and the same attention (_attend).  Rows run in tiles of
+TILE_ROWS queries; a tile scores only the keys its rows may see, adds the
+causal -inf on its diagonal tail alone (or, for forward under a mask, the
+mask's tile), runs the softmax in place and defers its normalisation past
+the value product, as in FlashAttention (Dao et al., arXiv 2205.14135).  No
+score matrix larger than one tile is held; only forward keeps each head's
+normalised n x n weights, for its trace.
 """
 
 from __future__ import annotations
@@ -15,25 +25,22 @@ from typing import Protocol
 
 import numpy as np
 
-from weavepe.masks import AttentionMask, causal_mask
+from weavepe.masks import AttentionMask
 from weavepe.pe_core import (
     IDENTITY_SCHEMES,
-    Scheme,
     WeaveParams,
     alibi_slopes,
     apply_rotary,
     position_matrix,
     rotary_table,
     scores_additive,
-    scores_approx_additive,
-    scores_dot,
     scores_rotary,
 )
 
 BOS_ID = 0
 
 #: positional-score families a model can use
-PE_FAMILIES = ("dot", "rotary", "additive", "approx_additive")
+PE_FAMILIES = ("dot", "rotary", "additive")
 
 
 class FeedForward(Protocol):
@@ -132,72 +139,6 @@ def embed(tokens, weights: ModelWeights) -> np.ndarray:
     return weights.w_e[:, ids].astype(np.float64)
 
 
-def softmax_rows(scores: np.ndarray) -> np.ndarray:
-    """Numerically stabilized row softmax; -inf marks disallowed cells."""
-    m = np.max(scores, axis=1, keepdims=True)
-    m = np.where(np.isfinite(m), m, 0.0)
-    e = np.exp(scores - m)
-    return e / np.sum(e, axis=1, keepdims=True)
-
-
-def head_scores(
-    q: np.ndarray,
-    k: np.ndarray,
-    weights: ModelWeights,
-    slope: float,
-    dmat: np.ndarray | None,
-    key_idx: np.ndarray | None = None,
-    n_total: int | None = None,
-    rot: tuple | None = None,
-) -> np.ndarray:
-    """Dispatch to the model's score kernel; q, k are (m, h) and (n, h).
-
-    The rotary family takes rot, the query and key rotary_table when the
-    distances are coordinate differences, in place of dmat: both sides are
-    rotated and one matmul replaces the per-cell trig of scores_rotary.
-    """
-    fam = weights.pe_family
-    if fam == "dot":
-        return scores_dot(q, k)
-    if fam == "rotary":
-        if rot is not None:
-            return apply_rotary(q.T, rot[0]).T @ apply_rotary(k.T, rot[1])
-        if dmat is None:
-            raise ValueError("rotary family needs a distance matrix or coordinate rotations")
-        return scores_rotary(q, k, dmat, weights.theta_base)
-    if fam == "additive":
-        if dmat is None:
-            raise ValueError("additive family needs a distance matrix")
-        return scores_additive(q, k, dmat, slope)
-    if fam == "approx_additive":
-        if key_idx is None or n_total is None:
-            raise ValueError("approx_additive family needs key indices and total length")
-        return scores_approx_additive(q, k, key_idx, n_total, slope)
-    raise ValueError(fam)
-
-
-def attention_head(
-    h_prev: np.ndarray,
-    head: HeadWeights,
-    weights: ModelWeights,
-    slope: float,
-    allowed: np.ndarray,
-    dmat: np.ndarray | None,
-    rot: tuple | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """One causal attention head over all positions; returns (output d x n, alpha n x n)."""
-    q = (head.w_q @ h_prev).T  # (n, h)
-    k = (head.w_k @ h_prev).T
-    v = head.w_v @ h_prev      # (h, n)
-    n = h_prev.shape[1]
-    key_idx = np.arange(n)
-    s = head_scores(q, k, weights, slope, dmat, key_idx=key_idx, n_total=n, rot=rot)
-    s = np.where(allowed, s, -np.inf)
-    alpha = softmax_rows(s)
-    out = head.w_o @ (v @ alpha.T)
-    return out, alpha
-
-
 @dataclass
 class ForwardTrace:
     """Per-layer hidden states, attention-sublayer outputs, and head weights."""
@@ -214,61 +155,185 @@ class ForwardTrace:
         return weights.w_e.T @ self.hidden[-1][:, col]
 
 
-def transformer_layer(
-    h_prev: np.ndarray,
-    layer: LayerWeights,
-    weights: ModelWeights,
-    allowed: np.ndarray,
-    dmat: np.ndarray | None,
-    rot: tuple | None = None,
-) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
-    """Residual + FF(lambda(residual)) per column; heads are summed additively."""
-    a = np.zeros_like(h_prev)
-    alphas = []
-    for m, head in enumerate(layer.heads):
-        out, alpha = attention_head(h_prev, head, weights, weights.slope_for_head(m), allowed, dmat, rot)
-        a += out
-        alphas.append(alpha)
-    z = a + h_prev
-    zz = layer_norm_cols(z) if layer.layer_norm == "standard" else z
-    h_new = layer.ff(zz) + z
-    return h_new, a, alphas
+#: query rows per attention tile; REF's last-chunk attention (577 x 16,385) is
+#: fastest from 48 to 64 rows, and about 35 % slower at 32 or 128
+TILE_ROWS = 64
+#: additive causal mask for a full tile's diagonal tail: -inf above the diagonal
+_CAUSAL_TAIL = np.triu(np.full((TILE_ROWS, TILE_ROWS), -np.inf), 1)
 
 
-def forward_layers(
-    tokens,
-    weights: ModelWeights,
-    weave: WeaveParams | None = None,
-    mask: AttentionMask | None = None,
-):
-    """The forward pass one layer at a time: yields (layer input, layer output,
-    attention-sublayer output, head weights) per layer.
+@dataclass(frozen=True)
+class _Woven:
+    """Positional input of a decode step: one query over keys at woven distances.
 
-    The positional input is built once and shared by every layer and head.
-    A rotary model under an identity weave (or None) rotates queries and keys
-    by their positions 0..n-1, since R(t)^T R(i) = R(t - i); any other weave,
-    and the additive family, get the distance matrix of the scheme.  A caller
-    that keeps only the hidden states lets each layer's n x n head weights go
-    as the next layer runs.
+    Key i scores (R(-w_i theta) q) . k_i, the rotation moved off the key onto
+    the query, so no key is rotated.  The distances never increase with the
+    key index, so equal ones form runs, and consecutive runs of one length
+    form segments: for the staircase, a possibly shorter run furthest away,
+    the runs of E keys, then one key per distance up to N.  The rotary
+    family rotates the query once per run (table) and scores each segment
+    through an (h, runs, length) view of its keys, so no key is copied
+    either.
     """
-    if len(tokens) == 0:
-        raise ValueError("empty input")
-    h = embed(tokens, weights)
-    n = h.shape[1]
-    if mask is not None and mask.n != n:
-        raise ValueError(f"mask length {mask.n} does not match sequence length {n}")
-    allowed = (mask or causal_mask(n)).dense()
-    dmat = rot = None
-    if weights.pe_family == "rotary" and (weave is None or weave.scheme in IDENTITY_SCHEMES):
-        table = rotary_table(np.arange(n), weights.head_dim, weights.theta_base)
-        rot = (table, table)
-    elif weights.pe_family in ("rotary", "additive"):
-        params = weave or WeaveParams(scheme=Scheme.ROPE)
-        dmat = position_matrix(params, n).entries
-    for layer in weights.layers:
-        h_out, a, alphas = transformer_layer(h, layer, weights, allowed, dmat, rot)
-        yield h, h_out, a, alphas
-        h = h_out
+
+    dist: np.ndarray            # woven distance w_i of each key
+    table: tuple | None = None  # rotary: rotary_table over one distance per run
+    segments: tuple = ()        # rotary: (first run, end run, run length, first key) each
+
+    def scores(self, q: np.ndarray, k: np.ndarray, slope: float) -> np.ndarray:
+        """1 x n scores of the query q (h x 1) against the keys k (h x n)."""
+        if self.table is None:  # additive
+            return q.T @ k - slope * self.dist
+        qw = apply_rotary(np.broadcast_to(q, (q.shape[0], self.table[0].shape[1])), self.table)
+        s = np.empty((1, k.shape[1]))
+        for r0, r1, length, a in self.segments:
+            b = a + (r1 - r0) * length
+            s[0, a:b] = np.einsum("hr,hrl->rl", qw[:, r0:r1], k[:, a:b].reshape(-1, r1 - r0, length)).ravel()
+        return s
+
+
+@dataclass(frozen=True)
+class _Distances:
+    """Positional input of forward under a weave whose distances do not factor
+    into coordinates (capped, leaky, stair, grouped): the woven distance of
+    every (query, key) pair, built once and sliced per tile."""
+
+    entries: np.ndarray  # n x n position_matrix entries
+    theta_base: float
+
+    def scores(self, qt: np.ndarray, k: np.ndarray, r0: int, fam: str, slope: float) -> np.ndarray:
+        """Scores of the query rows qt (rows x h), the first being row r0,
+        against the keys k (h x nk)."""
+        dist = self.entries[r0 : r0 + qt.shape[0], : k.shape[1]]
+        if fam == "rotary":
+            return scores_rotary(qt, k.T, dist, self.theta_base)
+        return scores_additive(qt, k.T, dist, slope)
+
+
+def _positions(weights: ModelWeights, coords=None, dist: np.ndarray | None = None):
+    """Positional input of _attend for one chunk, forward or decode step.
+
+    Built once and shared by every layer and head.  A chunk, and forward
+    under an identity weave, pass coords, the (query, key) coordinates: the
+    rotary family gets their two rotary tables, the additive family the
+    coordinates themselves (its distances are taken per tile).  A decode
+    step passes dist, each key's woven distance from its query, and gets a
+    _Woven: for the rotary family one table over the step's distinct
+    distances and the segments of equal runs.  The dot family gets None.
+    """
+    fam = weights.pe_family
+    if fam == "dot":
+        return None
+    dim, base = weights.head_dim, weights.theta_base
+    if dist is None:
+        return coords if fam == "additive" else tuple(rotary_table(c, dim, base) for c in coords)
+    if fam == "additive":
+        return _Woven(dist)
+    starts = np.flatnonzero(np.r_[True, dist[1:] != dist[:-1]])  # first key of each run
+    runs = np.diff(np.r_[starts, dist.size])
+    first = np.flatnonzero(np.r_[True, runs[1:] != runs[:-1]])  # first run of each segment
+    segments = tuple(
+        (int(r0), int(r1), int(runs[r0]), int(starts[r0])) for r0, r1 in zip(first, np.r_[first[1:], runs.size])
+    )
+    return _Woven(dist, rotary_table(dist[starts], dim, base), segments)
+
+
+def _attend(
+    q: np.ndarray,
+    k: np.ndarray,
+    v: np.ndarray,
+    ctx_len: int,
+    fam: str,
+    slope: float,
+    pos,
+    allowed: np.ndarray | None = None,
+    alpha: np.ndarray | None = None,
+) -> np.ndarray:
+    """Causal attention of the m columns of q over ctx_len context keys, then
+    the m queries' own keys; k and v are h x (ctx_len + m).
+
+    Query row r sees keys [0, ctx_len + r].  Rows run in tiles of TILE_ROWS:
+    a tile ending at row r1 scores only keys [0, ctx_len + r1), the causal
+    -inf goes on its rows x rows diagonal tail alone, and the softmax runs in
+    place on the tile with its normalisation deferred past the value product.
+    A decode step (pos a _Woven) is one row over every key.  forward passes
+    allowed, its mask's (query, key) visibility, whose tile replaces the
+    causal tail, and alpha, zeros of that shape into which each tile writes
+    its normalised weights.  Returns the h x m attention-weighted values.
+    """
+    woven, dense = isinstance(pos, _Woven), isinstance(pos, _Distances)
+    if fam == "rotary" and not (woven or dense):
+        q, k = apply_rotary(q, pos[0]), apply_rotary(k, pos[1])
+    qt = q.T
+    m = qt.shape[0]
+    out = np.empty((v.shape[0], m))
+    for r0 in range(0, m, TILE_ROWS):
+        r1 = min(r0 + TILE_ROWS, m)
+        nk = ctx_len + r1
+        if woven:
+            s = pos.scores(q, k, slope)
+        elif dense:
+            s = pos.scores(qt[r0:r1], k[:, :nk], r0, fam, slope)
+        else:
+            s = qt[r0:r1] @ k[:, :nk]
+            if fam == "additive":
+                s -= slope * (pos[0][r0:r1, None] - pos[1][None, :nk])
+        if allowed is None:
+            s[:, ctx_len + r0 :] += _CAUSAL_TAIL[: r1 - r0, : r1 - r0]
+        else:
+            s[~allowed[r0:r1, :nk]] = -np.inf
+        s -= s.max(axis=1, keepdims=True)
+        np.exp(s, out=s)
+        total = s.sum(axis=1)
+        out[:, r0:r1] = (v[:, :nk] @ s.T) / total
+        if alpha is not None:
+            np.divide(s, total[:, None], out=alpha[r0:r1, :nk])
+    return out
+
+
+def _run_layers(
+    h: np.ndarray,
+    q_raw: np.ndarray,
+    weights: ModelWeights,
+    cache: KVCache,
+    ctx_len: int,
+    pos,
+    allowed: np.ndarray | None = None,
+    trace: ForwardTrace | None = None,
+) -> np.ndarray:
+    """Run the columns of h (tokens q_raw) through every layer; appends their raw K/V.
+
+    Each head first writes its new keys and values into the cache slots past
+    len(cache).  The queries see the first ctx_len cached keys, then their
+    own keys causally: a plain slice of the cache when ctx_len is len(cache)
+    (the first and last chunk, a decode step, forward), else (a middle
+    chunk) those ctx_len columns joined to the new ones.  pos is the
+    _positions of exactly those keys.  forward passes its mask's dense form
+    as allowed and a trace that receives each layer's input, attention
+    output and head weights.  Returns the final hidden state.
+    """
+    n = len(cache)
+    for li, layer in enumerate(weights.layers):
+        a = np.zeros_like(h)
+        alphas = []
+        for mi, head in enumerate(layer.heads):
+            k, v = cache.write(li, mi, head.w_k @ h, head.w_v @ h)
+            if ctx_len < n:
+                k = np.concatenate([k[:, :ctx_len], k[:, n:]], axis=1)
+                v = np.concatenate([v[:, :ctx_len], v[:, n:]], axis=1)
+            alpha = None if trace is None else np.zeros((h.shape[1], k.shape[1]))
+            slope = weights.slope_for_head(mi)
+            a += head.w_o @ _attend(head.w_q @ h, k, v, ctx_len, weights.pe_family, slope, pos, allowed, alpha)
+            alphas.append(alpha)
+        if trace is not None:
+            trace.hidden.append(h)
+            trace.attn.append(a)
+            trace.alphas.append(alphas)
+        z = a + h
+        zz = layer_norm_cols(z) if layer.layer_norm == "standard" else z
+        h = layer.ff(zz) + z
+    cache.append(q_raw)
+    return h
 
 
 def forward(
@@ -277,13 +342,31 @@ def forward(
     weave: WeaveParams | None = None,
     mask: AttentionMask | None = None,
 ) -> ForwardTrace:
-    """Full forward pass, every layer's states kept; deterministic in all arguments."""
+    """Full forward pass, every layer's states kept; deterministic in all arguments.
+
+    The whole input runs through _run_layers as one chunk with no context,
+    so forward and every prefill chunk share one attention kernel.  Under an
+    identity weave (or None) queries and keys take the coordinates 0..n-1,
+    as a chunk does; any other weave takes the position matrix of the
+    scheme, sliced per tile.  A mask's dense form replaces the causal mask;
+    without one no n x n mask is built.
+    """
+    if len(tokens) == 0:
+        raise ValueError("empty input")
+    h = embed(tokens, weights)
+    n = h.shape[1]
+    if mask is not None and mask.n != n:
+        raise ValueError(f"mask length {mask.n} does not match sequence length {n}")
+    if weave is None or weave.scheme in IDENTITY_SCHEMES or weights.pe_family == "dot":
+        coords = np.arange(n, dtype=np.float64)
+        pos = _positions(weights, (coords, coords))
+    else:
+        pos = _Distances(position_matrix(weave, n).entries, weights.theta_base)
     trace = ForwardTrace(hidden=[], attn=[], alphas=[])
-    for h, h_out, a, alphas in forward_layers(tokens, weights, weave, mask):
-        trace.hidden.append(h)
-        trace.attn.append(a)
-        trace.alphas.append(alphas)
-    trace.hidden.append(h_out)
+    cache = KVCache(len(weights.layers), len(weights.layers[0].heads), capacity=n)
+    allowed = None if mask is None else mask.dense()
+    h = _run_layers(h, np.arange(n), weights, cache, 0, pos, allowed, trace)
+    trace.hidden.append(h)
     return trace
 
 
@@ -350,15 +433,9 @@ class KVCache:
         vs[head, :, n : n + m] = v
         return ks[head, :, : n + m], vs[head, :, : n + m]
 
-    def append(
-        self, indices, k_blocks: list[list[np.ndarray]] | None = None, v_blocks: list[list[np.ndarray]] | None = None
-    ) -> None:
-        """Commit one block of token positions to the slots past len(self).
-
-        With k_blocks and v_blocks ([layer][head] -> h x m raw K and V) they are
-        written there first; without, every layer's keys and values must
-        already be in those slots (write).
-        """
+    def append(self, indices) -> None:
+        """Commit one block of token positions to the slots past len(self);
+        every layer's keys and values must already be in those slots (write)."""
         idx = np.asarray(indices, dtype=np.int64)
         if idx.size == 0:
             return
@@ -367,13 +444,7 @@ class KVCache:
         if self._len and idx[0] <= self._idx[self._len - 1]:
             raise ValueError("appended indices must follow the existing maximum")
         n = self._len + idx.size
-        if k_blocks is not None:
-            for l in range(self.n_layers):
-                for m in range(self.n_heads):
-                    if k_blocks[l][m].shape[1] != idx.size or v_blocks[l][m].shape[1] != idx.size:
-                        raise ValueError("key/value blocks must match the index count")
-                    self.write(l, m, k_blocks[l][m], v_blocks[l][m])
-        elif any(ks is None or ks.shape[2] < n for ks in self._k):
+        if any(ks is None or ks.shape[2] < n for ks in self._k):
             raise ValueError("no keys and values were written for the appended positions")
         if n > self.capacity:
             grown = np.empty(self._grown(self.capacity, n), dtype=np.int64)

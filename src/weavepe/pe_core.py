@@ -246,26 +246,9 @@ def rotate_by_coords(x: np.ndarray, coords: np.ndarray, theta_base: float) -> np
     return apply_rotary(x, rotary_table(coords, x.shape[0], theta_base))
 
 
-def scores_dot(q: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """Plain dot-product scores, no positional term: (m, h) x (n, h) -> (m, n)."""
-    return q @ k.T
-
-
 def scores_additive(q: np.ndarray, k: np.ndarray, dmat: np.ndarray, slope: float) -> np.ndarray:
     """Dot-product scores with a linear distance penalty."""
     return q @ k.T - slope * dmat
-
-
-def scores_approx_additive(
-    q: np.ndarray, k: np.ndarray, key_idx: np.ndarray, n_total: int, slope: float
-) -> np.ndarray:
-    """Column-anchored additive bias: each key contributes (i - (n-1)) * slope.
-
-    The bias depends only on the key column and the total length, so only the
-    final query row sees the exact linear penalty.
-    """
-    bias = slope * (np.asarray(key_idx, dtype=np.float64) - (n_total - 1))
-    return q @ k.T + bias[None, :]
 
 
 def scores_rotary(q: np.ndarray, k: np.ndarray, dmat: np.ndarray, theta_base: float) -> np.ndarray:

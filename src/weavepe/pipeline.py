@@ -4,8 +4,10 @@ Prefill runs the first chunk alone at local positions, each middle chunk
 against the first chunk only (both at local coordinates, so no positional
 distance ever exceeds the trained window), and the last chunk against the
 full cache with staircase-woven coordinates anchored at the final token.
-Decode re-anchors at each new token, so every decode query sees exactly the
-woven distance to every key.
+A prompt that fits the trained window (or the first+last budget) is one
+chunk at raw positions, the same computation as the first chunk.  Decode
+re-anchors at each new token, so every decode query sees exactly the woven
+distance to every key.
 
 Every distance a chunk feeds the positional term is a difference of
 coordinates, so the coordinates, and for the rotary family the cos/sin
@@ -19,21 +21,12 @@ No per-cell trigonometry runs on these paths.
 Each chunk or step writes its raw keys and values into the preallocated
 cache slots past the filled ones before attending, so the last chunk and a
 decode step attend over a plain slice of the cache; a middle chunk joins
-only the first chunk's columns to its own.
-
-Attention runs in tiles of TILE_ROWS query rows, through one routine shared
-by chunks and decode steps (a decode step is one row over every cached
-key).  Queries and keys are rotated once per head and sliced per tile.  A
-tile ending at chunk row r1 scores only the keys [0, c + r1) it may see, c
-being the chunk's context length; the causal -inf is added on the tile's
-rows x rows diagonal tail alone, the softmax runs in place on the one tile
-buffer, and its normalisation is deferred past the value product, as in
-FlashAttention (Dao et al., arXiv 2205.14135).  No m x n score, mask or
-distance matrix is built, and a chunk's cell count and largest distance
-are computed in closed form from its coordinates.  Middle chunks are
-independent given the first chunk's keys and values but run one after
-another: the time goes to the elementwise passes over the scores, not to
-the Python loop.
+only the first chunk's columns to its own.  The layers and the row-tiled
+attention are model's (_run_layers, _attend), shared with model.forward; a
+chunk's cell count and largest distance are computed in closed form from
+its coordinates.  Middle chunks are independent given the first chunk's
+keys and values but run one after another: the time goes to the
+elementwise passes over the scores, not to the Python loop.
 """
 
 from __future__ import annotations
@@ -46,25 +39,17 @@ import numpy as np
 from weavepe.model import (
     KVCache,
     ModelWeights,
+    _positions,
+    _run_layers,
     forward,  # noqa: F401  kept importable here: perfbench/layertrace.py wraps this name
-    forward_layers,
-    layer_norm_cols,
 )
 from weavepe.pe_core import (
     Scheme,
     WeaveParams,
-    apply_rotary,
-    rotary_table,
     rotate_by_coords,  # noqa: F401  kept importable here: perfbench/layertrace.py wraps this name
     weave_fn,
 )
 from weavepe.splitter import ChunkPlan, chunk_spans, dynamic_split
-
-#: query rows per attention tile; REF's last-chunk attention (577 x 16,385) is
-#: fastest from 48 to 64 rows, and about 35 % slower at 32 or 128
-TILE_ROWS = 64
-#: additive causal mask for a full tile's diagonal tail: -inf above the diagonal
-_CAUSAL_TAIL = np.triu(np.full((TILE_ROWS, TILE_ROWS), -np.inf), 1)
 
 
 @dataclass(frozen=True)
@@ -155,132 +140,6 @@ class PrefillResult:
     report: RunReport
 
 
-def _n_heads(weights: ModelWeights) -> int:
-    return len(weights.layers[0].heads)
-
-
-@dataclass(frozen=True)
-class _Woven:
-    """Positional input of a decode step: one query over keys at woven distances.
-
-    Key i scores (R(-w_i theta) q) . k_i, the rotation moved off the key onto
-    the query, so no key is rotated.  The distances never increase with the
-    key index, so equal ones form runs, and consecutive runs of one length
-    form segments: for the staircase, a possibly shorter run furthest away,
-    the runs of E keys, then one key per distance up to N.  The rotary
-    family rotates the query once per run (table) and scores each segment
-    through an (h, runs, length) view of its keys, so no key is copied
-    either.
-    """
-
-    dist: np.ndarray            # woven distance w_i of each key
-    table: tuple | None = None  # rotary: rotary_table over one distance per run
-    segments: tuple = ()        # rotary: (first run, end run, run length, first key) each
-
-    def scores(self, q: np.ndarray, k: np.ndarray, slope: float) -> np.ndarray:
-        """1 x n scores of the query q (h x 1) against the keys k (h x n)."""
-        if self.table is None:  # additive
-            return q.T @ k - slope * self.dist
-        qw = apply_rotary(np.broadcast_to(q, (q.shape[0], self.table[0].shape[1])), self.table)
-        s = np.empty((1, k.shape[1]))
-        for r0, r1, length, a in self.segments:
-            b = a + (r1 - r0) * length
-            s[0, a:b] = np.einsum("hr,hrl->rl", qw[:, r0:r1], k[:, a:b].reshape(-1, r1 - r0, length)).ravel()
-        return s
-
-
-def _positions(weights: ModelWeights, coords=None, dist: np.ndarray | None = None):
-    """Positional input of _attend for one chunk or decode step.
-
-    Built once and shared by every layer and head.  A chunk passes coords,
-    its (query, key) coordinates: the rotary family gets their two rotary
-    tables, the additive family the coordinates themselves (its distances are
-    taken per tile).  A decode step passes dist, each key's woven distance
-    from its query, and gets a _Woven: for the rotary family one table over
-    the step's distinct distances and the segments of equal runs.  The dot
-    family gets None.
-    """
-    fam = weights.pe_family
-    if fam == "dot":
-        return None
-    if fam not in ("additive", "rotary"):
-        raise ValueError(f"pipeline does not support pe_family {fam}")
-    dim, base = weights.head_dim, weights.theta_base
-    if dist is None:
-        return coords if fam == "additive" else tuple(rotary_table(c, dim, base) for c in coords)
-    if fam == "additive":
-        return _Woven(dist)
-    starts = np.flatnonzero(np.r_[True, dist[1:] != dist[:-1]])  # first key of each run
-    runs = np.diff(np.r_[starts, dist.size])
-    first = np.flatnonzero(np.r_[True, runs[1:] != runs[:-1]])  # first run of each segment
-    segments = tuple(
-        (int(r0), int(r1), int(runs[r0]), int(starts[r0])) for r0, r1 in zip(first, np.r_[first[1:], runs.size])
-    )
-    return _Woven(dist, rotary_table(dist[starts], dim, base), segments)
-
-
-def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, ctx_len: int, fam: str, slope: float, pos) -> np.ndarray:
-    """Causal attention of the m columns of q over ctx_len context keys, then
-    the m queries' own keys; k and v are h x (ctx_len + m).
-
-    Query row r sees keys [0, ctx_len + r].  Rows run in tiles of TILE_ROWS:
-    a tile ending at row r1 scores only keys [0, ctx_len + r1), the causal
-    -inf goes on its rows x rows diagonal tail alone, and the softmax runs in
-    place on the tile with its normalisation deferred past the value product.
-    A decode step (pos a _Woven) is one row over every key.  Returns the
-    h x m attention-weighted values.
-    """
-    woven = isinstance(pos, _Woven)
-    if fam == "rotary" and not woven:
-        q, k = apply_rotary(q, pos[0]), apply_rotary(k, pos[1])
-    qt = q.T
-    m = qt.shape[0]
-    out = np.empty((v.shape[0], m))
-    for r0 in range(0, m, TILE_ROWS):
-        r1 = min(r0 + TILE_ROWS, m)
-        nk = ctx_len + r1
-        if woven:
-            s = pos.scores(q, k, slope)
-        else:
-            s = qt[r0:r1] @ k[:, :nk]
-            if fam == "additive":
-                s -= slope * (pos[0][r0:r1, None] - pos[1][None, :nk])
-        s[:, ctx_len + r0 :] += _CAUSAL_TAIL[: r1 - r0, : r1 - r0]
-        s -= s.max(axis=1, keepdims=True)
-        np.exp(s, out=s)
-        out[:, r0:r1] = (v[:, :nk] @ s.T) / s.sum(axis=1)
-    return out
-
-
-def _run_layers(
-    h: np.ndarray, q_raw: np.ndarray, weights: ModelWeights, cache: KVCache, ctx_len: int, pos
-) -> np.ndarray:
-    """Run the columns of h (tokens q_raw) through every layer; appends their raw K/V.
-
-    Each head first writes its new keys and values into the cache slots past
-    len(cache).  The queries see the first ctx_len cached keys, then their
-    own keys causally: a plain slice of the cache when ctx_len is len(cache)
-    (the first and last chunk, a decode step), else (a middle chunk) those
-    ctx_len columns joined to the new ones.  pos is the _positions of exactly
-    those keys.  Returns the final hidden state.
-    """
-    n = len(cache)
-    for li, layer in enumerate(weights.layers):
-        a = np.zeros_like(h)
-        for mi, head in enumerate(layer.heads):
-            k, v = cache.write(li, mi, head.w_k @ h, head.w_v @ h)
-            if ctx_len < n:
-                k = np.concatenate([k[:, :ctx_len], k[:, n:]], axis=1)
-                v = np.concatenate([v[:, :ctx_len], v[:, n:]], axis=1)
-            att = _attend(head.w_q @ h, k, v, ctx_len, weights.pe_family, weights.slope_for_head(mi), pos)
-            a += head.w_o @ att
-        z = a + h
-        zz = layer_norm_cols(z) if layer.layer_norm == "standard" else z
-        h = layer.ff(zz) + z
-    cache.append(q_raw)
-    return h
-
-
 def _run_chunk(
     seq_ids: np.ndarray,
     weights: ModelWeights,
@@ -310,27 +169,11 @@ def _run_chunk(
     return h, cells, max_pe
 
 
-def _fill_cache_from_forward(seq_ids: np.ndarray, weights: ModelWeights) -> tuple[np.ndarray, KVCache]:
-    """Vanilla single-pass forward; raw K/V taken from each layer's input.
-
-    The layers run one at a time and only their hidden states are kept, so
-    each layer's n x n attention matrices are dropped as the next one runs.
-    """
-    # the first write sizes the storage to the prompt
-    cache = KVCache(len(weights.layers), _n_heads(weights))
-    for li, (h_in, h, _, _) in enumerate(forward_layers(seq_ids[1:], weights)):
-        for mi, head in enumerate(weights.layers[li].heads):
-            cache.write(li, mi, head.w_k @ h_in, head.w_v @ h_in)
-    cache.append(np.arange(len(seq_ids)))
-    logits = weights.w_e.T @ h[:, -1]
-    return logits, cache
-
-
 def prefill(tokens, weights: ModelWeights, config: MesaConfig) -> PrefillResult:
     """Chunked prefill of the whole prompt; returns last-position logits and the cache.
 
     Inputs that fit the trained window (or the first+last budget) fall back to
-    a single vanilla pass with regular positions.
+    a single vanilla pass: one chunk at raw positions with no context.
     """
     if len(tokens) == 0:
         raise ValueError("empty input")
@@ -340,35 +183,23 @@ def prefill(tokens, weights: ModelWeights, config: MesaConfig) -> PrefillResult:
     total = len(seq_ids)
     t0 = time.perf_counter()
 
-    if total <= config.train_len or total <= config.min_last + config.first_len:
-        logits, cache = _fill_cache_from_forward(seq_ids, weights)
-        report = RunReport(plan=None, fallback=True)
-        report.chunks.append(
-            ChunkTrace(
-                kind="single",
-                q_span=(0, total),
-                ctx_indices=np.zeros(0, dtype=np.int64),
-                cells=total * (total + 1) // 2,
-                max_pe_distance=float(total - 1),
-            )
-        )
-        report.prefill_seconds = time.perf_counter() - t0
-        return PrefillResult(logits=logits, cache=cache, report=report)
-
-    plan = dynamic_split(total, config.train_len, config.first_len, config.min_last, config.rest_max)
-    spans = chunk_spans(plan)
-    cache = KVCache(len(weights.layers), _n_heads(weights), capacity=total)
-    report = RunReport(plan=plan, fallback=False)
+    fallback = total <= config.train_len or total <= config.min_last + config.first_len
+    if fallback:
+        plan, spans = None, [(0, total)]
+    else:
+        plan = dynamic_split(total, config.train_len, config.first_len, config.min_last, config.rest_max)
+        spans = chunk_spans(plan)
+    cache = KVCache(len(weights.layers), len(weights.layers[0].heads), capacity=total)
+    report = RunReport(plan=plan, fallback=fallback)
     remap = weave_fn(config.weave)
     anchor = total - 1
 
     def raw_coords(idx):
         return idx
 
-    h_last = None
     for ci, span in enumerate(spans):
         if ci == 0:
-            kind, ctx_len, coords = "first", 0, raw_coords
+            kind, ctx_len, coords = ("single" if fallback else "first"), 0, raw_coords
         elif ci < len(spans) - 1:
             kind, ctx_len = "middle", plan.first_len
             offset = span[0] - plan.first_len
@@ -386,11 +217,10 @@ def prefill(tokens, weights: ModelWeights, config: MesaConfig) -> PrefillResult:
                 return anchor - remap(anchor - idx)
 
         ctx_idx = np.arange(ctx_len, dtype=np.int64)
-        h_chunk, cells, max_pe = _run_chunk(seq_ids, weights, cache, span, ctx_idx, coords)
+        h_last, cells, max_pe = _run_chunk(seq_ids, weights, cache, span, ctx_idx, coords)
         report.chunks.append(
             ChunkTrace(kind=kind, q_span=span, ctx_indices=ctx_idx, cells=cells, max_pe_distance=max_pe)
         )
-        h_last = h_chunk
 
     logits = weights.w_e.T @ h_last[:, -1]
     report.prefill_seconds = time.perf_counter() - t0

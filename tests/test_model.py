@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from dense_oracle import masked_softmax
 from weavepe.masks import causal_mask, sink_mask
 from weavepe.model import (
     BOS_ID,
@@ -14,14 +15,12 @@ from weavepe.model import (
     WhitespaceVocab,
     embed,
     forward,
-    head_scores,
     load_weights,
     random_model,
     save_weights,
-    softmax_rows,
     zero_ff,
 )
-from weavepe.pe_core import Scheme, WeaveParams, rotary_table
+from weavepe.pe_core import Scheme, WeaveParams, apply_rotary, rotary_table
 from weavepe.theory import TheoryConfig, build_theorem1, build_theorem2
 
 
@@ -70,20 +69,26 @@ def test_forward_shapes_and_determinism():
 
 
 def test_softmax_rows_sum_to_one():
-    rng = np.random.default_rng(0)
-    s = rng.normal(size=(40, 40)) * 30
-    s[np.triu_indices(40, k=1)] = -np.inf
-    alpha = softmax_rows(s)
-    assert np.allclose(alpha.sum(axis=1), 1.0, atol=1e-12)
+    # queries scaled up so the scores spread over tens of units, as N(0, 30^2) scores do
+    w = random_model(d=8, n_heads=2, n_layers=2, vocab=16, seed=0)
+    for layer in w.layers:
+        for head in layer.heads:
+            head.w_q *= 30.0
+    tr = forward(np.random.default_rng(0).integers(1, 16, size=39).tolist(), w)
+    for layer in tr.alphas:
+        for alpha in layer:
+            assert alpha.shape == (40, 40)
+            assert np.allclose(alpha.sum(axis=1), 1.0, atol=1e-12)
+            assert np.all(alpha[np.triu_indices(40, k=1)] == 0.0)
 
 
 def test_softmax_exact_for_large_integer_scores():
-    # the two-layer construction feeds [-(t-1), ..., -1, 0]; stays finite to 700
+    # the two-layer construction's first layer feeds query t the scores
+    # [-(t-1), ..., -1, 0]; stays finite to 700
     t = 700
-    s = -np.arange(t, dtype=np.float64)[::-1][None, :]
-    alpha = softmax_rows(s)
+    alpha = build_theorem2(TheoryConfig(window=8, t_max=t)).run(t).alphas[0][0]
     assert np.isfinite(alpha).all()
-    assert alpha[0, -1] > 0.6  # weight concentrates on the zero score
+    assert alpha[t - 1, t - 1] > 0.6  # weight concentrates on the zero score
 
 
 def test_uniform_attention_with_identical_keys():
@@ -126,8 +131,7 @@ def test_additive_head_view_equals_concat_projection():
     for head in w.layers[0].heads:
         q = (head.w_q @ h0).T
         k = (head.w_k @ h0).T
-        s = np.where(allowed, q @ k.T, -np.inf)
-        alpha = softmax_rows(s)
+        alpha = masked_softmax(q @ k.T, allowed)
         pooled.append((head.w_v @ h0) @ alpha.T)
     w_o_block = np.concatenate([head.w_o for head in w.layers[0].heads], axis=1)
     concat = np.concatenate(pooled, axis=0)
@@ -144,7 +148,7 @@ def test_forward_translation_covariance_rotary():
 
     def scores(shift):
         rot = (rotary_table(qc + shift, 8, w.theta_base), rotary_table(kc + shift, 8, w.theta_base))
-        return head_scores(q, k, w, 0.0, None, rot=rot)
+        return apply_rotary(q.T, rot[0]).T @ apply_rotary(k.T, rot[1])
 
     assert np.allclose(scores(0.0), scores(117.0), atol=1e-12)
 
@@ -181,15 +185,24 @@ def test_mask_argument_restricts_attention():
     assert alpha[7, 0] > 0.0 and alpha[7, 7] > 0.0
 
 
+def _commit(cache, indices, k_blocks, v_blocks):
+    """Write each layer and head's keys and values ([layer][head] -> h x m)
+    past len(cache), then append their positions."""
+    for layer, (ks, vs) in enumerate(zip(k_blocks, v_blocks)):
+        for head, (k, v) in enumerate(zip(ks, vs)):
+            cache.write(layer, head, k, v)
+    cache.append(indices)
+
+
 def test_kv_cache_round_trip():
     cache = KVCache(n_layers=2, n_heads=1)
     rng = np.random.default_rng(0)
     ka = rng.normal(size=(3, 4))
     va = rng.normal(size=(3, 4))
-    cache.append(np.arange(4), [[ka], [ka * 2]], [[va], [va * 2]])
+    _commit(cache, np.arange(4), [[ka], [ka * 2]], [[va], [va * 2]])
     kb = rng.normal(size=(3, 2))
     vb = rng.normal(size=(3, 2))
-    cache.append(np.array([4, 5]), [[kb], [kb * 2]], [[vb], [vb * 2]])
+    _commit(cache, np.array([4, 5]), [[kb], [kb * 2]], [[vb], [vb * 2]])
     assert len(cache) == 6
     k, v, idx = cache.view(0, 0)
     assert k.shape == (3, 6)
@@ -211,7 +224,7 @@ def test_kv_cache_span_view_equals_sliced_full_view(span):
     for idx in (np.arange(3), np.array([3, 4]), np.array([6, 7, 8])):
         k = [[rng.normal(size=(3, idx.size)) for _ in range(2)] for _ in range(2)]
         v = [[rng.normal(size=(3, idx.size)) for _ in range(2)] for _ in range(2)]
-        cache.append(idx, k, v)
+        _commit(cache, idx, k, v)
     for layer in range(2):
         for head in range(2):
             k_full, v_full, idx_full = cache.view(layer, head)
@@ -234,7 +247,7 @@ def test_kv_cache_growth_keeps_earlier_columns():
     for idx in (np.arange(64), np.array([64]), np.arange(70, 90)):
         k = [[rng.normal(size=(3, idx.size)) for _ in range(2)] for _ in range(2)]
         v = [[rng.normal(size=(3, idx.size)) for _ in range(2)] for _ in range(2)]
-        cache.append(idx, k, v)
+        _commit(cache, idx, k, v)
         blocks.append((idx, k, v))
         capacities.append(cache.capacity)
     assert capacities == [64, 72, 85] and len(cache) == 85
@@ -266,11 +279,11 @@ def test_kv_cache_empty_views():
 def test_kv_cache_rejects_non_monotonic():
     cache = KVCache(n_layers=1, n_heads=1)
     k = np.zeros((2, 2))
-    cache.append(np.array([0, 1]), [[k]], [[k]])
+    _commit(cache, np.array([0, 1]), [[k]], [[k]])
     with pytest.raises(ValueError):
-        cache.append(np.array([1, 2]), [[k]], [[k]])
+        _commit(cache, np.array([1, 2]), [[k]], [[k]])
     with pytest.raises(ValueError):
-        cache.append(np.array([5, 4]), [[k]], [[k]])
+        _commit(cache, np.array([5, 4]), [[k]], [[k]])
 
 
 def test_weights_round_trip():

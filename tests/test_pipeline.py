@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from weavepe.evalkit import count_cells
-from weavepe.model import KVCache, forward, random_model, softmax_rows
+from dense_oracle import masked_softmax
+from weavepe.model import forward, random_model
 from weavepe.pe_core import Scheme, WeaveParams, rope_score, weave_stair
 from weavepe.pipeline import (
     MesaConfig,
@@ -111,7 +112,7 @@ def test_last_chunk_final_query_exact_stair_additive():
     t_star = len(seq) - 1
     dist = weave_stair(t_star - np.arange(len(seq)), TOY.weave.cap, TOY.weave.tread)
     scores = q @ k - dist
-    alpha = softmax_rows(scores[None, :])[0]
+    alpha = masked_softmax(scores[None, :], True)[0]
     h_final = w.layers[0].ff(h0[:, -1] + head.w_o @ (v @ alpha)) + h0[:, -1] + head.w_o @ (v @ alpha)
     expect = w.w_e.T @ h_final
     assert np.allclose(res.logits, expect, atol=1e-12)
@@ -132,7 +133,7 @@ def test_last_chunk_final_query_exact_stair_rotary():
     t_star = len(seq) - 1
     dist = weave_stair(t_star - np.arange(len(seq)), TOY.weave.cap, TOY.weave.tread)
     scores = np.array([rope_score(q, k[:, i], dist[i], w.theta_base) for i in range(len(seq))])
-    alpha = softmax_rows(scores[None, :])[0]
+    alpha = masked_softmax(scores[None, :], True)[0]
     a = head.w_o @ (v @ alpha)
     h_final = w.layers[0].ff(h0[:, -1] + a) + h0[:, -1] + a
     expect = w.w_e.T @ h_final
@@ -194,10 +195,10 @@ def test_in_window_rotary_prefill_skips_dense_kernel(monkeypatch):
 
 def _count_rotations(monkeypatch):
     """Record the column count of every rotary table and each weave_stair call."""
-    from weavepe import pe_core, pipeline
+    from weavepe import model, pe_core
 
     tables, stairs = [], []
-    real_table, real_stair = pipeline.rotary_table, pe_core.weave_stair
+    real_table, real_stair = model.rotary_table, pe_core.weave_stair
 
     def table(coords, *args):
         tables.append(len(coords))
@@ -207,7 +208,7 @@ def _count_rotations(monkeypatch):
         stairs.append(args)
         return real_stair(*args)
 
-    monkeypatch.setattr(pipeline, "rotary_table", table)
+    monkeypatch.setattr(model, "rotary_table", table)
     monkeypatch.setattr(pe_core, "weave_stair", stair)
     return tables, stairs
 

@@ -17,19 +17,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weavepe import pipeline
+from dense_oracle import masked_softmax
+from weavepe import model
 from weavepe.model import layer_norm_cols, random_model
 from weavepe.pe_core import Scheme, WeaveParams, scores_rotary, weave_fn
 from weavepe.pipeline import MesaConfig, decode_step, prefill
 from weavepe.splitter import chunk_spans
 
 TOL = 1e-12
-
-
-def _masked_softmax(scores, visible):
-    """Row softmax over the visible cells only; every row has one."""
-    e = np.where(visible, np.exp(scores - np.max(np.where(visible, scores, -np.inf), axis=1, keepdims=True)), 0.0)
-    return e / e.sum(axis=1, keepdims=True)
 
 
 def _dense_layer(h_all, q_cols, layer, weights, visible, dist):
@@ -45,7 +40,7 @@ def _dense_layer(h_all, q_cols, layer, weights, visible, dist):
             s = q @ k.T
             if weights.pe_family == "additive":
                 s = s - weights.slope_for_head(mi) * dist
-        alpha = _masked_softmax(s, visible)
+        alpha = masked_softmax(s, visible)
         a += head.w_o @ ((head.w_v @ h_all) @ alpha.T)
     z = a + h
     zz = layer_norm_cols(z) if layer.layer_norm == "standard" else z
@@ -163,7 +158,8 @@ def _cases(draw):
 def test_every_chunk_matches_dense_oracle(case):
     # small tiles put chunk lengths below, at, and off multiples of the tile height
     cfg, total, family, tile, standard_norm, shape, seed = case
-    with mock.patch.object(pipeline, "TILE_ROWS", tile):
+    # patched where _attend reads it
+    with mock.patch.object(model, "TILE_ROWS", tile):
         _check_against_oracle(_model(family, seed, standard_norm, **shape), cfg, total - 1, seed)
 
 
@@ -189,4 +185,4 @@ def test_chunks_at_tile_height_match_dense_oracle(family, train, first, min_last
     )
     report = _check_against_oracle(_model(family, seed=11), cfg, total - 1, seed=12)
     assert [hi - lo for lo, hi in (c.q_span for c in report.chunks)] == lengths
-    assert pipeline.TILE_ROWS == 64
+    assert model.TILE_ROWS == 64
