@@ -27,8 +27,7 @@ def test_last_chunk_attention(benchmark):
     q = rng.normal(size=(HEAD_DIM, LAST_ROWS))
     k = rng.normal(size=(HEAD_DIM, KEYS))
     v = rng.normal(size=(HEAD_DIM, KEYS))
-    coords = np.arange(KEYS, dtype=np.float64)
-    pos = (rotary_table(coords[CTX:], HEAD_DIM, 10000.0), rotary_table(coords, HEAD_DIM, 10000.0))
+    pos = rotary_table(np.arange(KEYS, dtype=np.float64), HEAD_DIM, 10000.0)
     out = benchmark(_attend, q, k, v, CTX, "rotary", 0.0, pos)
     assert out.shape == (HEAD_DIM, LAST_ROWS) and np.isfinite(out).all()
 
@@ -43,7 +42,7 @@ def _fill(cache, blocks):
     for layer, heads in enumerate(blocks):
         for head, kv in enumerate(heads):
             cache.write(layer, head, kv, kv)
-    cache.append(np.arange(blocks[0][0].shape[1]))
+    cache.append(blocks[0][0].shape[1])
 
 
 @pytest.fixture(scope="module")

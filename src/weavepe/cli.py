@@ -13,6 +13,7 @@ vars < explicit flags.  Config files use the run-symbol field names
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -20,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from weavepe.evalkit import bench_run, bench_table_csv, gen_corpus
+from weavepe.evalkit import BENCH_CONFIG, bench_run, bench_table_csv, gen_corpus
 from weavepe.model import WhitespaceVocab, random_model
 from weavepe.pe_core import Scheme, WeaveParams, position_matrix
 from weavepe.pipeline import MesaConfig, generate
@@ -39,17 +40,17 @@ ENV_PREFIX = "WEAVEPE_"
 
 #: flags that may be overridden by config file or environment
 _CONFIG_KEYS = {
-    "N": ("N", int),
-    "E": ("E", int),
-    "k_inv": ("k_inv", float),
-    "heads": ("heads", int),
-    "F": ("F", int),
-    "L": ("L", int),
-    "M_max": ("M_max", int),
-    "T": ("T", int),
-    "d": ("d", int),
-    "layers": ("layers", int),
-    "seed": ("seed", int),
+    "N": int,
+    "E": int,
+    "k_inv": float,
+    "heads": int,
+    "F": int,
+    "L": int,
+    "M_max": int,
+    "T": int,
+    "d": int,
+    "layers": int,
+    "seed": int,
 }
 
 
@@ -57,7 +58,7 @@ def _apply_overrides(args: argparse.Namespace) -> argparse.Namespace:
     """Fill unset flags from the config file, then the environment."""
     sources: list[dict] = []
     env = {}
-    for key, (_, cast) in _CONFIG_KEYS.items():
+    for key, cast in _CONFIG_KEYS.items():
         raw = os.environ.get(ENV_PREFIX + key.upper())
         if raw is not None:
             env[key] = cast(raw)
@@ -66,13 +67,19 @@ def _apply_overrides(args: argparse.Namespace) -> argparse.Namespace:
     if getattr(args, "config", None):
         with open(args.config) as fh:
             doc = json.load(fh)
-        conf = {k: _CONFIG_KEYS[k][1](v) for k, v in doc.items() if k in _CONFIG_KEYS}
+        conf = {k: _CONFIG_KEYS[k](v) for k, v in doc.items() if k in _CONFIG_KEYS}
         sources.append(conf)
     for source in sources:  # env first, config as fallback
         for key, value in source.items():
             if getattr(args, key, None) is None and hasattr(args, key):
                 setattr(args, key, value)
     return args
+
+
+def _given(args, **flags) -> dict:
+    """{parameter: flag value} for each parameter=flag whose flag was given, so
+    an unset flag leaves the parameter to its constructor's default."""
+    return {param: getattr(args, flag) for param, flag in flags.items() if getattr(args, flag, None) is not None}
 
 
 def _scheme(name: str) -> Scheme:
@@ -88,18 +95,7 @@ def _weave_params(args) -> WeaveParams:
         raise ValueError(f"E applies to the stair scheme, not {scheme.value}")
     if scheme is not Scheme.LEAKY_REROPE and getattr(args, "k_inv", None) is not None:
         raise ValueError(f"k_inv applies to the leaky scheme, not {scheme.value}")
-    kwargs = {"scheme": scheme}
-    if getattr(args, "N", None) is not None:
-        kwargs["cap"] = args.N
-    if getattr(args, "E", None) is not None:
-        kwargs["tread"] = args.E
-    if getattr(args, "k_inv", None) is not None:
-        kwargs["leak"] = args.k_inv
-    if getattr(args, "W", None) is not None:
-        kwargs["neighbor"] = args.W
-    if getattr(args, "G", None) is not None:
-        kwargs["group"] = args.G
-    return WeaveParams(**kwargs)
+    return WeaveParams(scheme=scheme, **_given(args, cap="N", tread="E", leak="k_inv", neighbor="W", group="G"))
 
 
 def _outdir(args) -> Path:
@@ -127,7 +123,7 @@ def cmd_gen_positions(args) -> int:
 def cmd_plan(args) -> int:
     if args.T is None:
         raise ValueError("plan needs --T (or a config/WEAVEPE_T override)")
-    plan = dynamic_split(args.I, args.T, args.F or 100, args.L or 512, args.M_max or 200)
+    plan = dynamic_split(args.I, args.T, **_given(args, first_len="F", min_last="L", rest_max="M_max"))
     text = plan.to_json()
     if args.out:
         out = _outdir(args)
@@ -187,29 +183,16 @@ def cmd_run(args) -> int:
     else:
         vocab = None
         vocab_size = args.vocab
-    weights = random_model(
-        d=args.d or 8,
-        n_heads=args.heads or 2,
-        n_layers=args.layers or 2,
-        vocab=vocab_size,
-        seed=args.seed or 0,
-    )
+    weights = random_model(vocab=vocab_size, **_given(args, d="d", n_heads="heads", n_layers="layers", seed="seed"))
     if vocab is None:
         rng = np.random.default_rng(args.seed or 0)
         tokens = rng.integers(1, weights.vocab_size, size=args.random_tokens).tolist()
 
-    weave = WeaveParams(
-        scheme=_scheme(args.scheme),
-        cap=args.N or 512,
-        tread=args.E or 50,
-        leak=args.k_inv or 1.0,
-    )
+    weave = WeaveParams(scheme=_scheme(args.scheme), **_given(args, cap="N", tread="E", leak="k_inv"))
     config = MesaConfig(
-        train_len=args.T or 4096,
+        train_len=4096 if args.T is None else args.T,
         weave=weave,
-        first_len=args.F or 100,
-        min_last=args.L or 512,
-        rest_max=args.M_max or 200,
+        **_given(args, first_len="F", min_last="L", rest_max="M_max"),
     )
     result = generate(tokens, weights, config, max_new=args.max_new)
     out = _outdir(args)
@@ -217,7 +200,7 @@ def cmd_run(args) -> int:
         "input_tokens": len(tokens),
         "generated_ids": result.token_ids,
         "generated_text": vocab.decode(result.token_ids) if vocab else None,
-        "report": result.report.to_doc(include_timings=False),
+        "report": result.report.to_doc(),
     }
     (out / "run_report.json").write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n")
     print(
@@ -230,7 +213,7 @@ def cmd_run(args) -> int:
 
 def cmd_passkey(args) -> int:
     lengths = [int(x) for x in args.lengths.split(",")]
-    samples = gen_corpus(lengths, args.per_length, seed=args.seed or 0)
+    samples = gen_corpus(lengths, args.per_length, **_given(args, seed="seed"))
     out = _outdir(args)
     path = out / "passkey_corpus.jsonl"
     path.write_text("".join(s.to_json() + "\n" for s in samples))
@@ -239,17 +222,15 @@ def cmd_passkey(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    config = MesaConfig(
-        train_len=args.T or 256,
-        weave=WeaveParams(scheme=Scheme.STAIR, cap=args.N or 64, tread=args.E or 8),
-        first_len=args.F or 16,
-        min_last=args.L or 32,
-        rest_max=args.M_max or 16,
+    config = dataclasses.replace(
+        BENCH_CONFIG,
+        weave=dataclasses.replace(BENCH_CONFIG.weave, **_given(args, cap="N", tread="E")),
+        **_given(args, train_len="T", first_len="F", min_last="L", rest_max="M_max"),
     )
     n_list = [int(x) for x in args.n_list.split(",")]
     rows = []
     for method in args.methods.split(","):
-        rows.extend(bench_run(method, n_list, repeats=args.repeats, config=config, seed=args.seed or 0))
+        rows.extend(bench_run(method, n_list, repeats=args.repeats, config=config, **_given(args, seed="seed")))
     out = _outdir(args)
     (out / "bench.csv").write_text(bench_table_csv(rows))
     for r in rows:

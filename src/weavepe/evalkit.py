@@ -18,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from weavepe.masks import lambda_mask, sink_mask
-from weavepe.model import ModelWeights, forward, random_model
+from weavepe.model import forward, random_model
+from weavepe.pe_core import Scheme, WeaveParams
 from weavepe.pipeline import MesaConfig, decode_step, prefill
 from weavepe.splitter import dynamic_split
 
@@ -158,13 +159,21 @@ def count_cells(method: str, n: int, params: dict | None = None) -> int:
     raise ValueError(f"unknown method {method}")
 
 
+#: the toy pipeline config bench_run (and weavepe bench) runs by default
+BENCH_CONFIG = MesaConfig(
+    train_len=256,
+    weave=WeaveParams(scheme=Scheme.STAIR, cap=64, tread=8),
+    first_len=16,
+    min_last=32,
+    rest_max=16,
+)
+
+
 def bench_run(
     method: str,
     n_list,
     repeats: int = 1,
-    weights: ModelWeights | None = None,
-    config: MesaConfig | None = None,
-    decode_tokens: int = 4,
+    config: MesaConfig = BENCH_CONFIG,
     seed: int = 0,
 ) -> list[dict]:
     """Best-of-repeats prefill and decode seconds, the allocation peak, and
@@ -177,17 +186,7 @@ def bench_run(
         raise ValueError(f"unknown bench method {method}")
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
-    weights = weights or random_model(d=8, n_heads=2, n_layers=1, vocab=32, seed=seed)
-    if config is None:
-        from weavepe.pe_core import Scheme, WeaveParams
-
-        config = MesaConfig(
-            train_len=256,
-            weave=WeaveParams(scheme=Scheme.STAIR, cap=64, tread=8),
-            first_len=16,
-            min_last=32,
-            rest_max=16,
-        )
+    weights = random_model(d=8, n_heads=2, n_layers=1, vocab=32, seed=seed)
 
     def run(tokens) -> tuple[float, float, int]:
         """(prefill seconds, decode seconds, prefill cells) of one pass."""
@@ -199,7 +198,7 @@ def bench_run(
         res = prefill(tokens, weights, config)
         t1 = time.perf_counter()
         logits, cache = res.logits, res.cache
-        for _ in range(decode_tokens):
+        for _ in range(4):  # greedy decode steps
             logits, cache = decode_step(cache, int(np.argmax(logits)), weights, config)
         return t1 - t0, time.perf_counter() - t1, res.report.total_cells
 

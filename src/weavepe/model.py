@@ -4,8 +4,8 @@ and the one attention core that every path runs.
 Double precision throughout; the threshold constructions depend on it.  The
 multi-head sub-layer uses the additive view (head outputs summed), which is
 equivalent to concatenate-then-project for block-structured output weights.
-Keys and values are cached before any rotation so the same cached key can be
-assigned different woven positions later.
+Keys and values are cached before any rotation, token i in slot i, so the
+same cached key can be assigned different woven positions later.
 
 forward, each prefill chunk and each decode step run the same layers
 (_run_layers) and the same attention (_attend).  Rows run in tiles of
@@ -210,23 +210,25 @@ class _Distances:
         return scores_additive(qt, k.T, dist, slope)
 
 
-def _positions(weights: ModelWeights, coords=None, dist: np.ndarray | None = None):
+def _positions(weights: ModelWeights, coords: np.ndarray | None = None, dist: np.ndarray | None = None):
     """Positional input of _attend for one chunk, forward or decode step.
 
     Built once and shared by every layer and head.  A chunk, and forward
-    under an identity weave, pass coords, the (query, key) coordinates: the
-    rotary family gets their two rotary tables, the additive family the
-    coordinates themselves (its distances are taken per tile).  A decode
-    step passes dist, each key's woven distance from its query, and gets a
-    _Woven: for the rotary family one table over the step's distinct
-    distances and the segments of equal runs.  The dot family gets None.
+    under an identity weave, pass coords, the coordinate of each key; the
+    queries are the last keys, so they take the tail of the same array.
+    The rotary family gets one rotary table over coords, the additive
+    family the coordinates themselves (its distances are taken per tile).
+    A decode step passes dist, each key's woven distance from its query,
+    and gets a _Woven: for the rotary family one table over the step's
+    distinct distances and the segments of equal runs.  The dot family
+    gets None.
     """
     fam = weights.pe_family
     if fam == "dot":
         return None
     dim, base = weights.head_dim, weights.theta_base
     if dist is None:
-        return coords if fam == "additive" else tuple(rotary_table(c, dim, base) for c in coords)
+        return coords if fam == "additive" else rotary_table(coords, dim, base)
     if fam == "additive":
         return _Woven(dist)
     starts = np.flatnonzero(np.r_[True, dist[1:] != dist[:-1]])  # first key of each run
@@ -256,14 +258,16 @@ def _attend(
     a tile ending at row r1 scores only keys [0, ctx_len + r1), the causal
     -inf goes on its rows x rows diagonal tail alone, and the softmax runs in
     place on the tile with its normalisation deferred past the value product.
-    A decode step (pos a _Woven) is one row over every key.  forward passes
+    For a chunk or forward, pos is _positions over the ctx_len + m keys, and
+    the queries, being the last m keys, take its tail from ctx_len on.  A
+    decode step (pos a _Woven) is one row over every key.  forward passes
     allowed, its mask's (query, key) visibility, whose tile replaces the
     causal tail, and alpha, zeros of that shape into which each tile writes
     its normalised weights.  Returns the h x m attention-weighted values.
     """
     woven, dense = isinstance(pos, _Woven), isinstance(pos, _Distances)
     if fam == "rotary" and not (woven or dense):
-        q, k = apply_rotary(q, pos[0]), apply_rotary(k, pos[1])
+        q, k = apply_rotary(q, tuple(t[:, ctx_len:] for t in pos)), apply_rotary(k, pos)
     qt = q.T
     m = qt.shape[0]
     out = np.empty((v.shape[0], m))
@@ -277,7 +281,7 @@ def _attend(
         else:
             s = qt[r0:r1] @ k[:, :nk]
             if fam == "additive":
-                s -= slope * (pos[0][r0:r1, None] - pos[1][None, :nk])
+                s -= slope * (pos[ctx_len + r0 : nk, None] - pos[None, :nk])
         if allowed is None:
             s[:, ctx_len + r0 :] += _CAUSAL_TAIL[: r1 - r0, : r1 - r0]
         else:
@@ -293,7 +297,6 @@ def _attend(
 
 def _run_layers(
     h: np.ndarray,
-    q_raw: np.ndarray,
     weights: ModelWeights,
     cache: KVCache,
     ctx_len: int,
@@ -301,7 +304,7 @@ def _run_layers(
     allowed: np.ndarray | None = None,
     trace: ForwardTrace | None = None,
 ) -> np.ndarray:
-    """Run the columns of h (tokens q_raw) through every layer; appends their raw K/V.
+    """Run the columns of h through every layer; appends their raw K/V.
 
     Each head first writes its new keys and values into the cache slots past
     len(cache).  The queries see the first ctx_len cached keys, then their
@@ -332,7 +335,7 @@ def _run_layers(
         z = a + h
         zz = layer_norm_cols(z) if layer.layer_norm == "standard" else z
         h = layer.ff(zz) + z
-    cache.append(q_raw)
+    cache.append(h.shape[1])
     return h
 
 
@@ -358,14 +361,13 @@ def forward(
     if mask is not None and mask.n != n:
         raise ValueError(f"mask length {mask.n} does not match sequence length {n}")
     if weave is None or weave.scheme in IDENTITY_SCHEMES or weights.pe_family == "dot":
-        coords = np.arange(n, dtype=np.float64)
-        pos = _positions(weights, (coords, coords))
+        pos = _positions(weights, np.arange(n, dtype=np.float64))
     else:
         pos = _Distances(position_matrix(weave, n).entries, weights.theta_base)
     trace = ForwardTrace(hidden=[], attn=[], alphas=[])
     cache = KVCache(len(weights.layers), len(weights.layers[0].heads), capacity=n)
     allowed = None if mask is None else mask.dense()
-    h = _run_layers(h, np.arange(n), weights, cache, 0, pos, allowed, trace)
+    h = _run_layers(h, weights, cache, 0, pos, allowed, trace)
     trace.hidden.append(h)
     return trace
 
@@ -373,19 +375,17 @@ def forward(
 class KVCache:
     """Append-only store of raw (pre-positional) keys and values per layer/head.
 
-    Layout: per layer, one (heads, h, capacity) array each for K and V, plus
-    one index array shared by the layers; the first len(cache) slots hold the
-    appended tokens in order.  Indices are the absolute token positions and
-    must stay strictly increasing across appends.  view returns slices of
-    this storage, never copies.
+    Layout: per layer, one (heads, h, capacity) array each for K and V; slot
+    i holds token i, so the first len(cache) slots are the appended tokens in
+    order and a span of positions is a span of slots.  view returns slices
+    of this storage, never copies.
 
     A step writes each head's new keys and values into the slots past
     len(cache) (write), attends over them in place, and append then commits
-    their positions.  Capacity starts at the constructor's (prefill passes the
-    prompt length); a write that runs past it grows that layer's arrays, and
-    append the index array, to the larger of the need and capacity + 1/8 —
-    never by doubling, so growing a full cache allocates at most one layer's
-    K or V again at a time.
+    them.  Capacity starts at the constructor's (prefill passes the prompt
+    length); a write that runs past it grows that layer's arrays to the
+    larger of the need and capacity + 1/8 — never by doubling, so growing a
+    full cache allocates at most one layer's K or V again at a time.
     """
 
     def __init__(self, n_layers: int, n_heads: int, capacity: int = 0):
@@ -393,7 +393,7 @@ class KVCache:
         self.n_heads = n_heads
         self._k: list[np.ndarray | None] = [None] * n_layers
         self._v: list[np.ndarray | None] = [None] * n_layers
-        self._idx = np.empty(capacity, dtype=np.int64)
+        self._capacity = capacity
         self._len = 0
 
     def __len__(self) -> int:
@@ -401,26 +401,24 @@ class KVCache:
 
     @property
     def capacity(self) -> int:
-        return self._idx.size
+        return self._capacity
 
     @property
     def indices(self) -> np.ndarray:
-        return self._idx[: self._len]
-
-    @staticmethod
-    def _grown(size: int, need: int) -> int:
-        return size if need <= size else max(need, size + size // 8)
+        return np.arange(self._len)
 
     def _layer_storage(self, layer: int, head_dim: int, need: int) -> tuple[np.ndarray, np.ndarray]:
         """This layer's K and V arrays, grown (K first, then V) to hold need slots."""
         for store in (self._k, self._v):
             old = store[layer]
-            size = self.capacity if old is None else old.shape[2]
+            size = self._capacity if old is None else old.shape[2]
             if old is None or need > size:
-                new = np.empty((self.n_heads, head_dim, self._grown(size, need)))
+                grown = size if need <= size else max(need, size + size // 8)
+                new = np.empty((self.n_heads, head_dim, grown))
                 if old is not None:
                     new[:, :, : self._len] = old[:, :, : self._len]
                 store[layer] = new
+                self._capacity = max(self._capacity, grown)
         return self._k[layer], self._v[layer]
 
     def write(self, layer: int, head: int, k: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -433,34 +431,22 @@ class KVCache:
         vs[head, :, n : n + m] = v
         return ks[head, :, : n + m], vs[head, :, : n + m]
 
-    def append(self, indices) -> None:
-        """Commit one block of token positions to the slots past len(self);
-        every layer's keys and values must already be in those slots (write)."""
-        idx = np.asarray(indices, dtype=np.int64)
-        if idx.size == 0:
-            return
-        if np.any(np.diff(idx) <= 0):
-            raise ValueError("appended indices must be strictly increasing")
-        if self._len and idx[0] <= self._idx[self._len - 1]:
-            raise ValueError("appended indices must follow the existing maximum")
-        n = self._len + idx.size
+    def append(self, m: int) -> None:
+        """Commit the m slots past len(self); every layer's keys and values
+        must already be in them (write)."""
+        n = self._len + m
         if any(ks is None or ks.shape[2] < n for ks in self._k):
-            raise ValueError("no keys and values were written for the appended positions")
-        if n > self.capacity:
-            grown = np.empty(self._grown(self.capacity, n), dtype=np.int64)
-            grown[: self._len] = self.indices
-            self._idx = grown
-        self._idx[self._len : n] = idx
+            raise ValueError("no keys and values were written for the appended slots")
         self._len = n
 
-    def view(self, layer: int, head: int, span: tuple[int, int] | None = None):
-        """Keys, values (h x n) and indices for one layer/head, optionally only
-        the positions in [span); slices of the storage, not copies."""
+    def view(self, layer: int, head: int, span: tuple[int, int] | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """Keys and values (h x n) for one layer/head, optionally only the
+        positions in [span); slices of the storage, not copies."""
         ks = self._k[layer]
         if ks is None:
-            return np.zeros((0, 0)), np.zeros((0, 0)), np.zeros(0, dtype=np.int64)
-        lo, hi = (0, self._len) if span is None else np.searchsorted(self.indices, span)
-        return ks[head, :, lo:hi], self._v[layer][head, :, lo:hi], self._idx[lo:hi]
+            return np.zeros((0, 0)), np.zeros((0, 0))
+        lo, hi = np.clip((0, self._len) if span is None else span, 0, self._len)
+        return ks[head, :, lo:hi], self._v[layer][head, :, lo:hi]
 
 
 def random_model(
@@ -473,6 +459,8 @@ def random_model(
     ff_mult: int = 2,
 ) -> ModelWeights:
     """Small random-weight model for pipeline and benchmark runs."""
+    if min(d, n_heads, n_layers) < 1:
+        raise ValueError(f"d, n_heads and n_layers must be >= 1, got {d}, {n_heads}, {n_layers}")
     if d % n_heads != 0:
         raise ValueError("d must be divisible by n_heads")
     h = d // n_heads

@@ -10,23 +10,25 @@ re-anchors at each new token, so every decode query sees exactly the woven
 distance to every key.
 
 Every distance a chunk feeds the positional term is a difference of
-coordinates, so the coordinates, and for the rotary family the cos/sin
-tables of the query and key rotations, are built once per chunk, before the
-layer loop, and shared by every layer and head.  A decode step scores the
-raw cached keys by woven distance instead: key i at distance w_i scores
+coordinates.  A chunk's keys are its context, always the tokens
+0..ctx_len-1, then its own tokens, which are also its queries; so each
+chunk builds one coordinate array over its keys, and for the rotary family
+one cos/sin table over it, before the layer loop, shared by every layer and
+head, with the queries taking its tail.  A decode step scores the raw
+cached keys by woven distance instead: key i at distance w_i scores
 (R(-w_i theta) q) . k_i, so one table over the step's distinct distances
 rotates the query, and no key is rotated and no per-key trigonometry runs.
 No per-cell trigonometry runs on these paths.
 
-Each chunk or step writes its raw keys and values into the preallocated
-cache slots past the filled ones before attending, so the last chunk and a
-decode step attend over a plain slice of the cache; a middle chunk joins
-only the first chunk's columns to its own.  The layers and the row-tiled
-attention are model's (_run_layers, _attend), shared with model.forward; a
-chunk's cell count and largest distance are computed in closed form from
-its coordinates.  Middle chunks are independent given the first chunk's
-keys and values but run one after another: the time goes to the
-elementwise passes over the scores, not to the Python loop.
+Cache slot i holds token i.  Each chunk or step writes its raw keys and
+values into the preallocated slots past the filled ones before attending,
+so the last chunk and a decode step attend over a plain slice of the cache;
+a middle chunk joins only the first chunk's columns to its own.  The layers
+and the row-tiled attention are model's (_run_layers, _attend), shared with
+model.forward; a chunk's cell count and largest distance are computed in
+closed form from its coordinates.  Middle chunks are independent given the
+first chunk's keys and values but run one after another: the time goes to
+the elementwise passes over the scores, not to the Python loop.
 """
 
 from __future__ import annotations
@@ -69,6 +71,8 @@ class MesaConfig:
     def __post_init__(self) -> None:
         if self.train_len <= self.first_len:
             raise ValueError("train_len must exceed first_len")
+        if min(self.first_len, self.min_last, self.rest_max) < 1:
+            raise ValueError("first_len, min_last and rest_max must be positive")
         if self.weave.scheme is Scheme.SELF_EXTEND:
             raise ValueError("the grouped scheme is not a pure distance weave; use stair/rerope/leaky")
         if self.weave.cap >= self.train_len:
@@ -77,11 +81,12 @@ class MesaConfig:
 
 @dataclass
 class ChunkTrace:
-    """What one chunk's attention actually touched."""
+    """What one chunk's attention actually touched: the context keys
+    0..ctx_len-1, then its own tokens q_span causally."""
 
     kind: str                      # "single" | "first" | "middle" | "last" | "decode"
     q_span: tuple[int, int]        # raw token indices of the queries
-    ctx_indices: np.ndarray        # raw indices of out-of-chunk context keys
+    ctx_len: int                   # context keys before the chunk: tokens 0..ctx_len-1
     cells: int                     # visible (query, key) pairs, the scores softmaxed (one head, one layer)
     max_pe_distance: float         # largest coordinate distance fed to the PE
 
@@ -89,8 +94,8 @@ class ChunkTrace:
         """(query, key) pairs this chunk computed; for small-n pattern checks."""
         pairs = set()
         for q in range(*self.q_span):
-            for i in self.ctx_indices:
-                pairs.add((q, int(i)))
+            for i in range(self.ctx_len):
+                pairs.add((q, i))
             for i in range(self.q_span[0], q + 1):
                 pairs.add((q, i))
         return pairs
@@ -111,8 +116,9 @@ class RunReport:
     def total_cells(self) -> int:
         return sum(c.cells for c in self.chunks if c.kind != "decode")
 
-    def to_doc(self, include_timings: bool = False) -> dict:
-        doc = {
+    def to_doc(self) -> dict:
+        """The deterministic fields; the timings stay out of files."""
+        return {
             "fallback": self.fallback,
             "plan": None if self.plan is None else self.plan.to_json().strip(),
             "prefill_cells": self.total_cells,
@@ -126,11 +132,6 @@ class RunReport:
                 for c in self.chunks
             ],
         }
-        if include_timings:
-            doc["prefill_seconds"] = self.prefill_seconds
-            doc["decode_seconds"] = self.decode_seconds
-            doc["decode_steps"] = self.decode_steps
-        return doc
 
 
 @dataclass
@@ -138,35 +139,6 @@ class PrefillResult:
     logits: np.ndarray
     cache: KVCache
     report: RunReport
-
-
-def _run_chunk(
-    seq_ids: np.ndarray,
-    weights: ModelWeights,
-    cache: KVCache,
-    span: tuple[int, int],
-    ctx_idx: np.ndarray,
-    coords_of,  # callable raw index array -> PE coordinates array
-) -> tuple[np.ndarray, int, float]:
-    """Process tokens in span against the cached context keys ctx_idx, which
-    are 0..c-1; appends their raw K/V.
-
-    Returns (hidden d x m of the chunk through all layers, visible pairs per
-    layer/head, max coordinate distance used).
-    """
-    lo, hi = span
-    m, c = hi - lo, ctx_idx.size
-    h = weights.w_e[:, seq_ids[lo:hi]].astype(np.float64)
-    q_raw = np.arange(lo, hi)
-    k_coords = np.asarray(coords_of(np.concatenate([ctx_idx, q_raw])), dtype=np.float64)
-    q_coords = k_coords[c:]
-
-    cells = m * c + m * (m + 1) // 2
-    # coordinates never decrease with the key index under every weave here, so
-    # the largest distance scored is the last query's to the first key
-    max_pe = float(q_coords[-1] - k_coords[0])
-    h = _run_layers(h, q_raw, weights, cache, c, _positions(weights, (q_coords, k_coords)))
-    return h, cells, max_pe
 
 
 def prefill(tokens, weights: ModelWeights, config: MesaConfig) -> PrefillResult:
@@ -191,38 +163,36 @@ def prefill(tokens, weights: ModelWeights, config: MesaConfig) -> PrefillResult:
         spans = chunk_spans(plan)
     cache = KVCache(len(weights.layers), len(weights.layers[0].heads), capacity=total)
     report = RunReport(plan=plan, fallback=fallback)
-    remap = weave_fn(config.weave)
     anchor = total - 1
 
-    def raw_coords(idx):
-        return idx
-
-    for ci, span in enumerate(spans):
+    for ci, (lo, hi) in enumerate(spans):
+        m = hi - lo
+        # the chunk's keys are tokens 0..ctx_len-1 then its own m tokens
         if ci == 0:
-            kind, ctx_len, coords = ("single" if fallback else "first"), 0, raw_coords
+            kind, ctx_len = ("single" if fallback else "first"), 0
+            coords = np.arange(m, dtype=np.float64)
         elif ci < len(spans) - 1:
+            # the first chunk keeps local 0..F-1; the chunk's tokens shift to F..F+m-1
             kind, ctx_len = "middle", plan.first_len
-            offset = span[0] - plan.first_len
-
-            def coords(idx, off=offset):
-                # context keeps raw local 0..F-1; chunk tokens shift to F..F+C-1
-                idx = np.asarray(idx)
-                return np.where(idx < plan.first_len, idx, idx - off)
-
+            coords = np.arange(ctx_len + m, dtype=np.float64)
         else:
-            kind, ctx_len = "last", span[0]
-
-            def coords(idx):
-                idx = np.asarray(idx, dtype=np.int64)
-                return anchor - remap(anchor - idx)
-
-        ctx_idx = np.arange(ctx_len, dtype=np.int64)
-        h_last, cells, max_pe = _run_chunk(seq_ids, weights, cache, span, ctx_idx, coords)
+            kind, ctx_len = "last", lo
+            coords = anchor - weave_fn(config.weave)(anchor - np.arange(hi))
+        h = weights.w_e[:, seq_ids[lo:hi]].astype(np.float64)
+        h = _run_layers(h, weights, cache, ctx_len, _positions(weights, coords))
+        # coordinates never decrease with the key index under every weave here, so
+        # the largest distance scored is the last query's to the first key
         report.chunks.append(
-            ChunkTrace(kind=kind, q_span=span, ctx_indices=ctx_idx, cells=cells, max_pe_distance=max_pe)
+            ChunkTrace(
+                kind=kind,
+                q_span=(lo, hi),
+                ctx_len=ctx_len,
+                cells=m * ctx_len + m * (m + 1) // 2,
+                max_pe_distance=float(coords[-1] - coords[0]),
+            )
         )
 
-    logits = weights.w_e.T @ h_last[:, -1]
+    logits = weights.w_e.T @ h[:, -1]
     report.prefill_seconds = time.perf_counter() - t0
     return PrefillResult(logits=logits, cache=cache, report=report)
 
@@ -236,7 +206,7 @@ def decode_step(
     t_new = len(cache)
     pos = _positions(weights, dist=decode_distances(t_new, config))
     h = weights.w_e[:, [int(next_token)]].astype(np.float64)
-    h = _run_layers(h, np.asarray([t_new]), weights, cache, t_new, pos)
+    h = _run_layers(h, weights, cache, t_new, pos)
     logits = weights.w_e.T @ h[:, -1]
     return logits, cache
 

@@ -340,10 +340,9 @@ class ThresholdReport:
     ts: np.ndarray
     observed: np.ndarray
     predicted: np.ndarray
-    crossing: int | None          # first t with observed <= H (within crossing_tol)
+    crossing: int | None          # first t with observed <= H (within 1e-9)
     max_abs_err: float
     tol: float
-    crossing_tol: float = 1e-9
 
     @property
     def verdicts(self) -> np.ndarray:

@@ -19,6 +19,45 @@ def test_plan_echoes_symbols(tmp_path, capsys):
     assert doc["F"] == 100 and doc["L"] == 512
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--N", 0], "cap must be >= 1, got 0"),
+        (["--E", 0], "tread must be >= 1, got 0"),
+        (["--k-inv", 0], "leak must be > 0, got 0.0"),
+        (["--d", 0], "d, n_heads and n_layers must be >= 1"),
+        (["--heads", 0], "d, n_heads and n_layers must be >= 1"),
+        (["--layers", 0], "d, n_heads and n_layers must be >= 1"),
+        (["--F", 0], "first_len, min_last and rest_max must be positive"),
+        (["--L", 0], "first_len, min_last and rest_max must be positive"),
+        (["--M-max", 0], "first_len, min_last and rest_max must be positive"),
+    ],
+)
+def test_run_rejects_zero_flag(tmp_path, capsys, flags, message):
+    # a flag given as 0 reaches its constructor, not the default
+    code = run_cli(["run", "--random-tokens", 300, "--T", 1024, "--max-new", 2, "--out", tmp_path] + flags)
+    assert code != 0
+    assert message in json.loads(capsys.readouterr().err)["error"]
+
+
+def test_plan_rejects_zero_first_len(capsys):
+    assert run_cli(["plan", "--I", 9000, "--T", 4096, "--F", 0]) != 0
+    assert "first_len, min_last and rest_max must be positive" in json.loads(capsys.readouterr().err)["error"]
+
+
+def test_bench_overrides_only_given_flags(tmp_path, capsys, monkeypatch):
+    from weavepe import cli
+    from weavepe.evalkit import BENCH_CONFIG
+
+    seen = []
+    monkeypatch.setattr(cli, "bench_run", lambda method, n_list, repeats, config, **kw: seen.append(config) or [])
+    assert run_cli(["bench", "--methods", "mesa", "--N", 32, "--F", 8, "--out", tmp_path]) == 0
+    assert seen[0].weave.cap == 32 and seen[0].first_len == 8
+    assert seen[0].weave.tread == BENCH_CONFIG.weave.tread and seen[0].train_len == BENCH_CONFIG.train_len
+    assert run_cli(["bench", "--methods", "mesa", "--E", 0, "--out", tmp_path]) != 0
+    assert "tread must be >= 1, got 0" in json.loads(capsys.readouterr().err)["error"]
+
+
 def test_gen_positions_golden_row(tmp_path):
     out = tmp_path / "o"
     assert run_cli(["gen-positions", "--scheme", "stair", "--n", 10, "--N", 4, "--E", 2, "--out", out]) == 0

@@ -185,13 +185,13 @@ def test_mask_argument_restricts_attention():
     assert alpha[7, 0] > 0.0 and alpha[7, 7] > 0.0
 
 
-def _commit(cache, indices, k_blocks, v_blocks):
+def _commit(cache, k_blocks, v_blocks):
     """Write each layer and head's keys and values ([layer][head] -> h x m)
-    past len(cache), then append their positions."""
+    past len(cache), then commit their m slots."""
     for layer, (ks, vs) in enumerate(zip(k_blocks, v_blocks)):
         for head, (k, v) in enumerate(zip(ks, vs)):
             cache.write(layer, head, k, v)
-    cache.append(indices)
+    cache.append(k_blocks[0][0].shape[1])
 
 
 def test_kv_cache_round_trip():
@@ -199,17 +199,17 @@ def test_kv_cache_round_trip():
     rng = np.random.default_rng(0)
     ka = rng.normal(size=(3, 4))
     va = rng.normal(size=(3, 4))
-    _commit(cache, np.arange(4), [[ka], [ka * 2]], [[va], [va * 2]])
+    _commit(cache, [[ka], [ka * 2]], [[va], [va * 2]])
     kb = rng.normal(size=(3, 2))
     vb = rng.normal(size=(3, 2))
-    _commit(cache, np.array([4, 5]), [[kb], [kb * 2]], [[vb], [vb * 2]])
+    _commit(cache, [[kb], [kb * 2]], [[vb], [vb * 2]])
     assert len(cache) == 6
-    k, v, idx = cache.view(0, 0)
+    assert np.array_equal(cache.indices, np.arange(6))
+    k, v = cache.view(0, 0)
     assert k.shape == (3, 6)
-    assert np.array_equal(idx, np.arange(6))
     assert np.array_equal(k[:, :4], ka) and np.array_equal(v[:, 4:], vb)
-    k2, _, idx2 = cache.view(1, 0, span=(2, 5))
-    assert np.array_equal(idx2, np.array([2, 3, 4]))
+    k2, _ = cache.view(1, 0, span=(2, 5))
+    assert k2.shape == (3, 3)
     assert np.array_equal(k2[:, 0], ka[:, 2] * 2)
 
 
@@ -218,22 +218,22 @@ def test_kv_cache_round_trip():
     [(0, 3), (3, 5), (0, 5), (2, 4), (1, 8), (5, 8), (6, 9), (3, 3), (0, 20), (9, 20), (-4, 0)],
 )
 def test_kv_cache_span_view_equals_sliced_full_view(span):
-    # blocks hold positions 0-2, 3-4 and 6-8 (5 is absent, as after a gap)
+    # blocks of 3, 2 and 3 tokens fill slots 0-7
     cache = KVCache(n_layers=2, n_heads=2)
     rng = np.random.default_rng(1)
-    for idx in (np.arange(3), np.array([3, 4]), np.array([6, 7, 8])):
-        k = [[rng.normal(size=(3, idx.size)) for _ in range(2)] for _ in range(2)]
-        v = [[rng.normal(size=(3, idx.size)) for _ in range(2)] for _ in range(2)]
-        _commit(cache, idx, k, v)
+    for m in (3, 2, 3):
+        k = [[rng.normal(size=(3, m)) for _ in range(2)] for _ in range(2)]
+        v = [[rng.normal(size=(3, m)) for _ in range(2)] for _ in range(2)]
+        _commit(cache, k, v)
+    pos = cache.indices
+    sel = (pos >= span[0]) & (pos < span[1])
     for layer in range(2):
         for head in range(2):
-            k_full, v_full, idx_full = cache.view(layer, head)
-            sel = (idx_full >= span[0]) & (idx_full < span[1])
-            k, v, idx = cache.view(layer, head, span=span)
+            k_full, v_full = cache.view(layer, head)
+            k, v = cache.view(layer, head, span=span)
             assert k.shape == (3, int(sel.sum())) and v.shape == k.shape
             assert np.array_equal(k, k_full[:, sel])
             assert np.array_equal(v, v_full[:, sel])
-            assert np.array_equal(idx, idx_full[sel])
             # a view is a slice of the cache's storage, not a copy
             if k.size:
                 assert np.shares_memory(k, cache._k[layer]) and np.shares_memory(v, cache._v[layer])
@@ -244,46 +244,35 @@ def test_kv_cache_growth_keeps_earlier_columns():
     rng = np.random.default_rng(2)
     blocks, capacities = [], []
     # fill, grow by 1/8 (64 -> 72), then past 72 + 9 straight to the need (85)
-    for idx in (np.arange(64), np.array([64]), np.arange(70, 90)):
-        k = [[rng.normal(size=(3, idx.size)) for _ in range(2)] for _ in range(2)]
-        v = [[rng.normal(size=(3, idx.size)) for _ in range(2)] for _ in range(2)]
-        _commit(cache, idx, k, v)
-        blocks.append((idx, k, v))
+    for m in (64, 1, 20):
+        k = [[rng.normal(size=(3, m)) for _ in range(2)] for _ in range(2)]
+        v = [[rng.normal(size=(3, m)) for _ in range(2)] for _ in range(2)]
+        _commit(cache, k, v)
+        blocks.append((k, v))
         capacities.append(cache.capacity)
     assert capacities == [64, 72, 85] and len(cache) == 85
     for layer in range(2):
         for head in range(2):
-            k, v, idx = cache.view(layer, head)
-            assert np.array_equal(idx, np.concatenate([b[0] for b in blocks]))
-            assert np.array_equal(k, np.concatenate([b[1][layer][head] for b in blocks], axis=1))
-            assert np.array_equal(v, np.concatenate([b[2][layer][head] for b in blocks], axis=1))
+            k, v = cache.view(layer, head)
+            assert np.array_equal(k, np.concatenate([b[0][layer][head] for b in blocks], axis=1))
+            assert np.array_equal(v, np.concatenate([b[1][layer][head] for b in blocks], axis=1))
 
 
 def test_kv_cache_append_needs_written_slots():
     cache = KVCache(n_layers=2, n_heads=1)
     cache.write(0, 0, np.ones((3, 2)), np.ones((3, 2)))
     with pytest.raises(ValueError):
-        cache.append(np.arange(2))
+        cache.append(2)
     cache.write(1, 0, np.ones((3, 2)), np.ones((3, 2)))
-    cache.append(np.arange(2))
+    cache.append(2)
     assert len(cache) == 2
 
 
 def test_kv_cache_empty_views():
     cache = KVCache(n_layers=1, n_heads=1)
     for span in (None, (0, 4)):
-        k, v, idx = cache.view(0, 0, span=span)
-        assert k.shape == v.shape == (0, 0) and idx.size == 0
-
-
-def test_kv_cache_rejects_non_monotonic():
-    cache = KVCache(n_layers=1, n_heads=1)
-    k = np.zeros((2, 2))
-    _commit(cache, np.array([0, 1]), [[k]], [[k]])
-    with pytest.raises(ValueError):
-        _commit(cache, np.array([1, 2]), [[k]], [[k]])
-    with pytest.raises(ValueError):
-        _commit(cache, np.array([5, 4]), [[k]], [[k]])
+        k, v = cache.view(0, 0, span=span)
+        assert k.shape == v.shape == (0, 0)
 
 
 def test_weights_round_trip():

@@ -104,8 +104,7 @@ def _check_against_oracle(weights, cfg, n_tokens, seed):
         for li, layer in enumerate(weights.layers):
             h_in = layer_in[li][:, slice(*trace.q_span)]
             for mi, head in enumerate(layer.heads):
-                k, v, idx = res.cache.view(li, mi, span=trace.q_span)
-                assert np.array_equal(idx, np.arange(*trace.q_span))
+                k, v = res.cache.view(li, mi, span=trace.q_span)
                 np.testing.assert_allclose(k, head.w_k @ h_in, rtol=0, atol=TOL)
                 np.testing.assert_allclose(v, head.w_v @ h_in, rtol=0, atol=TOL)
     np.testing.assert_allclose(res.logits, logits, rtol=0, atol=TOL)
