@@ -188,10 +188,9 @@ def cmd_run(args) -> int:
         rng = np.random.default_rng(args.seed or 0)
         tokens = rng.integers(1, weights.vocab_size, size=args.random_tokens).tolist()
 
-    weave = WeaveParams(scheme=_scheme(args.scheme), **_given(args, cap="N", tread="E", leak="k_inv"))
     config = MesaConfig(
         train_len=4096 if args.T is None else args.T,
-        weave=weave,
+        weave=_weave_params(args),
         **_given(args, first_len="F", min_last="L", rest_max="M_max"),
     )
     result = generate(tokens, weights, config, max_new=args.max_new)

@@ -8,13 +8,14 @@ Keys and values are cached before any rotation, token i in slot i, so the
 same cached key can be assigned different woven positions later.
 
 forward, each prefill chunk and each decode step run the same layers
-(_run_layers) and the same attention (_attend).  Rows run in tiles of
-TILE_ROWS queries; a tile scores only the keys its rows may see, adds the
-causal -inf on its diagonal tail alone (or, for forward under a mask, the
-mask's tile), runs the softmax in place and defers its normalisation past
-the value product, as in FlashAttention (Dao et al., arXiv 2205.14135).  No
-score matrix larger than one tile is held; only forward keeps each head's
-normalised n x n weights, for its trace.
+(_run_layers) and the same attention (_attend); a chunk or step gives it
+its keys' coordinates and nothing else positional (_positions).  Rows run
+in tiles of TILE_ROWS queries; a tile scores only the keys its rows may
+see, adds the causal -inf on its diagonal tail alone (or, for forward under
+a mask, the mask's tile), runs the softmax in place and defers its
+normalisation past the value product, as in FlashAttention (Dao et al.,
+arXiv 2205.14135).  No score matrix larger than one tile is held; only
+forward keeps each head's normalised n x n weights, for its trace.
 """
 
 from __future__ import annotations
@@ -124,10 +125,10 @@ class ModelWeights:
         return alibi_slopes(len(self.layers[0].heads))[m]
 
 
-def layer_norm_cols(x: np.ndarray, eps: float = 1e-12) -> np.ndarray:
+def layer_norm_cols(x: np.ndarray) -> np.ndarray:
     mu = x.mean(axis=0, keepdims=True)
     var = x.var(axis=0, keepdims=True)
-    return (x - mu) / np.sqrt(var + eps)
+    return (x - mu) / np.sqrt(var + 1e-12)
 
 
 def embed(tokens, weights: ModelWeights) -> np.ndarray:
@@ -151,8 +152,9 @@ class ForwardTrace:
     def final(self) -> np.ndarray:
         return self.hidden[-1]
 
-    def logits(self, weights: ModelWeights, col: int = -1) -> np.ndarray:
-        return weights.w_e.T @ self.hidden[-1][:, col]
+    def logits(self, weights: ModelWeights) -> np.ndarray:
+        """Logits of the last position."""
+        return weights.w_e.T @ self.hidden[-1][:, -1]
 
 
 #: query rows per attention tile; REF's last-chunk attention (577 x 16,385) is
@@ -164,26 +166,22 @@ _CAUSAL_TAIL = np.triu(np.full((TILE_ROWS, TILE_ROWS), -np.inf), 1)
 
 @dataclass(frozen=True)
 class _Woven:
-    """Positional input of a decode step: one query over keys at woven distances.
+    """Rotary positional input of one query: its keys at woven distances.
 
     Key i scores (R(-w_i theta) q) . k_i, the rotation moved off the key onto
     the query, so no key is rotated.  The distances never increase with the
     key index, so equal ones form runs, and consecutive runs of one length
     form segments: for the staircase, a possibly shorter run furthest away,
-    the runs of E keys, then one key per distance up to N.  The rotary
-    family rotates the query once per run (table) and scores each segment
-    through an (h, runs, length) view of its keys, so no key is copied
-    either.
+    the runs of E keys, then one key per distance up to N.  The query is
+    rotated once per run (table) and each segment is scored through an
+    (h, runs, length) view of its keys, so no key is copied either.
     """
 
-    dist: np.ndarray            # woven distance w_i of each key
-    table: tuple | None = None  # rotary: rotary_table over one distance per run
-    segments: tuple = ()        # rotary: (first run, end run, run length, first key) each
+    table: tuple     # rotary_table over one distance per run
+    segments: tuple  # (first run, end run, run length, first key) each
 
-    def scores(self, q: np.ndarray, k: np.ndarray, slope: float) -> np.ndarray:
+    def scores(self, q: np.ndarray, k: np.ndarray) -> np.ndarray:
         """1 x n scores of the query q (h x 1) against the keys k (h x n)."""
-        if self.table is None:  # additive
-            return q.T @ k - slope * self.dist
         qw = apply_rotary(np.broadcast_to(q, (q.shape[0], self.table[0].shape[1])), self.table)
         s = np.empty((1, k.shape[1]))
         for r0, r1, length, a in self.segments:
@@ -210,34 +208,32 @@ class _Distances:
         return scores_additive(qt, k.T, dist, slope)
 
 
-def _positions(weights: ModelWeights, coords: np.ndarray | None = None, dist: np.ndarray | None = None):
-    """Positional input of _attend for one chunk, forward or decode step.
+def _positions(weights: ModelWeights, coords: np.ndarray, m: int):
+    """Positional input of _attend for m queries over keys at coords.
 
-    Built once and shared by every layer and head.  A chunk, and forward
-    under an identity weave, pass coords, the coordinate of each key; the
-    queries are the last keys, so they take the tail of the same array.
-    The rotary family gets one rotary table over coords, the additive
-    family the coordinates themselves (its distances are taken per tile).
-    A decode step passes dist, each key's woven distance from its query,
-    and gets a _Woven: for the rotary family one table over the step's
-    distinct distances and the segments of equal runs.  The dot family
-    gets None.
+    Built once per chunk, forward or decode step and shared by every layer
+    and head.  The queries are the last m keys, so they take the tail of
+    coords.  The dot family gets None, the additive family the coordinates
+    themselves (its distances are taken per tile) and the rotary family one
+    rotary table over coords; but one query (a decode step, or a one-token
+    chunk) gets a _Woven instead, which rotates the query by each key's
+    distance coords[-1] - coords from it and rotates no key.
     """
     fam = weights.pe_family
     if fam == "dot":
         return None
-    dim, base = weights.head_dim, weights.theta_base
-    if dist is None:
-        return coords if fam == "additive" else rotary_table(coords, dim, base)
     if fam == "additive":
-        return _Woven(dist)
-    starts = np.flatnonzero(np.r_[True, dist[1:] != dist[:-1]])  # first key of each run
-    runs = np.diff(np.r_[starts, dist.size])
+        return coords
+    dim, base = weights.head_dim, weights.theta_base
+    if m > 1:
+        return rotary_table(coords, dim, base)
+    starts = np.flatnonzero(np.r_[True, coords[1:] != coords[:-1]])  # first key of each run
+    runs = np.diff(np.r_[starts, coords.size])
     first = np.flatnonzero(np.r_[True, runs[1:] != runs[:-1]])  # first run of each segment
     segments = tuple(
         (int(r0), int(r1), int(runs[r0]), int(starts[r0])) for r0, r1 in zip(first, np.r_[first[1:], runs.size])
     )
-    return _Woven(dist, rotary_table(dist[starts], dim, base), segments)
+    return _Woven(rotary_table(coords[-1] - coords[starts], dim, base), segments)
 
 
 def _attend(
@@ -258,15 +254,14 @@ def _attend(
     a tile ending at row r1 scores only keys [0, ctx_len + r1), the causal
     -inf goes on its rows x rows diagonal tail alone, and the softmax runs in
     place on the tile with its normalisation deferred past the value product.
-    For a chunk or forward, pos is _positions over the ctx_len + m keys, and
-    the queries, being the last m keys, take its tail from ctx_len on.  A
-    decode step (pos a _Woven) is one row over every key.  forward passes
-    allowed, its mask's (query, key) visibility, whose tile replaces the
-    causal tail, and alpha, zeros of that shape into which each tile writes
-    its normalised weights.  Returns the h x m attention-weighted values.
+    pos is _positions over the ctx_len + m keys, and the queries, being the
+    last m keys, take its tail from ctx_len on; a _Woven (one query) scores
+    its one row itself.  forward passes allowed, its mask's (query, key)
+    visibility, whose tile replaces the causal tail, and alpha, zeros of that
+    shape into which each tile writes its normalised weights.  Returns the
+    h x m attention-weighted values.
     """
-    woven, dense = isinstance(pos, _Woven), isinstance(pos, _Distances)
-    if fam == "rotary" and not (woven or dense):
+    if isinstance(pos, tuple):  # a rotary table over the keys
         q, k = apply_rotary(q, tuple(t[:, ctx_len:] for t in pos)), apply_rotary(k, pos)
     qt = q.T
     m = qt.shape[0]
@@ -274,9 +269,9 @@ def _attend(
     for r0 in range(0, m, TILE_ROWS):
         r1 = min(r0 + TILE_ROWS, m)
         nk = ctx_len + r1
-        if woven:
-            s = pos.scores(q, k, slope)
-        elif dense:
+        if isinstance(pos, _Woven):
+            s = pos.scores(q, k)
+        elif isinstance(pos, _Distances):
             s = pos.scores(qt[r0:r1], k[:, :nk], r0, fam, slope)
         else:
             s = qt[r0:r1] @ k[:, :nk]
@@ -361,7 +356,7 @@ def forward(
     if mask is not None and mask.n != n:
         raise ValueError(f"mask length {mask.n} does not match sequence length {n}")
     if weave is None or weave.scheme in IDENTITY_SCHEMES or weights.pe_family == "dot":
-        pos = _positions(weights, np.arange(n, dtype=np.float64))
+        pos = _positions(weights, np.arange(n, dtype=np.float64), n)
     else:
         pos = _Distances(position_matrix(weave, n).entries, weights.theta_base)
     trace = ForwardTrace(hidden=[], attn=[], alphas=[])
@@ -456,9 +451,9 @@ def random_model(
     vocab: int = 16,
     seed: int = 0,
     pe_family: str = "rotary",
-    ff_mult: int = 2,
 ) -> ModelWeights:
-    """Small random-weight model for pipeline and benchmark runs."""
+    """Small random-weight model for pipeline and benchmark runs; each
+    feed-forward is 2d wide."""
     if min(d, n_heads, n_layers) < 1:
         raise ValueError(f"d, n_heads and n_layers must be >= 1, got {d}, {n_heads}, {n_layers}")
     if d % n_heads != 0:
@@ -475,7 +470,7 @@ def random_model(
     layers = []
     for _ in range(n_layers):
         heads = [HeadWeights(w_q=mat(h, d), w_k=mat(h, d), w_v=mat(h, d), w_o=mat(d, h)) for _ in range(n_heads)]
-        ff = DenseFF(w1=mat(d, ff_mult * d), w2=mat(d, ff_mult * d))
+        ff = DenseFF(w1=mat(d, 2 * d), w2=mat(d, 2 * d))
         layers.append(LayerWeights(heads=heads, ff=ff))
     return ModelWeights(w_e=mat(d, vocab), layers=layers, pe_family=pe_family)
 

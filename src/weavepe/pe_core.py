@@ -67,13 +67,9 @@ class WeaveParams:
 
 def _as_int_array(d) -> np.ndarray:
     a = np.asarray(d)
-    if not np.issubdtype(a.dtype, np.integer):
-        if not np.all(np.mod(a, 1) == 0):
-            raise ValueError("distances must be integers")
-        a = a.astype(np.int64)
-    else:
-        a = a.astype(np.int64)
-    return a
+    if not np.issubdtype(a.dtype, np.integer) and not np.all(np.mod(a, 1) == 0):
+        raise ValueError("distances must be integers")
+    return a.astype(np.int64)
 
 
 def _ret(out: np.ndarray, scalar: bool):
@@ -332,6 +328,9 @@ def position_matrix(params: WeaveParams, n: int) -> PositionMatrix:
 
     Entry (t, i) for i <= t is the scheme's weave applied to t - i, except the
     grouped scheme where it is the grouped remap of the index pair itself.
+    Cells above the diagonal are 0: raw distance 0 there, which every weave
+    keeps at 0.  A pure distance weave is applied to the n distinct raw
+    distances once, then looked up per cell.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -343,6 +342,5 @@ def position_matrix(params: WeaveParams, n: int) -> PositionMatrix:
         grouped = t_idx // g + w - w // g - i_idx // g
         woven = np.where(raw <= w, raw, grouped).astype(np.float64)
     else:
-        woven = np.asarray(weave_fn(params)(raw), dtype=np.float64)
-    woven = np.tril(woven)
+        woven = np.asarray(weave_fn(params)(np.arange(n)), dtype=np.float64)[raw]
     return PositionMatrix(params=params, n=n, entries=woven)

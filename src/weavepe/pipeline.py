@@ -5,8 +5,9 @@ against the first chunk only (both at local coordinates, so no positional
 distance ever exceeds the trained window), and the last chunk against the
 full cache with staircase-woven coordinates anchored at the final token.
 A prompt that fits the trained window (or the first+last budget) is one
-chunk at raw positions, the same computation as the first chunk.  Decode
-re-anchors at each new token, so every decode query sees exactly the woven
+chunk at raw positions, the same computation as the first chunk.  A decode
+step is the last chunk of one token: the same staircase, decode_distances,
+anchored at the new token, so every decode query sees exactly the woven
 distance to every key.
 
 Every distance a chunk feeds the positional term is a difference of
@@ -14,11 +15,9 @@ coordinates.  A chunk's keys are its context, always the tokens
 0..ctx_len-1, then its own tokens, which are also its queries; so each
 chunk builds one coordinate array over its keys, and for the rotary family
 one cos/sin table over it, before the layer loop, shared by every layer and
-head, with the queries taking its tail.  A decode step scores the raw
-cached keys by woven distance instead: key i at distance w_i scores
-(R(-w_i theta) q) . k_i, so one table over the step's distinct distances
-rotates the query, and no key is rotated and no per-key trigonometry runs.
-No per-cell trigonometry runs on these paths.
+head, with the queries taking its tail.  One query (a decode step) rotates
+itself by each key's distance instead (model._Woven), so no key is rotated
+and no per-key trigonometry runs; no per-cell trigonometry runs at all.
 
 Cache slot i holds token i.  Each chunk or step writes its raw keys and
 values into the preallocated slots past the filled ones before attending,
@@ -46,6 +45,7 @@ from weavepe.model import (
     forward,  # noqa: F401  kept importable here: perfbench/layertrace.py wraps this name
 )
 from weavepe.pe_core import (
+    IDENTITY_SCHEMES,
     Scheme,
     WeaveParams,
     rotate_by_coords,  # noqa: F401  kept importable here: perfbench/layertrace.py wraps this name
@@ -58,8 +58,9 @@ from weavepe.splitter import ChunkPlan, chunk_spans, dynamic_split
 class MesaConfig:
     """Weave and split parameters for the pipeline.
 
-    The weave point must sit inside the trained window; inputs that fit the
-    window (or the first+last budget) are processed in a single vanilla pass.
+    A weave's weave point must sit inside the trained window; inputs that fit
+    the window (or the first+last budget) are processed in a single vanilla
+    pass, the only pass an identity weave (no weave point) is given.
     """
 
     train_len: int
@@ -75,7 +76,7 @@ class MesaConfig:
             raise ValueError("first_len, min_last and rest_max must be positive")
         if self.weave.scheme is Scheme.SELF_EXTEND:
             raise ValueError("the grouped scheme is not a pure distance weave; use stair/rerope/leaky")
-        if self.weave.cap >= self.train_len:
+        if self.weave.scheme not in IDENTITY_SCHEMES and self.weave.cap >= self.train_len:
             raise ValueError("weave point must sit inside the trained window")
 
 
@@ -84,7 +85,7 @@ class ChunkTrace:
     """What one chunk's attention actually touched: the context keys
     0..ctx_len-1, then its own tokens q_span causally."""
 
-    kind: str                      # "single" | "first" | "middle" | "last" | "decode"
+    kind: str                      # "single" | "first" | "middle" | "last"
     q_span: tuple[int, int]        # raw token indices of the queries
     ctx_len: int                   # context keys before the chunk: tokens 0..ctx_len-1
     cells: int                     # visible (query, key) pairs, the scores softmaxed (one head, one layer)
@@ -114,7 +115,7 @@ class RunReport:
 
     @property
     def total_cells(self) -> int:
-        return sum(c.cells for c in self.chunks if c.kind != "decode")
+        return sum(c.cells for c in self.chunks)
 
     def to_doc(self) -> dict:
         """The deterministic fields; the timings stay out of files."""
@@ -145,7 +146,9 @@ def prefill(tokens, weights: ModelWeights, config: MesaConfig) -> PrefillResult:
     """Chunked prefill of the whole prompt; returns last-position logits and the cache.
 
     Inputs that fit the trained window (or the first+last budget) fall back to
-    a single vanilla pass: one chunk at raw positions with no context.
+    a single vanilla pass: one chunk at raw positions with no context.  A
+    longer input under an identity weave is rejected: its last chunk would
+    feed raw distances past the trained window.
     """
     if len(tokens) == 0:
         raise ValueError("empty input")
@@ -155,7 +158,13 @@ def prefill(tokens, weights: ModelWeights, config: MesaConfig) -> PrefillResult:
     total = len(seq_ids)
     t0 = time.perf_counter()
 
-    fallback = total <= config.train_len or total <= config.min_last + config.first_len
+    single_max = max(config.train_len, config.min_last + config.first_len)
+    fallback = total <= single_max
+    if not fallback and config.weave.scheme in IDENTITY_SCHEMES:
+        raise ValueError(
+            f"the {config.weave.scheme.value} weave is the identity, so chunking would feed raw distances "
+            f"past the trained window: the longest prompt it takes is {single_max - 1} tokens"
+        )
     if fallback:
         plan, spans = None, [(0, total)]
     else:
@@ -177,9 +186,9 @@ def prefill(tokens, weights: ModelWeights, config: MesaConfig) -> PrefillResult:
             coords = np.arange(ctx_len + m, dtype=np.float64)
         else:
             kind, ctx_len = "last", lo
-            coords = anchor - weave_fn(config.weave)(anchor - np.arange(hi))
+            coords = anchor - decode_distances(anchor, config)
         h = weights.w_e[:, seq_ids[lo:hi]].astype(np.float64)
-        h = _run_layers(h, weights, cache, ctx_len, _positions(weights, coords))
+        h = _run_layers(h, weights, cache, ctx_len, _positions(weights, coords, m))
         # coordinates never decrease with the key index under every weave here, so
         # the largest distance scored is the last query's to the first key
         report.chunks.append(
@@ -200,13 +209,13 @@ def prefill(tokens, weights: ModelWeights, config: MesaConfig) -> PrefillResult:
 def decode_step(
     cache: KVCache, next_token: int, weights: ModelWeights, config: MesaConfig
 ) -> tuple[np.ndarray, KVCache]:
-    """Append one token; its query scores every cached raw key at its woven distance."""
+    """Append one token: the last chunk of a one-token prompt extension, its
+    query anchored at itself and every cached raw key at its woven distance."""
     if not (0 <= int(next_token) < weights.vocab_size):
         raise ValueError(f"unknown token id {next_token}")
-    t_new = len(cache)
-    pos = _positions(weights, dist=decode_distances(t_new, config))
+    t = len(cache)
     h = weights.w_e[:, [int(next_token)]].astype(np.float64)
-    h = _run_layers(h, weights, cache, t_new, pos)
+    h = _run_layers(h, weights, cache, t, _positions(weights, t - decode_distances(t, config), 1))
     logits = weights.w_e.T @ h[:, -1]
     return logits, cache
 
@@ -242,7 +251,8 @@ def generate(
     return GenerationResult(token_ids=out, report=report)
 
 
-def decode_distances(cache_len: int, config: MesaConfig) -> np.ndarray:
-    """Woven distance from a decode query at position cache_len to each of the
-    keys 0..cache_len."""
-    return weave_fn(config.weave)(cache_len - np.arange(cache_len + 1))
+def decode_distances(anchor: int, config: MesaConfig) -> np.ndarray:
+    """Woven distance from the token at position anchor to each of the keys
+    0..anchor: the staircase rule that the last chunk and every decode step
+    apply, anchored at their final token, and the pipeline's only weave."""
+    return weave_fn(config.weave)(anchor - np.arange(anchor + 1))

@@ -33,6 +33,13 @@ from weavepe.pe_core import Scheme, WeaveParams, weave_fn
 
 #: double-precision floor for exp(-(t-1)); beyond this the first-layer signal underflows
 MAX_SCAN = 700
+#: hidden width d and head width h of every construction: the first three
+#: hidden dimensions and three query/key slots are all they use
+D_MODEL = D_HEAD = 3
+#: the hidden dimension holding the designated value o_t[3] (the third)
+WATCH_DIM = 2
+#: largest gap between the forward pass and the closed form a scan accepts
+SCAN_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -40,23 +47,18 @@ class TheoryConfig:
     """Shared knobs for the constructions.
 
     window is the effective length M, threshold the free bound H, cap/tread
-    the weave parameters (N, E).  d >= 3 because the constructions use the
-    first three hidden dimensions; h >= 3 leaves room for the position slots.
+    the weave parameters (N, E).
     """
 
     window: int                # M
     threshold: float = 0.0     # H
     cap: int = 2               # N (weave models only)
     tread: int = 1             # E (staircase only)
-    d: int = 3
-    h: int = 3
     t_max: int = MAX_SCAN
 
     def __post_init__(self) -> None:
         if self.window < 1:
             raise ValueError("window must be >= 1")
-        if self.d < 3 or self.h < 1:
-            raise ValueError("constructions need d >= 3 and h >= 1")
         if self.t_max > MAX_SCAN:
             raise ValueError(f"t_max > {MAX_SCAN} underflows exp(-(t-1)) in double precision")
         if self.t_max < 1:
@@ -191,7 +193,6 @@ class TheoryModel:
     weights: ModelWeights
     weave: WeaveParams | None
     cfg: TheoryConfig
-    watch_dim: int = 2  # third dimension
 
     def alpha1(self, ts: np.ndarray) -> np.ndarray:
         """Closed-form final-layer attention weight on the first token at each t.
@@ -219,9 +220,9 @@ class TheoryModel:
         return forward(tokens, self.weights, weave=self.weave)
 
 
-def _embedding(cfg: TheoryConfig) -> np.ndarray:
+def _embedding() -> np.ndarray:
     """d x 2 embedding: first dimension all ones, second marks <bos>."""
-    w_e = np.zeros((cfg.d, 2))
+    w_e = np.zeros((D_MODEL, 2))
     w_e[0, :] = 1.0
     w_e[1, 0] = 1.0
     return w_e
@@ -230,10 +231,10 @@ def _embedding(cfg: TheoryConfig) -> np.ndarray:
 def _value_output_heads(cfg: TheoryConfig) -> tuple[np.ndarray, np.ndarray]:
     """Shared W_V / W_O: value row 1 carries M on <bos>, row 2 carries 1 - H
     everywhere; the output projection writes their difference into dim 3."""
-    w_v = np.zeros((cfg.h, cfg.d))
+    w_v = np.zeros((D_HEAD, D_MODEL))
     w_v[0, 1] = float(cfg.window)      # reads the <bos> flag
     w_v[1, 0] = 1.0 - cfg.threshold    # reads the all-ones dimension
-    w_o = np.zeros((cfg.d, cfg.h))
+    w_o = np.zeros((D_MODEL, D_HEAD))
     w_o[2, 0] = 1.0
     w_o[2, 1] = -1.0
     return w_v, w_o
@@ -242,12 +243,12 @@ def _value_output_heads(cfg: TheoryConfig) -> tuple[np.ndarray, np.ndarray]:
 def build_theorem1(cfg: TheoryConfig) -> TheoryModel:
     """One layer, no positional term: all keys identical, so attention is uniform
     and o_t[3] = M/t - 1 + H, crossing the threshold exactly at t = M."""
-    w_k = np.zeros((cfg.h, cfg.d))
+    w_k = np.zeros((D_HEAD, D_MODEL))
     w_k[:, 0] = 1.0  # every key becomes the all-ones vector
-    w_q = np.zeros((cfg.h, cfg.d))
+    w_q = np.zeros((D_HEAD, D_MODEL))
     w_v, w_o = _value_output_heads(cfg)
-    layer = LayerWeights(heads=[HeadWeights(w_q=w_q, w_k=w_k, w_v=w_v, w_o=w_o)], ff=zero_ff(cfg.d))
-    weights = ModelWeights(w_e=_embedding(cfg), layers=[layer], pe_family="dot")
+    layer = LayerWeights(heads=[HeadWeights(w_q=w_q, w_k=w_k, w_v=w_v, w_o=w_o)], ff=zero_ff(D_MODEL))
+    weights = ModelWeights(w_e=_embedding(), layers=[layer], pe_family="dot")
     return TheoryModel(label="nope-threshold", weights=weights, weave=None, cfg=cfg)
 
 
@@ -260,16 +261,12 @@ def _build_two_layer(cfg: TheoryConfig, weave: WeaveParams | None, label: str) -
     with -position on the key so the recovered positions cancel against the
     positional term, reducing to the theorem-1 head with alpha_1 in place of 1/t.
     """
-    if cfg.h < 3:
-        raise ValueError("two-layer construction needs h >= 3")
-    d, h = cfg.d, cfg.h
-
     # layer 1: extract position
-    w_k1 = np.zeros((h, d))
-    w_q1 = np.zeros((h, d))
-    w_v1 = np.zeros((h, d))
+    w_k1 = np.zeros((D_HEAD, D_MODEL))
+    w_q1 = np.zeros((D_HEAD, D_MODEL))
+    w_v1 = np.zeros((D_HEAD, D_MODEL))
     w_v1[0, 1] = 1.0  # value picks out the <bos> flag
-    w_o1 = np.zeros((d, h))
+    w_o1 = np.zeros((D_MODEL, D_HEAD))
     w_o1[2, 0] = 1.0
     w_o1[2, 1] = -1.0
     sched, rec = weave_schedule(weave, cfg.t_max)
@@ -284,17 +281,17 @@ def _build_two_layer(cfg: TheoryConfig, weave: WeaveParams | None, label: str) -
 
     # layer 2: query slot 1 carries +position, key slot 3 carries -position,
     # paired constant slots turn the product into the difference pos_t - pos_i
-    w_q2 = np.zeros((h, d))
+    w_q2 = np.zeros((D_HEAD, D_MODEL))
     w_q2[0, 2] = 1.0  # +position
     w_q2[2, 0] = 1.0  # constant 1
-    w_k2 = np.zeros((h, d))
+    w_k2 = np.zeros((D_HEAD, D_MODEL))
     w_k2[0, 0] = 1.0   # constant 1
     w_k2[2, 2] = -1.0  # -position
     w_v2, w_o2 = _value_output_heads(cfg)
-    layer2 = LayerWeights(heads=[HeadWeights(w_q=w_q2, w_k=w_k2, w_v=w_v2, w_o=w_o2)], ff=zero_ff(d))
+    layer2 = LayerWeights(heads=[HeadWeights(w_q=w_q2, w_k=w_k2, w_v=w_v2, w_o=w_o2)], ff=zero_ff(D_MODEL))
 
     weights = ModelWeights(
-        w_e=_embedding(cfg),
+        w_e=_embedding(),
         layers=[layer1, layer2],
         pe_family="additive",
         head_slopes=[1.0],
@@ -342,7 +339,6 @@ class ThresholdReport:
     predicted: np.ndarray
     crossing: int | None          # first t with observed <= H (within 1e-9)
     max_abs_err: float
-    tol: float
 
     @property
     def verdicts(self) -> np.ndarray:
@@ -351,7 +347,7 @@ class ThresholdReport:
 
     @property
     def agrees(self) -> bool:
-        return self.max_abs_err <= self.tol
+        return self.max_abs_err <= SCAN_TOL
 
     def to_csv(self) -> str:
         lines = ["t,observed,predicted,verdict"]
@@ -360,11 +356,11 @@ class ThresholdReport:
         return "\n".join(lines) + "\n"
 
 
-def threshold_scan(model: TheoryModel, t_max: int | None = None, tol: float = 1e-9) -> ThresholdReport:
+def threshold_scan(model: TheoryModel, t_max: int | None = None) -> ThresholdReport:
     """Run the forward pass for t = 1..t_max and compare against the closed form."""
     t_max = t_max or model.cfg.t_max
     trace = model.run(t_max)
-    observed = trace.attn[-1][model.watch_dim, :]
+    observed = trace.attn[-1][WATCH_DIM, :]
     ts = np.arange(1, t_max + 1)
     predicted = model.predict(ts)
     err = float(np.max(np.abs(observed - predicted)))
@@ -378,7 +374,6 @@ def threshold_scan(model: TheoryModel, t_max: int | None = None, tol: float = 1e
         predicted=predicted,
         crossing=crossing,
         max_abs_err=err,
-        tol=tol,
     )
 
 
@@ -401,21 +396,22 @@ def scan_cap(window: int, cap: int, t_max: int = MAX_SCAN, *, tread: int | None 
     return int(min(t_max, window * math.exp(exponent) / 2.0))
 
 
-def build_position_decoder_mlp(t_max: int = 64, d: int = 3, ramp_frac: float = 0.1) -> DenseFF:
+def build_position_decoder_mlp(t_max: int = 64) -> DenseFF:
     """An actual ReLU network realizing the position decoder on t <= t_max.
 
     Uses the constant dimension (hidden dim 1 is always 1) as a bias source.
     decode(x) = 1 + sum of steep ramps that switch between consecutive
-    breakpoints g(t); the output complement is decode(x) - x so the residual
-    path reconstructs the integer position.  Demonstrates that the
-    breakpoint-lookup stand-in is MLP-realizable; not used by the scans.
+    breakpoints g(t), each over a tenth of its gap; the output complement is
+    decode(x) - x so the residual path reconstructs the integer position.
+    Demonstrates that the breakpoint-lookup stand-in is MLP-realizable; not
+    used by the scans.
     """
     g = bos_weight(np.arange(1, t_max + 1, dtype=np.float64))
     cols: list[np.ndarray] = []
     coefs: list[float] = []
 
     def unit(const: float, xcoef: float, out_coef: float) -> None:
-        c = np.zeros(d)
+        c = np.zeros(D_MODEL)
         c[0] = const    # reads the all-ones dimension
         c[2] = xcoef    # reads the signal dimension
         cols.append(c)
@@ -429,13 +425,13 @@ def build_position_decoder_mlp(t_max: int = 64, d: int = 3, ramp_frac: float = 0
     # one ramp per step t-1 -> t, switching inside the gap (g(t), g(t-1))
     for t in range(2, t_max + 1):
         hi, lo = g[t - 2], g[t - 1]
-        width = ramp_frac * (hi - lo)
+        width = 0.1 * (hi - lo)
         mid = 0.5 * (hi + lo)
         # (relu(mid + w/2 - x) - relu(mid - w/2 - x)) / w : 0 above the gap, 1 below
         unit(mid + width / 2.0, -1.0, 1.0 / width)
         unit(mid - width / 2.0, -1.0, -1.0 / width)
 
     w1 = np.stack(cols, axis=1)  # (d, units)
-    w2 = np.zeros((d, w1.shape[1]))
+    w2 = np.zeros((D_MODEL, w1.shape[1]))
     w2[2, :] = np.asarray(coefs)
     return DenseFF(w1=w1, w2=w2)

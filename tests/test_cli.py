@@ -24,7 +24,7 @@ def test_plan_echoes_symbols(tmp_path, capsys):
     [
         (["--N", 0], "cap must be >= 1, got 0"),
         (["--E", 0], "tread must be >= 1, got 0"),
-        (["--k-inv", 0], "leak must be > 0, got 0.0"),
+        (["--scheme", "leaky-rerope", "--k-inv", 0], "leak must be > 0, got 0.0"),
         (["--d", 0], "d, n_heads and n_layers must be >= 1"),
         (["--heads", 0], "d, n_heads and n_layers must be >= 1"),
         (["--layers", 0], "d, n_heads and n_layers must be >= 1"),
@@ -79,6 +79,16 @@ def test_invalid_combination_emits_error_record(tmp_path, capsys):
     assert code != 0
     err = json.loads(capsys.readouterr().err)
     assert "E applies" in err["error"]
+
+
+def test_run_rejects_tread_for_another_scheme(tmp_path, capsys):
+    # run builds its weave as gen-positions does, so it rejects the same flags
+    code = run_cli(
+        ["run", "--scheme", "rerope", "--E", 5, "--random-tokens", 300, "--T", 1024, "--max-new", 1, "--out", tmp_path]
+    )
+    assert code != 0
+    assert json.loads(capsys.readouterr().err)["error"] == "E applies to the stair scheme, not rerope"
+    assert not (tmp_path / "run_report.json").exists()
 
 
 def test_verify_theory_crossing(tmp_path, capsys):

@@ -304,6 +304,36 @@ def test_mesa_config_validation():
         MesaConfig(train_len=64, weave=WeaveParams(scheme=Scheme.SELF_EXTEND))
 
 
+def test_identity_weave_needs_no_weave_point():
+    # rope has no weave point, so its default cap of 512 is not held against the window
+    MesaConfig(train_len=256, weave=WeaveParams(scheme=Scheme.ROPE))
+
+
+def test_identity_weave_rejects_a_chunked_prompt(monkeypatch):
+    from weavepe import pipeline
+
+    cfg = MesaConfig(
+        train_len=256,
+        weave=WeaveParams(scheme=Scheme.ROPE, cap=64),
+        first_len=16,
+        min_last=32,
+        rest_max=16,
+    )
+    w = random_model(d=8, n_heads=2, n_layers=1, vocab=16, seed=3)
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("prefill started work before rejecting the prompt")
+
+    monkeypatch.setattr(pipeline, "dynamic_split", no_work)
+    monkeypatch.setattr(pipeline, "_run_layers", no_work)
+    # the last chunk would feed raw distances up to 2047 against T - 1 = 255
+    with pytest.raises(ValueError, match="longest prompt it takes is 255 tokens"):
+        prefill(_tokens(2047), w, cfg)
+    monkeypatch.undo()
+    # 255 tokens plus <bos> still take the single pass
+    assert prefill(_tokens(255), w, cfg).report.fallback
+
+
 def test_rerope_weave_pipeline_runs():
     cfg = MesaConfig(
         train_len=64,

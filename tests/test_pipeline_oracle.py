@@ -172,6 +172,8 @@ def test_every_chunk_matches_dense_oracle(case):
         (72, 8, 64, 237, [8, 64, 64, 101]),
         # middles of 140 rows and a last of 150: over two tiles, off the multiple
         (150, 10, 130, 440, [10, 140, 140, 150]),
+        # a last chunk of one token: a rotary query is rotated per woven distance
+        (16, 4, 1, 29, [4, 12, 12, 1]),
     ],
 )
 def test_chunks_at_tile_height_match_dense_oracle(family, train, first, min_last, total, lengths):

@@ -186,7 +186,7 @@ def test_weave_schedule_recovers_stair_positions():
 
 
 def test_position_decoder_mlp_realizes_lookup():
-    ff = build_position_decoder_mlp(t_max=64, d=3)
+    ff = build_position_decoder_mlp(t_max=64)
     g = bos_weight(np.arange(1, 65, dtype=np.float64))
     z = np.zeros((3, 64))
     z[0, :] = 1.0
