@@ -28,7 +28,7 @@ def test_last_chunk_attention(benchmark):
     k = rng.normal(size=(HEAD_DIM, KEYS))
     v = rng.normal(size=(HEAD_DIM, KEYS))
     pos = rotary_table(np.arange(KEYS, dtype=np.float64), HEAD_DIM, 10000.0)
-    out = benchmark(_attend, q, k, v, CTX, "rotary", 0.0, pos)
+    out = benchmark(_attend, q, k, v, CTX, 0.0, pos)
     assert out.shape == (HEAD_DIM, LAST_ROWS) and np.isfinite(out).all()
 
 

@@ -89,12 +89,22 @@ def _scheme(name: str) -> Scheme:
         raise SystemExit(_fail(f"unknown scheme {name!r}"))
 
 
+#: weave flags each scheme reads, and its name in messages; identity schemes read none
+_WEAVE_FLAGS = {
+    Scheme.STAIR: ("stair", ("N", "E")),
+    Scheme.REROPE: ("rerope", ("N",)),
+    Scheme.LEAKY_REROPE: ("leaky", ("N", "k_inv")),
+    Scheme.SELF_EXTEND: ("self-extend", ("W", "G")),
+}
+
+
 def _weave_params(args) -> WeaveParams:
+    """The weave of --scheme; a weave flag that the scheme does not read is an error."""
     scheme = _scheme(args.scheme)
-    if scheme is not Scheme.STAIR and getattr(args, "E", None) is not None and scheme is not Scheme.SELF_EXTEND:
-        raise ValueError(f"E applies to the stair scheme, not {scheme.value}")
-    if scheme is not Scheme.LEAKY_REROPE and getattr(args, "k_inv", None) is not None:
-        raise ValueError(f"k_inv applies to the leaky scheme, not {scheme.value}")
+    for flag in ("N", "E", "k_inv", "W", "G"):
+        if getattr(args, flag, None) is not None and flag not in _WEAVE_FLAGS.get(scheme, ("", ()))[1]:
+            readers = "/".join(name for name, flags in _WEAVE_FLAGS.values() if flag in flags)
+            raise ValueError(f"{flag} applies to the {readers} scheme, not {scheme.value}")
     return WeaveParams(scheme=scheme, **_given(args, cap="N", tread="E", leak="k_inv", neighbor="W", group="G"))
 
 

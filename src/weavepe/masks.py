@@ -50,11 +50,14 @@ class AttentionMask:
         overlap = np.maximum(0, left - lo)
         return int(np.sum(left + right - overlap))
 
+    def tile(self, lo: int, hi: int) -> np.ndarray:
+        """Boolean form of the rows of queries lo..hi-1 over the keys 0..hi-1."""
+        t, i = np.arange(lo, hi)[:, None], np.arange(hi)
+        return (i <= t) & ((i < self.n_global) | (t - i < self.n_local))
+
     def dense(self) -> np.ndarray:
         """Boolean matrix form; intended for small n only."""
-        t = np.arange(self.n)[:, None]
-        i = np.arange(self.n)[None, :]
-        return (i <= t) & ((i < self.n_global) | (t - i < self.n_local))
+        return self.tile(0, self.n)
 
     def to_csv(self) -> str:
         dense = self.dense()

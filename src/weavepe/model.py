@@ -8,21 +8,21 @@ Keys and values are cached before any rotation, token i in slot i, so the
 same cached key can be assigned different woven positions later.
 
 forward, each prefill chunk and each decode step run the same layers
-(_run_layers) and the same attention (_attend); a chunk or step gives it
-its keys' coordinates and nothing else positional (_positions).  Rows run
-in tiles of TILE_ROWS queries; a tile scores only the keys its rows may
-see, adds the causal -inf on its diagonal tail alone (or, for forward under
-a mask, the mask's tile), runs the softmax in place and defers its
-normalisation past the value product, as in FlashAttention (Dao et al.,
-arXiv 2205.14135).  No score matrix larger than one tile is held; only
-forward keeps each head's normalised n x n weights, for its trace.
+(_run_layers) and the same attention (_attend); _positions alone turns their
+keys' coordinates (and forward's weave) into the positional input.  Rows
+run in tiles of TILE_ROWS queries; a tile scores only the keys its rows may
+see, adds the causal -inf on its diagonal tail alone (and, under forward's
+mask, -inf on its cells outside it), runs the softmax in place and defers
+its normalisation past the value product, as in FlashAttention (Dao et al.,
+arXiv 2205.14135).  No score, distance or mask matrix larger than one tile
+is held; only forward keeps each head's normalised n x n weights.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Protocol
+from typing import Callable, Protocol
 
 import numpy as np
 
@@ -32,10 +32,11 @@ from weavepe.pe_core import (
     WeaveParams,
     alibi_slopes,
     apply_rotary,
-    position_matrix,
+    position_matrix,  # noqa: F401  kept importable here: perfbench/layertrace.py wraps this name
     rotary_table,
     scores_additive,
     scores_rotary,
+    woven_distances,
 )
 
 BOS_ID = 0
@@ -192,48 +193,50 @@ class _Woven:
 
 @dataclass(frozen=True)
 class _Distances:
-    """Positional input of forward under a weave whose distances do not factor
-    into coordinates (capped, leaky, stair, grouped): the woven distance of
-    every (query, key) pair, built once and sliced per tile."""
+    """Positional input scored per tile from each pair's distance: additive coordinate
+    differences, or forward's woven distances under a capped, leaky, stair or grouped weave."""
 
-    entries: np.ndarray  # n x n position_matrix entries
-    theta_base: float
+    tile: Callable[[int, int], np.ndarray]  # (lo, hi): keys lo..hi-1 against keys 0..hi-1
+    theta_base: float | None  # the rotary family's; None for the additive family
 
-    def scores(self, qt: np.ndarray, k: np.ndarray, r0: int, fam: str, slope: float) -> np.ndarray:
-        """Scores of the query rows qt (rows x h), the first being row r0,
-        against the keys k (h x nk)."""
-        dist = self.entries[r0 : r0 + qt.shape[0], : k.shape[1]]
-        if fam == "rotary":
-            return scores_rotary(qt, k.T, dist, self.theta_base)
-        return scores_additive(qt, k.T, dist, slope)
+    def scores(self, qt: np.ndarray, k: np.ndarray, lo: int, slope: float) -> np.ndarray:
+        """Scores of the query rows qt (rows x h), the first being key lo,
+        against the keys k (h x (lo + rows))."""
+        dist = self.tile(lo, k.shape[1])
+        if self.theta_base is None:
+            return scores_additive(qt, k.T, dist, slope)
+        return scores_rotary(qt, k.T, dist, self.theta_base)
 
 
-def _positions(weights: ModelWeights, coords: np.ndarray, m: int):
-    """Positional input of _attend for m queries over keys at coords.
+def _positions(weights: ModelWeights, coords: np.ndarray, m: int, weave: WeaveParams | None = None):
+    """Positional input of _attend for m queries over keys at coords; the one
+    place that picks a positional form.
 
     Built once per chunk, forward or decode step and shared by every layer
-    and head.  The queries are the last m keys, so they take the tail of
-    coords.  The dot family gets None, the additive family the coordinates
-    themselves (its distances are taken per tile) and the rotary family one
-    rotary table over coords; but one query (a decode step, or a one-token
-    chunk) gets a _Woven instead, which rotates the query by each key's
-    distance coords[-1] - coords from it and rotates no key.
+    and head; the queries are the last m keys, so they take the tail of
+    coords.  The dot family gets None; forward under a non-identity weave
+    _Distances of its keys' woven distances; the additive family _Distances
+    of coordinate differences; the rotary family one rotary table over
+    coords, but one query (a decode step, or a one-token chunk) a _Woven,
+    which rotates the query by each key's distance coords[-1] - coords.
     """
     fam = weights.pe_family
     if fam == "dot":
         return None
+    base = weights.theta_base if fam == "rotary" else None
+    if weave is not None and weave.scheme not in IDENTITY_SCHEMES:
+        return _Distances(lambda lo, hi: woven_distances(weave, np.arange(lo, hi), np.arange(hi)), base)
     if fam == "additive":
-        return coords
-    dim, base = weights.head_dim, weights.theta_base
+        return _Distances(lambda lo, hi: coords[lo:hi, None] - coords[None, :hi], None)
     if m > 1:
-        return rotary_table(coords, dim, base)
+        return rotary_table(coords, weights.head_dim, base)
     starts = np.flatnonzero(np.r_[True, coords[1:] != coords[:-1]])  # first key of each run
     runs = np.diff(np.r_[starts, coords.size])
     first = np.flatnonzero(np.r_[True, runs[1:] != runs[:-1]])  # first run of each segment
     segments = tuple(
         (int(r0), int(r1), int(runs[r0]), int(starts[r0])) for r0, r1 in zip(first, np.r_[first[1:], runs.size])
     )
-    return _Woven(rotary_table(coords[-1] - coords[starts], dim, base), segments)
+    return _Woven(rotary_table(coords[-1] - coords[starts], weights.head_dim, base), segments)
 
 
 def _attend(
@@ -241,10 +244,9 @@ def _attend(
     k: np.ndarray,
     v: np.ndarray,
     ctx_len: int,
-    fam: str,
     slope: float,
     pos,
-    allowed: np.ndarray | None = None,
+    mask: AttentionMask | None = None,
     alpha: np.ndarray | None = None,
 ) -> np.ndarray:
     """Causal attention of the m columns of q over ctx_len context keys, then
@@ -256,10 +258,9 @@ def _attend(
     place on the tile with its normalisation deferred past the value product.
     pos is _positions over the ctx_len + m keys, and the queries, being the
     last m keys, take its tail from ctx_len on; a _Woven (one query) scores
-    its one row itself.  forward passes allowed, its mask's (query, key)
-    visibility, whose tile replaces the causal tail, and alpha, zeros of that
-    shape into which each tile writes its normalised weights.  Returns the
-    h x m attention-weighted values.
+    its one row itself.  forward passes its mask, which sets -inf on each
+    tile's cells outside it, and alpha, zeros of the weights' shape into
+    which each tile writes its normalised weights.  Returns h x m values.
     """
     if isinstance(pos, tuple):  # a rotary table over the keys
         q, k = apply_rotary(q, tuple(t[:, ctx_len:] for t in pos)), apply_rotary(k, pos)
@@ -272,15 +273,12 @@ def _attend(
         if isinstance(pos, _Woven):
             s = pos.scores(q, k)
         elif isinstance(pos, _Distances):
-            s = pos.scores(qt[r0:r1], k[:, :nk], r0, fam, slope)
+            s = pos.scores(qt[r0:r1], k[:, :nk], ctx_len + r0, slope)
         else:
             s = qt[r0:r1] @ k[:, :nk]
-            if fam == "additive":
-                s -= slope * (pos[ctx_len + r0 : nk, None] - pos[None, :nk])
-        if allowed is None:
-            s[:, ctx_len + r0 :] += _CAUSAL_TAIL[: r1 - r0, : r1 - r0]
-        else:
-            s[~allowed[r0:r1, :nk]] = -np.inf
+        s[:, ctx_len + r0 :] += _CAUSAL_TAIL[: r1 - r0, : r1 - r0]
+        if mask is not None:
+            s[~mask.tile(ctx_len + r0, nk)] = -np.inf
         s -= s.max(axis=1, keepdims=True)
         np.exp(s, out=s)
         total = s.sum(axis=1)
@@ -296,7 +294,7 @@ def _run_layers(
     cache: KVCache,
     ctx_len: int,
     pos,
-    allowed: np.ndarray | None = None,
+    mask: AttentionMask | None = None,
     trace: ForwardTrace | None = None,
 ) -> np.ndarray:
     """Run the columns of h through every layer; appends their raw K/V.
@@ -306,9 +304,9 @@ def _run_layers(
     own keys causally: a plain slice of the cache when ctx_len is len(cache)
     (the first and last chunk, a decode step, forward), else (a middle
     chunk) those ctx_len columns joined to the new ones.  pos is the
-    _positions of exactly those keys.  forward passes its mask's dense form
-    as allowed and a trace that receives each layer's input, attention
-    output and head weights.  Returns the final hidden state.
+    _positions of exactly those keys.  forward passes its mask, applied per
+    tile, and a trace that receives each layer's input, attention output and
+    head weights.  Returns the final hidden state.
     """
     n = len(cache)
     for li, layer in enumerate(weights.layers):
@@ -320,8 +318,7 @@ def _run_layers(
                 k = np.concatenate([k[:, :ctx_len], k[:, n:]], axis=1)
                 v = np.concatenate([v[:, :ctx_len], v[:, n:]], axis=1)
             alpha = None if trace is None else np.zeros((h.shape[1], k.shape[1]))
-            slope = weights.slope_for_head(mi)
-            a += head.w_o @ _attend(head.w_q @ h, k, v, ctx_len, weights.pe_family, slope, pos, allowed, alpha)
+            a += head.w_o @ _attend(head.w_q @ h, k, v, ctx_len, weights.slope_for_head(mi), pos, mask, alpha)
             alphas.append(alpha)
         if trace is not None:
             trace.hidden.append(h)
@@ -342,12 +339,12 @@ def forward(
 ) -> ForwardTrace:
     """Full forward pass, every layer's states kept; deterministic in all arguments.
 
-    The whole input runs through _run_layers as one chunk with no context,
-    so forward and every prefill chunk share one attention kernel.  Under an
-    identity weave (or None) queries and keys take the coordinates 0..n-1,
-    as a chunk does; any other weave takes the position matrix of the
-    scheme, sliced per tile.  A mask's dense form replaces the causal mask;
-    without one no n x n mask is built.
+    The whole input runs through _run_layers as one chunk with no context
+    at the coordinates 0..n-1, so forward and every prefill chunk share one
+    attention kernel.  Any weave but an identity one (or None) gives each
+    tile the woven distances of its pairs instead (_positions), and a mask
+    sets -inf on each tile's cells outside it; no n x n distance or mask
+    matrix is built.
     """
     if len(tokens) == 0:
         raise ValueError("empty input")
@@ -355,14 +352,9 @@ def forward(
     n = h.shape[1]
     if mask is not None and mask.n != n:
         raise ValueError(f"mask length {mask.n} does not match sequence length {n}")
-    if weave is None or weave.scheme in IDENTITY_SCHEMES or weights.pe_family == "dot":
-        pos = _positions(weights, np.arange(n, dtype=np.float64), n)
-    else:
-        pos = _Distances(position_matrix(weave, n).entries, weights.theta_base)
     trace = ForwardTrace(hidden=[], attn=[], alphas=[])
     cache = KVCache(len(weights.layers), len(weights.layers[0].heads), capacity=n)
-    allowed = None if mask is None else mask.dense()
-    h = _run_layers(h, weights, cache, 0, pos, allowed, trace)
+    h = _run_layers(h, weights, cache, 0, _positions(weights, np.arange(n, dtype=np.float64), n, weave), mask, trace)
     trace.hidden.append(h)
     return trace
 
@@ -434,14 +426,12 @@ class KVCache:
             raise ValueError("no keys and values were written for the appended slots")
         self._len = n
 
-    def view(self, layer: int, head: int, span: tuple[int, int] | None = None) -> tuple[np.ndarray, np.ndarray]:
-        """Keys and values (h x n) for one layer/head, optionally only the
-        positions in [span); slices of the storage, not copies."""
+    def view(self, layer: int, head: int) -> tuple[np.ndarray, np.ndarray]:
+        """Keys and values (h x n) for one layer/head: slices of the storage, not copies."""
         ks = self._k[layer]
         if ks is None:
             return np.zeros((0, 0)), np.zeros((0, 0))
-        lo, hi = np.clip((0, self._len) if span is None else span, 0, self._len)
-        return ks[head, :, lo:hi], self._v[layer][head, :, lo:hi]
+        return ks[head, :, : self._len], self._v[layer][head, :, : self._len]
 
 
 def random_model(

@@ -66,9 +66,12 @@ class WeaveParams:
 
 
 def _as_int_array(d) -> np.ndarray:
+    """Distances d as int64; each must be a non-negative integer."""
     a = np.asarray(d)
     if not np.issubdtype(a.dtype, np.integer) and not np.all(np.mod(a, 1) == 0):
         raise ValueError("distances must be integers")
+    if np.any(a < 0):
+        raise ValueError("distance must be non-negative")
     return a.astype(np.int64)
 
 
@@ -84,8 +87,6 @@ def weave_stair(d, cap: int, tread: int):
     if cap < 1 or tread < 1:
         raise ValueError("cap and tread must be positive integers")
     a = _as_int_array(d)
-    if np.any(a < 0):
-        raise ValueError("distance must be non-negative")
     over = np.maximum(a - cap, 0)
     woven = np.where(a <= cap, a, cap + (over + tread - 1) // tread)
     return _ret(woven, np.isscalar(d) or np.ndim(d) == 0)
@@ -96,8 +97,6 @@ def weave_rerope(d, cap: int):
     if cap < 1:
         raise ValueError("cap must be a positive integer")
     a = _as_int_array(d)
-    if np.any(a < 0):
-        raise ValueError("distance must be non-negative")
     return _ret(np.minimum(a, cap), np.isscalar(d) or np.ndim(d) == 0)
 
 
@@ -108,8 +107,6 @@ def weave_leaky(d, cap: int, leak: float):
     if leak <= 0:
         raise ValueError("leak must be > 0")
     a = _as_int_array(d)
-    if np.any(a < 0):
-        raise ValueError("distance must be non-negative")
     woven = np.where(a <= cap, a.astype(np.float64), cap + (a - cap) * float(leak))
     return _ret(woven, np.isscalar(d) or np.ndim(d) == 0)
 
@@ -274,7 +271,7 @@ def weave_fn(params: WeaveParams) -> Callable[[np.ndarray], np.ndarray]:
     """Vectorized distance remap for a scheme; identity for un-woven schemes.
 
     The grouped (self-extend) remap is not a pure function of the distance,
-    so it is rejected here; use position_matrix for it.
+    so it is rejected here; use woven_distances for it.
     """
     if params.scheme in IDENTITY_SCHEMES:
         return lambda d: np.asarray(d, dtype=np.float64)
@@ -323,24 +320,23 @@ class PositionMatrix:
         return json.dumps(doc, sort_keys=True, indent=1) + "\n"
 
 
-def position_matrix(params: WeaveParams, n: int) -> PositionMatrix:
-    """Woven-distance matrix for a scheme over a sequence of length n.
-
-    Entry (t, i) for i <= t is the scheme's weave applied to t - i, except the
-    grouped scheme where it is the grouped remap of the index pair itself.
-    Cells above the diagonal are 0: raw distance 0 there, which every weave
-    keeps at 0.  A pure distance weave is applied to the n distinct raw
-    distances once, then looked up per cell.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    t_idx = np.arange(n)[:, None]
-    i_idx = np.arange(n)[None, :]
-    raw = np.maximum(t_idx - i_idx, 0)
+def woven_distances(params: WeaveParams, rows, cols) -> np.ndarray:
+    """Woven distance of each (query index, key index) pair, rows x cols: the
+    weave of t - i, or under the grouped scheme the remap of the pair itself;
+    0 where the key comes after the query (raw distance 0, which every weave
+    keeps at 0).  A pure distance weave runs once per raw distance up to the
+    largest, then each cell looks its distance up."""
+    t, i = np.asarray(rows)[:, None], np.asarray(cols)
+    raw = np.maximum(t - i, 0)
     if params.scheme is Scheme.SELF_EXTEND:
         w, g = params.neighbor, params.group
-        grouped = t_idx // g + w - w // g - i_idx // g
-        woven = np.where(raw <= w, raw, grouped).astype(np.float64)
-    else:
-        woven = np.asarray(weave_fn(params)(np.arange(n)), dtype=np.float64)[raw]
-    return PositionMatrix(params=params, n=n, entries=woven)
+        return np.where(raw <= w, raw, t // g + w - w // g - i // g).astype(np.float64)
+    return np.asarray(weave_fn(params)(np.arange(raw.max() + 1)), dtype=np.float64)[raw]
+
+
+def position_matrix(params: WeaveParams, n: int) -> PositionMatrix:
+    """Woven-distance matrix for a scheme over a sequence of length n: the
+    woven_distances of every (query, key) pair."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    return PositionMatrix(params=params, n=n, entries=woven_distances(params, np.arange(n), np.arange(n)))

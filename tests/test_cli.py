@@ -91,6 +91,24 @@ def test_run_rejects_tread_for_another_scheme(tmp_path, capsys):
     assert not (tmp_path / "run_report.json").exists()
 
 
+@pytest.mark.parametrize(
+    "scheme, flags, message",
+    [
+        ("self-extend", ["--E", 5], "E applies to the stair scheme, not self-extend"),
+        ("stair", ["--W", 5, "--G", 3], "W applies to the self-extend scheme, not stair"),
+        ("rope", ["--N", 4], "N applies to the stair/rerope/leaky scheme, not rope"),
+        ("self-extend", ["--N", 3], "N applies to the stair/rerope/leaky scheme, not self-extend"),
+        ("rerope", ["--G", 2], "G applies to the self-extend scheme, not rerope"),
+    ],
+)
+def test_gen_positions_rejects_flag_of_another_scheme(tmp_path, capsys, scheme, flags, message):
+    # each scheme takes only the weave flags it reads
+    code = run_cli(["gen-positions", "--scheme", scheme, "--n", 10, "--out", tmp_path] + flags)
+    assert code != 0
+    assert json.loads(capsys.readouterr().err)["error"] == message
+    assert not list(tmp_path.iterdir())
+
+
 def test_verify_theory_crossing(tmp_path, capsys):
     out = tmp_path / "t"
     assert run_cli(["verify-theory", "--theorem", "1", "--M", 8, "--H", 0, "--t-max", 32, "--out", out]) == 0

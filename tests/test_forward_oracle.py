@@ -1,12 +1,13 @@
 """model.forward against a dense oracle that restates one layer from its definition.
 
 The oracle builds the full n x n woven distance matrix (position_matrix),
-the full visibility mask, and every head's full score matrix (scores_rotary,
-scores_additive or a plain dot product), then takes an explicit masked
-softmax and the normalised value product.  forward runs the row-tiled
-attention core instead: coordinate rotations under an identity weave,
-distance tiles under any other, the causal tail or a mask tile, and
-normalisation deferred past the value product.
+the full visibility mask (AttentionMask.dense), and every head's full score
+matrix (scores_rotary, scores_additive or a plain dot product), then takes
+an explicit masked softmax and the normalised value product.  forward runs
+the row-tiled attention core instead: coordinate rotations under an
+identity weave, each tile's own woven distances under any other, the causal
+tail plus a mask's tile, and normalisation deferred past the value product.
+position_matrix and AttentionMask.dense raise while forward runs, so it calls neither.
 """
 
 from unittest import mock
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 
 from dense_oracle import masked_softmax
 from weavepe import model
-from weavepe.masks import causal_mask, lambda_mask, sink_mask
+from weavepe.masks import AttentionMask, causal_mask, lambda_mask, sink_mask
 from weavepe.model import embed, forward, layer_norm_cols, random_model
 from weavepe.pe_core import Scheme, WeaveParams, position_matrix, scores_additive, scores_rotary
 
@@ -78,8 +79,14 @@ def _check(family, weave, mask_kind, standard_norm, n_tokens, tile, seed, n_laye
     tokens = np.random.default_rng(seed).integers(1, 16, size=n_tokens).tolist()
     mask = _mask(mask_kind, n_tokens + 1)
     hidden, attn, alphas = _dense_forward(tokens, w, weave, mask)
-    # patched where _attend reads it
-    with mock.patch.object(model, "TILE_ROWS", tile):
+    # TILE_ROWS patched where _attend reads it; forward builds no n x n
+    # distance or mask matrix, so both dense forms raise inside it
+    dense_build = AssertionError("forward built an n x n matrix")
+    with (
+        mock.patch.object(model, "TILE_ROWS", tile),
+        mock.patch.object(model, "position_matrix", side_effect=dense_build),
+        mock.patch.object(AttentionMask, "dense", side_effect=dense_build),
+    ):
         tr = forward(tokens, w, weave=weave, mask=mask)
     assert len(tr.hidden) == len(hidden) and len(tr.attn) == len(attn)
     for got, want in zip(tr.hidden + tr.attn, hidden + attn):
