@@ -1,5 +1,5 @@
-"""Micro-benchmarks of the tiled attention, the in-window prefill and the
-decode path at the reference config's sizes.
+"""Micro-benchmarks of the tiled attention, one layer of the last chunk, the
+in-window prefill and the decode path at the reference config's sizes.
 
 Not part of the test suite (pytest's testpaths is tests/); run with
 
@@ -13,9 +13,9 @@ queries over 16,385 keys.
 import numpy as np
 import pytest
 
-from weavepe.model import KVCache, _attend, random_model
+from weavepe.model import KVCache, _attend, _positions, _run_layers, random_model
 from weavepe.pe_core import Scheme, WeaveParams, rotary_table, weave_stair
-from weavepe.pipeline import MesaConfig, decode_step, prefill
+from weavepe.pipeline import MesaConfig, decode_distances, decode_step, prefill
 
 HEAD_DIM = 16
 LAST_ROWS, KEYS = 577, 16_385
@@ -30,6 +30,27 @@ def test_last_chunk_attention(benchmark):
     pos = rotary_table(np.arange(KEYS, dtype=np.float64), HEAD_DIM, 10000.0)
     out = benchmark(_attend, q, k, v, CTX, 0.0, pos)
     assert out.shape == (HEAD_DIM, LAST_ROWS) and np.isfinite(out).all()
+
+
+def test_last_chunk_layer(benchmark):
+    # one REF layer of the last chunk: 4 heads, 577 queries over 16,385 keys,
+    # each round over a fresh cache holding the 15,808 context keys
+    weights = random_model(d=64, n_heads=4, n_layers=1, vocab=256, seed=0)
+    config = MesaConfig(train_len=1024, weave=WeaveParams(scheme=Scheme.STAIR, cap=512, tread=50))
+    pos = _positions(weights, (KEYS - 1) - decode_distances(KEYS - 1, config), LAST_ROWS)
+    rng = np.random.default_rng(3)
+    h = rng.normal(size=(64, LAST_ROWS))
+    ctx = [rng.normal(size=(HEAD_DIM, CTX)) for _ in range(4)]
+
+    def fresh_cache():
+        cache = KVCache(1, 4, capacity=KEYS)
+        for head, kv in enumerate(ctx):
+            cache.write(0, head, kv, kv)
+        cache.append(CTX)
+        return (h, weights, cache, CTX, pos), {}
+
+    out = benchmark.pedantic(_run_layers, setup=fresh_cache, rounds=5)
+    assert out.shape == (64, LAST_ROWS) and np.isfinite(out).all()
 
 
 def _ref_blocks(n):

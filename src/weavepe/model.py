@@ -15,12 +15,22 @@ see, adds the causal -inf on its diagonal tail alone (and, under forward's
 mask, -inf on its cells outside it), runs the softmax in place and defers
 its normalisation past the value product, as in FlashAttention (Dao et al.,
 arXiv 2205.14135).  No score, distance or mask matrix larger than one tile
-is held; only forward keeps each head's normalised n x n weights.
+is held, and a tile is freed before the next is scored; only forward keeps
+each head's normalised n x n weights.
+
+A layer's heads run on min(usable CPUs, heads) threads: numpy releases the
+GIL in the elementwise passes and matmuls that dominate a tile, so each
+thread holds one tile.  The calling thread writes the cache and sums the
+heads' outputs in head order, so the result is bit-identical to running the
+heads one after another, which a decode step (one query), a one-head model
+and a one-CPU host still do.
 """
 
 from __future__ import annotations
 
+import functools
 import json
+import os
 from dataclasses import dataclass
 from typing import Callable, Protocol
 
@@ -60,12 +70,10 @@ class DenseFF:
     def __call__(self, z: np.ndarray) -> np.ndarray:
         pre = self.w1.T @ z
         if self.activation == "relu":
-            act = np.maximum(pre, 0.0)
-        elif self.activation == "identity":
-            act = pre
-        else:
+            np.maximum(pre, 0.0, out=pre)
+        elif self.activation != "identity":
             raise ValueError(f"unknown activation {self.activation}")
-        return self.w2 @ act
+        return self.w2 @ pre
 
 
 def zero_ff(d: int) -> DenseFF:
@@ -285,7 +293,24 @@ def _attend(
         out[:, r0:r1] = (v[:, :nk] @ s.T) / total
         if alpha is not None:
             np.divide(s, total[:, None], out=alpha[r0:r1, :nk])
+        del s  # free this tile before the next is scored: one tile alive, not two
     return out
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+@functools.cache
+def _head_pool(workers: int):
+    """The threads that run one layer's heads (_run_layers), made on first use."""
+    from concurrent.futures import ThreadPoolExecutor  # imported here: one-head models never pay for it
+
+    return ThreadPoolExecutor(workers, thread_name_prefix="weavepe-heads")
 
 
 def _run_layers(
@@ -307,18 +332,35 @@ def _run_layers(
     _positions of exactly those keys.  forward passes its mask, applied per
     tile, and a trace that receives each layer's input, attention output and
     head weights.  Returns the final hidden state.
+
+    The cache writes (and any growth) and each head's key and value views
+    happen here, on the calling thread; then the heads' _attend calls run
+    on min(usable CPUs, heads) threads, and their h x m outputs are
+    projected and summed here in head order.  A step with one query (every
+    decode step) runs its heads one after another.
     """
     n = len(cache)
+    workers = 1 if h.shape[1] == 1 else min(_usable_cpus(), len(weights.layers[0].heads))
     for li, layer in enumerate(weights.layers):
-        a = np.zeros_like(h)
-        alphas = []
+        kv = []
         for mi, head in enumerate(layer.heads):
             k, v = cache.write(li, mi, head.w_k @ h, head.w_v @ h)
             if ctx_len < n:
                 k = np.concatenate([k[:, :ctx_len], k[:, n:]], axis=1)
                 v = np.concatenate([v[:, :ctx_len], v[:, n:]], axis=1)
+            kv.append((k, v))
+
+        def attend(mi: int) -> tuple[np.ndarray, np.ndarray | None]:
+            k, v = kv[mi]
             alpha = None if trace is None else np.zeros((h.shape[1], k.shape[1]))
-            a += head.w_o @ _attend(head.w_q @ h, k, v, ctx_len, weights.slope_for_head(mi), pos, mask, alpha)
+            return _attend(layer.heads[mi].w_q @ h, k, v, ctx_len, weights.slope_for_head(mi), pos, mask, alpha), alpha
+
+        heads = range(len(layer.heads))
+        outs = map(attend, heads) if workers < 2 else _head_pool(workers).map(attend, heads)
+        a = np.zeros_like(h)
+        alphas = []
+        for head, (out, alpha) in zip(layer.heads, outs):  # summed in head order, as the serial loop sums
+            a += head.w_o @ out
             alphas.append(alpha)
         if trace is not None:
             trace.hidden.append(h)

@@ -194,6 +194,26 @@ def _commit(cache, k_blocks, v_blocks):
     cache.append(k_blocks[0][0].shape[1])
 
 
+def test_attend_holds_one_score_tile():
+    # 3 full row tiles over 4,096 keys: a tile is 64 x 4,096 float64 (2 MiB)
+    import tracemalloc
+
+    from weavepe.model import TILE_ROWS, _attend
+
+    rng = np.random.default_rng(0)
+    h, m, n = 16, 3 * TILE_ROWS, 4096
+    q, k, v = rng.normal(size=(h, m)), rng.normal(size=(h, n)), rng.normal(size=(h, n))
+    pos = rotary_table(np.arange(n, dtype=np.float64), h, 10000.0)
+    tracemalloc.start()
+    try:
+        _attend(q, k, v, n - m, 0.0, pos)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    tile, rotated = TILE_ROWS * n * 8, (m + n) * h * 8
+    assert peak < tile + rotated + (256 << 10)
+
+
 def test_kv_cache_round_trip():
     cache = KVCache(n_layers=2, n_heads=1)
     rng = np.random.default_rng(0)

@@ -1,10 +1,13 @@
 """Chunked prefill, woven decode, and fallback behavior."""
 
+import threading
+
 import numpy as np
 import pytest
 
 from weavepe.evalkit import count_cells
 from dense_oracle import masked_softmax
+from weavepe.masks import sink_mask
 from weavepe.model import forward, random_model
 from weavepe.pe_core import Scheme, WeaveParams, rope_score, weave_stair
 from weavepe.pipeline import (
@@ -240,6 +243,50 @@ def test_identity_forward_builds_one_rotation(monkeypatch):
     tables, _ = _count_rotations(monkeypatch)
     forward(_tokens(40), w)
     assert tables == [41]
+
+
+def _heads_on(monkeypatch, cpus):
+    """Chunked prefill, 3 decode steps, the single pass and a woven, masked
+    forward of a 4-head model with _run_layers seeing cpus usable CPUs; the
+    outputs, every cached K/V, and the threads _attend ran on."""
+    from weavepe import model
+
+    monkeypatch.setattr(model, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(model, "TILE_ROWS", 8)  # several tiles per chunk
+    attend, threads = model._attend, set()
+
+    def spy(*args):
+        threads.add(threading.get_ident())
+        return attend(*args)
+
+    monkeypatch.setattr(model, "_attend", spy)
+    w = random_model(d=16, n_heads=4, n_layers=2, vocab=16, seed=3)
+    res = prefill(_tokens(150), w, TOY)
+    assert {c.kind for c in res.report.chunks} == {"first", "middle", "last"}
+    out = [res.logits]
+    logits, cache = res.logits, res.cache
+    for _ in range(3):
+        logits, cache = decode_step(cache, int(np.argmax(logits)), w, TOY)
+        out.append(logits)
+    single = prefill(_tokens(40), w, TOY)
+    assert single.report.fallback
+    out.append(single.logits)
+    for c in (cache, single.cache):
+        out += [kv for li in range(2) for mi in range(4) for kv in c.view(li, mi)]
+    tr = forward(_tokens(50), w, weave=WeaveParams(scheme=Scheme.STAIR, cap=12, tread=3), mask=sink_mask(51, 2, 20))
+    out += tr.hidden + tr.attn + [alpha for layer in tr.alphas for alpha in layer]
+    monkeypatch.undo()
+    return out, threads
+
+
+def test_head_pool_changes_no_bit(monkeypatch):
+    # two workers even on a one-CPU host
+    pooled, pooled_threads = _heads_on(monkeypatch, 2)
+    serial, serial_threads = _heads_on(monkeypatch, 1)
+    assert serial_threads == {threading.get_ident()}
+    assert pooled_threads - serial_threads
+    assert len(pooled) == len(serial)
+    assert all(np.array_equal(a, b) for a, b in zip(pooled, serial))
 
 
 def test_generate_deterministic_and_stops():
