@@ -1,5 +1,6 @@
 """Micro-benchmarks of the tiled attention, one layer of the last chunk, the
-in-window prefill and the decode path at the reference config's sizes.
+in-window prefill and the decode path at the reference config's sizes, and
+of one 700-position threshold scan and its closed form.
 
 Not part of the test suite (pytest's testpaths is tests/); run with
 
@@ -16,6 +17,7 @@ import pytest
 from weavepe.model import KVCache, _attend, _positions, _run_layers, random_model
 from weavepe.pe_core import Scheme, WeaveParams, rotary_table, weave_stair
 from weavepe.pipeline import MesaConfig, decode_distances, decode_step, prefill
+from weavepe.theory import MAX_SCAN, TheoryConfig, build_corollary, threshold_scan
 
 HEAD_DIM = 16
 LAST_ROWS, KEYS = 577, 16_385
@@ -110,3 +112,20 @@ def test_weave_stair_16k(benchmark):
     dist = np.arange(KEYS)[::-1]
     woven = benchmark(weave_stair, dist, 512, 50)
     assert woven[0] == 512 + -(-(KEYS - 1 - 512) // 50)
+
+
+def _corollary_700():
+    # the longest scan: a staircase whose rescue ceiling is the 700-position limit
+    return build_corollary(TheoryConfig(window=32, cap=8, tread=2, t_max=MAX_SCAN))
+
+
+def test_alpha1_700(benchmark):
+    model = _corollary_700()
+    ts = np.arange(1, MAX_SCAN + 1)
+    alpha1 = benchmark(model.alpha1, ts)
+    assert np.all(alpha1[32:] > 1.0 / ts[32:])
+
+
+def test_threshold_scan_700(benchmark):
+    rep = benchmark(threshold_scan, _corollary_700())
+    assert rep.agrees and rep.crossing is None

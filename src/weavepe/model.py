@@ -142,10 +142,10 @@ def layer_norm_cols(x: np.ndarray) -> np.ndarray:
 
 def embed(tokens, weights: ModelWeights) -> np.ndarray:
     """Initial hidden state: embedding columns of <bos> followed by the tokens."""
-    ids = [BOS_ID] + [int(t) for t in tokens]
-    for t in ids:
-        if not (0 <= t < weights.vocab_size):
-            raise ValueError(f"unknown token id {t}")
+    ids = np.concatenate([[BOS_ID], np.asarray(tokens, dtype=np.int64)])
+    bad = np.flatnonzero((ids < 0) | (ids >= weights.vocab_size))
+    if bad.size:
+        raise ValueError(f"unknown token id {ids[bad[0]]}")
     return weights.w_e[:, ids].astype(np.float64)
 
 

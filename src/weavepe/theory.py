@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from weavepe.model import (
+    TILE_ROWS,
     DenseFF,
     ForwardTrace,
     HeadWeights,
@@ -198,16 +199,29 @@ class TheoryModel:
         """Closed-form final-layer attention weight on the first token at each t.
 
         Computed directly from the weave: alpha_i = W(t-1) - W(i-1) - W(t-i)
-        (all zero for the un-woven models), then a stable softmax.  Independent
-        of the transformer plumbing.
+        for keys i = 1..t (all zero for the un-woven models), then a stable
+        softmax.  Independent of the transformer plumbing.
+
+        The t values run in row blocks of TILE_ROWS, as _attend tiles query
+        rows: a block scores only keys i <= its largest t, reads W(t-i)
+        from a strided window over the reversed weave table, whose +inf
+        padding sets keys past t to -inf, and shifts each row by its first
+        key's score -W(0), which is 0 and the row maximum under every weave,
+        before one exp and one row sum.
         """
+        ts = np.asarray(ts)
         t_max = int(np.max(ts))
         w = weave_values(self.weave, t_max)
+        # row t_max - t holds W(t-i) at column i-1: W(t-1), ..., W(0), +inf, ...
+        rev = np.concatenate([w[::-1], np.full(t_max - 1, np.inf)])
+        windows = np.lib.stride_tricks.sliding_window_view(rev, t_max)
         out = np.empty(len(ts), dtype=np.float64)
-        for j, t in enumerate(ts):
-            i = np.arange(1, t + 1)
-            alpha = w[t - 1] - w[i - 1] - w[t - i]
-            out[j] = 1.0 / np.sum(np.exp(alpha - alpha[0]))
+        for r0 in range(0, len(ts), TILE_ROWS):
+            tb = ts[r0:r0 + TILE_ROWS]
+            hi = int(np.max(tb))
+            score = w[tb - 1, None] - w[:hi] - windows[t_max - tb, :hi]
+            score -= score[:, :1]
+            out[r0:r0 + TILE_ROWS] = 1.0 / np.sum(np.exp(score, out=score), axis=1)
         return out
 
     def predict(self, ts: np.ndarray) -> np.ndarray:
@@ -357,12 +371,16 @@ class ThresholdReport:
 
 
 def threshold_scan(model: TheoryModel, t_max: int | None = None) -> ThresholdReport:
-    """Run the forward pass for t = 1..t_max and compare against the closed form."""
+    """Run the forward pass for t = 1..t_max and compare against the closed form.
+
+    The closed form runs first, so that alpha1's row-block temporaries are
+    freed before the forward pass holds its n x n attention weights.
+    """
     t_max = t_max or model.cfg.t_max
-    trace = model.run(t_max)
-    observed = trace.attn[-1][WATCH_DIM, :]
     ts = np.arange(1, t_max + 1)
     predicted = model.predict(ts)
+    trace = model.run(t_max)
+    observed = trace.attn[-1][WATCH_DIM, :]
     err = float(np.max(np.abs(observed - predicted)))
     below = np.nonzero(observed <= model.cfg.threshold + 1e-9)[0]
     crossing = int(ts[below[0]]) if below.size else None

@@ -1,6 +1,8 @@
 """Threshold constructions against their closed forms."""
 
 import math
+import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +25,7 @@ from weavepe.theory import (
     scan_cap,
     threshold_scan,
     weave_schedule,
+    weave_values,
 )
 
 GOLDENS = Path(__file__).parent / "goldens"
@@ -251,3 +254,65 @@ def test_oracle_equivalence_across_models():
     for model in cases:
         rep = threshold_scan(model)
         assert rep.max_abs_err <= 1e-9, model.label
+
+
+def _alpha1_loop(model, ts):
+    """The closed form one t at a time: the reference the row blocks must match."""
+    t_max = int(np.max(ts))
+    w = weave_values(model.weave, t_max)
+    out = np.empty(len(ts), dtype=np.float64)
+    for j, t in enumerate(ts):
+        i = np.arange(1, t + 1)
+        alpha = w[t - 1] - w[i - 1] - w[t - i]
+        out[j] = 1.0 / np.sum(np.exp(alpha - alpha[0]))
+    return out
+
+
+@pytest.mark.parametrize(
+    "weave",
+    [None]
+    + [WeaveParams(scheme=Scheme.REROPE, cap=n) for n in (2, 4, 8)]
+    + [WeaveParams(scheme=Scheme.STAIR, cap=4, tread=e) for e in (1, 2, 5)]
+    + [WeaveParams(scheme=Scheme.LEAKY_REROPE, cap=4, leak=0.5)],
+    ids=["none", "capped-2", "capped-4", "capped-8", "stair-1", "stair-2", "stair-5", "leaky"],
+)
+@pytest.mark.parametrize(
+    "ts", [np.arange(1, MAX_SCAN + 1), np.array([5, 3, MAX_SCAN, 1, 5])], ids=["1..700", "unsorted"]
+)
+def test_alpha1_row_blocks_match_per_t_loop(weave, ts):
+    model = replace(build_theorem2(TheoryConfig(window=16, cap=4)), weave=weave)
+    got = model.alpha1(ts)
+    want = _alpha1_loop(model, ts)
+    np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
+    if weave is None or weave.tread == 1:  # identity weave: exactly 1/t
+        assert np.array_equal(got, 1.0 / ts)
+
+
+def test_threshold_scan_peak_is_the_forward_pass(monkeypatch):
+    # the closed form runs before the forward pass, so its row blocks never
+    # sit next to the trace's two 700 x 700 attention matrices
+    model = build_corollary(TheoryConfig(window=32, cap=8, tread=2, t_max=MAX_SCAN))
+    threshold_scan(model)  # warm-up: first-call allocations stay out of both peaks
+    held_at_predict = []
+    predict = model.predict
+
+    def traced_predict(ts):
+        held_at_predict.append(tracemalloc.get_traced_memory()[0])
+        return predict(ts)
+
+    monkeypatch.setattr(model, "predict", traced_predict)
+    tracemalloc.start()
+    try:
+        model.run(MAX_SCAN)
+        run_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        threshold_scan(model)
+        scan_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert scan_peak <= run_peak + 64 * 1024, (scan_peak, run_peak)
+    # the blocks (about 1 MB) fit under the forward pass's own transient
+    # tiles, so the peak alone cannot see the order: nothing as large as a
+    # trace may be alive when the closed form starts
+    assert held_at_predict[0] - before <= 64 * 1024, held_at_predict[0] - before
