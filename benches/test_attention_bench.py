@@ -12,7 +12,6 @@ queries over 16,385 keys.
 """
 
 import numpy as np
-import pytest
 
 from weavepe.model import KVCache, _attend, _positions, _run_layers, random_model
 from weavepe.pe_core import Scheme, WeaveParams, rotary_table, weave_stair
@@ -46,8 +45,7 @@ def test_last_chunk_layer(benchmark):
 
     def fresh_cache():
         cache = KVCache(1, 4, capacity=KEYS)
-        for head, kv in enumerate(ctx):
-            cache.write(0, head, kv, kv)
+        cache.write(0, np.stack(ctx), np.stack(ctx))
         cache.append(CTX)
         return (h, weights, cache, CTX, pos), {}
 
@@ -63,26 +61,32 @@ def _ref_blocks(n):
 def _fill(cache, blocks):
     """Write blocks ([layer][head] -> h x n) as every head's keys and values, then commit them."""
     for layer, heads in enumerate(blocks):
-        for head, kv in enumerate(heads):
-            cache.write(layer, head, kv, kv)
+        cache.write(layer, np.stack(heads), np.stack(heads))
     cache.append(blocks[0][0].shape[1])
 
 
-@pytest.fixture(scope="module")
-def ref_cache():
+def _ref_cache(n):
     # sized to the prompt, as prefill sizes it; the first step grows it by 1/8
     weights = random_model(d=64, n_heads=4, n_layers=4, vocab=256, seed=0)
-    cache = KVCache(len(weights.layers), 4, capacity=KEYS - 1)
-    _fill(cache, _ref_blocks(KEYS - 1))
+    cache = KVCache(len(weights.layers), 4, capacity=n)
+    _fill(cache, _ref_blocks(n))
     return weights, cache
 
 
-def test_decode_step_16k_keys(benchmark, ref_cache):
-    weights, cache = ref_cache
+def _decode_step(benchmark, weights, cache):
     config = MesaConfig(train_len=1024, weave=WeaveParams(scheme=Scheme.STAIR, cap=512, tread=50))
     # each call appends one token, so the cache grows by one key per round
     logits, _ = benchmark(decode_step, cache, 3, weights, config)
     assert np.isfinite(logits).all()
+
+
+def test_decode_step_16k_keys(benchmark):
+    _decode_step(benchmark, *_ref_cache(KEYS - 1))
+
+
+def test_decode_step_1k_keys(benchmark):
+    # the in-window prompt's cache: 1,000 tokens plus <bos>
+    _decode_step(benchmark, *_ref_cache(1001))
 
 
 def test_kv_cache_append_and_view_16k(benchmark):

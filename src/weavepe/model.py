@@ -18,12 +18,16 @@ arXiv 2205.14135).  No score, distance or mask matrix larger than one tile
 is held, and a tile is freed before the next is scored; only forward keeps
 each head's normalised n x n weights.
 
-A layer's heads run on min(usable CPUs, heads) threads: numpy releases the
-GIL in the elementwise passes and matmuls that dominate a tile, so each
-thread holds one tile.  The calling thread writes the cache and sums the
-heads' outputs in head order, so the result is bit-identical to running the
-heads one after another, which a decode step (one query), a one-head model
-and a one-CPU host still do.
+Every array of _attend may carry a leading heads axis.  A step with one
+query (every decode step) attends with all of a layer's heads in one call
+on the calling thread, so its per-head numpy calls become one batched call
+each; threads made such a step no faster.  More queries attend one head per
+call, on min(usable CPUs, heads) threads: numpy releases the GIL in the
+elementwise passes and matmuls that dominate a tile, so each thread holds
+one tile.  The calling thread projects and writes every head's keys and
+values and sums the heads' outputs in head order, so the result is
+bit-identical to running the heads one after another, which a one-head
+model and a one-CPU host still do.
 """
 
 from __future__ import annotations
@@ -153,9 +157,9 @@ def embed(tokens, weights: ModelWeights) -> np.ndarray:
 class ForwardTrace:
     """Per-layer hidden states, attention-sublayer outputs, and head weights."""
 
-    hidden: list[np.ndarray]          # hidden[0] is the embedding; one per layer after
-    attn: list[np.ndarray]            # summed head outputs per layer (d x n)
-    alphas: list[list[np.ndarray]]    # [layer][head] -> (n, n) softmaxed weights
+    hidden: list[np.ndarray]                 # hidden[0] is the embedding; one per layer after
+    attn: list[np.ndarray]                   # summed head outputs per layer (d x n)
+    alphas: list[list[np.ndarray]] | None    # [layer][head] -> (n, n) softmaxed weights; None keeps none
 
     @property
     def final(self) -> np.ndarray:
@@ -181,21 +185,27 @@ class _Woven:
     the query, so no key is rotated.  The distances never increase with the
     key index, so equal ones form runs, and consecutive runs of one length
     form segments: for the staircase, a possibly shorter run furthest away,
-    the runs of E keys, then one key per distance up to N.  The query is
-    rotated once per run (table) and each segment is scored through an
-    (h, runs, length) view of its keys, so no key is copied either.
+    the runs of E keys, then one key per distance up to N.  Every head's
+    query is rotated once per run in one product: its dimension pairs, read
+    as complex numbers, times each run's turns e^(-i w theta), which is
+    apply_rotary's rotation.  Each segment is then scored by one batched
+    product of each run's rotated query with an h x length view of that
+    run's keys, so no key is copied either.
     """
 
-    table: tuple     # rotary_table over one distance per run
-    segments: tuple  # (first run, end run, run length, first key) each
+    turns: np.ndarray  # runs x h/2 complex: cos + i sin of a rotary_table over one distance per run
+    segments: tuple    # (first run, end run, run length, first key) each
 
     def scores(self, q: np.ndarray, k: np.ndarray) -> np.ndarray:
-        """1 x n scores of the query q (h x 1) against the keys k (h x n)."""
-        qw = apply_rotary(np.broadcast_to(q, (q.shape[0], self.table[0].shape[1])), self.table)
-        s = np.empty((1, k.shape[1]))
+        """Scores ([heads x] 1 x n) of each head's query q ([heads x] h x 1)
+        against its keys k ([heads x] h x n)."""
+        pairs = np.ascontiguousarray(q[..., 0]).view(np.complex128)
+        rows = (pairs[..., None, :] * self.turns).view(np.float64)[..., None, :]  # [heads x] runs x 1 x h
+        s = np.empty(q.shape[:-2] + (1, k.shape[-1]))
         for r0, r1, length, a in self.segments:
             b = a + (r1 - r0) * length
-            s[0, a:b] = np.einsum("hr,hrl->rl", qw[:, r0:r1], k[:, a:b].reshape(-1, r1 - r0, length)).ravel()
+            keys = np.swapaxes(k[..., a:b].reshape(k.shape[:-1] + (r1 - r0, length)), -3, -2)  # runs x h x length
+            s[..., 0, a:b] = (rows[..., r0:r1, :, :] @ keys).reshape(s.shape[:-2] + (b - a,))
         return s
 
 
@@ -207,13 +217,14 @@ class _Distances:
     tile: Callable[[int, int], np.ndarray]  # (lo, hi): keys lo..hi-1 against keys 0..hi-1
     theta_base: float | None  # the rotary family's; None for the additive family
 
-    def scores(self, qt: np.ndarray, k: np.ndarray, lo: int, slope: float) -> np.ndarray:
-        """Scores of the query rows qt (rows x h), the first being key lo,
-        against the keys k (h x (lo + rows))."""
-        dist = self.tile(lo, k.shape[1])
+    def scores(self, qt: np.ndarray, k: np.ndarray, lo: int, slope: float | np.ndarray) -> np.ndarray:
+        """Scores of the query rows qt ([heads x] rows x h), the first being
+        key lo, against the keys k ([heads x] h x (lo + rows)); slope, one
+        per head, broadcasts against the scores."""
+        dist, kt = self.tile(lo, k.shape[-1]), np.swapaxes(k, -1, -2)
         if self.theta_base is None:
-            return scores_additive(qt, k.T, dist, slope)
-        return scores_rotary(qt, k.T, dist, self.theta_base)
+            return scores_additive(qt, kt, dist, slope)
+        return scores_rotary(qt, kt, dist, self.theta_base)
 
 
 def _positions(weights: ModelWeights, coords: np.ndarray, m: int, weave: WeaveParams | None = None):
@@ -244,7 +255,8 @@ def _positions(weights: ModelWeights, coords: np.ndarray, m: int, weave: WeavePa
     segments = tuple(
         (int(r0), int(r1), int(runs[r0]), int(starts[r0])) for r0, r1 in zip(first, np.r_[first[1:], runs.size])
     )
-    return _Woven(rotary_table(coords[-1] - coords[starts], weights.head_dim, base), segments)
+    cos, sin = rotary_table(coords[-1] - coords[starts], weights.head_dim, base)
+    return _Woven(np.ascontiguousarray((cos + 1j * sin).T), segments)
 
 
 def _attend(
@@ -252,7 +264,7 @@ def _attend(
     k: np.ndarray,
     v: np.ndarray,
     ctx_len: int,
-    slope: float,
+    slope: float | np.ndarray,
     pos,
     mask: AttentionMask | None = None,
     alpha: np.ndarray | None = None,
@@ -260,39 +272,44 @@ def _attend(
     """Causal attention of the m columns of q over ctx_len context keys, then
     the m queries' own keys; k and v are h x (ctx_len + m).
 
-    Query row r sees keys [0, ctx_len + r].  Rows run in tiles of TILE_ROWS:
-    a tile ending at row r1 scores only keys [0, ctx_len + r1), the causal
-    -inf goes on its rows x rows diagonal tail alone, and the softmax runs in
-    place on the tile with its normalisation deferred past the value product.
-    pos is _positions over the ctx_len + m keys, and the queries, being the
-    last m keys, take its tail from ctx_len on; a _Woven (one query) scores
-    its one row itself.  forward passes its mask, which sets -inf on each
-    tile's cells outside it, and alpha, zeros of the weights' shape into
-    which each tile writes its normalised weights.  Returns h x m values.
+    Any leading axes are heads: q (heads x h x m), k and v (heads x h x
+    (ctx_len + m)) attend head by head in the same passes, and slope, one
+    per head (heads x 1 x 1), broadcasts against their scores; one head's
+    arrays may also come without the axis.  Query row r sees keys
+    [0, ctx_len + r].  Rows run in tiles of TILE_ROWS: a tile ending at row
+    r1 scores only keys [0, ctx_len + r1), the causal -inf goes on its
+    rows x rows diagonal tail alone, and the softmax runs in place on the
+    tile with its normalisation deferred past the value product.  pos is
+    _positions over the ctx_len + m keys, and the queries, being the last m
+    keys, take its tail from ctx_len on; a _Woven (one query) scores its one
+    row itself.  forward passes its mask, which sets -inf on each tile's
+    cells outside it, and alpha, zeros of the weights' shape ([heads x] m x
+    (ctx_len + m)) into which each tile writes its normalised weights.
+    Returns [heads x] h x m values.
     """
     if isinstance(pos, tuple):  # a rotary table over the keys
         q, k = apply_rotary(q, tuple(t[:, ctx_len:] for t in pos)), apply_rotary(k, pos)
-    qt = q.T
-    m = qt.shape[0]
-    out = np.empty((v.shape[0], m))
+    qt = np.swapaxes(q, -1, -2)
+    m = qt.shape[-2]
+    out = np.empty(v.shape[:-1] + (m,))
     for r0 in range(0, m, TILE_ROWS):
         r1 = min(r0 + TILE_ROWS, m)
         nk = ctx_len + r1
         if isinstance(pos, _Woven):
             s = pos.scores(q, k)
         elif isinstance(pos, _Distances):
-            s = pos.scores(qt[r0:r1], k[:, :nk], ctx_len + r0, slope)
+            s = pos.scores(qt[..., r0:r1, :], k[..., :nk], ctx_len + r0, slope)
         else:
-            s = qt[r0:r1] @ k[:, :nk]
-        s[:, ctx_len + r0 :] += _CAUSAL_TAIL[: r1 - r0, : r1 - r0]
+            s = qt[..., r0:r1, :] @ k[..., :nk]
+        s[..., ctx_len + r0 :] += _CAUSAL_TAIL[: r1 - r0, : r1 - r0]
         if mask is not None:
-            s[~mask.tile(ctx_len + r0, nk)] = -np.inf
-        s -= s.max(axis=1, keepdims=True)
+            s[..., ~mask.tile(ctx_len + r0, nk)] = -np.inf
+        s -= s.max(axis=-1, keepdims=True)
         np.exp(s, out=s)
-        total = s.sum(axis=1)
-        out[:, r0:r1] = (v[:, :nk] @ s.T) / total
+        total = s.sum(axis=-1, keepdims=True)
+        out[..., r0:r1] = (v[..., :nk] @ np.swapaxes(s, -1, -2)) / np.swapaxes(total, -1, -2)
         if alpha is not None:
-            np.divide(s, total[:, None], out=alpha[r0:r1, :nk])
+            np.divide(s, total, out=alpha[..., r0:r1, :nk])
         del s  # free this tile before the next is scored: one tile alive, not two
     return out
 
@@ -313,6 +330,14 @@ def _head_pool(workers: int):
     return ThreadPoolExecutor(workers, thread_name_prefix="weavepe-heads")
 
 
+def _project(heads: list[HeadWeights], names: tuple[str, ...], h: np.ndarray) -> np.ndarray:
+    """The columns of h through each named weight of every head: names x heads
+    x h x m, by one (h x d) @ (d x m) matmul per weight and head, so each
+    head's result is bit for bit its own product."""
+    w = np.concatenate([getattr(head, name) for name in names for head in heads])
+    return w.reshape(len(names), len(heads), -1, h.shape[0]) @ h
+
+
 def _run_layers(
     h: np.ndarray,
     weights: ModelWeights,
@@ -324,52 +349,59 @@ def _run_layers(
 ) -> np.ndarray:
     """Run the columns of h through every layer; appends their raw K/V.
 
-    Each head first writes its new keys and values into the cache slots past
-    len(cache).  The queries see the first ctx_len cached keys, then their
-    own keys causally: a plain slice of the cache when ctx_len is len(cache)
-    (the first and last chunk, a decode step, forward), else (a middle
-    chunk) those ctx_len columns joined to the new ones.  pos is the
-    _positions of exactly those keys.  forward passes its mask, applied per
-    tile, and a trace that receives each layer's input, attention output and
-    head weights.  Returns the final hidden state.
+    Each layer first projects every head's new keys and values at once
+    (_project) and writes them into the cache slots past len(cache).  The
+    queries see the first ctx_len cached keys, then their own keys
+    causally: a plain slice of the cache when ctx_len is len(cache) (the
+    first and last chunk, a decode step, forward), else (a middle chunk)
+    those ctx_len columns joined to the new ones.  pos is the _positions of
+    exactly those keys.  forward passes its mask, applied per tile, and a
+    trace that receives each layer's input and attention output, and its
+    head weights if its alphas is a list (None asks for none).  Returns the
+    final hidden state.
 
-    The cache writes (and any growth) and each head's key and value views
-    happen here, on the calling thread; then the heads' _attend calls run
-    on min(usable CPUs, heads) threads, and their h x m outputs are
-    projected and summed here in head order.  A step with one query (every
-    decode step) runs its heads one after another.
+    One query (every decode step) attends with all of a layer's heads in
+    one _attend call, on the calling thread.  More queries attend one head
+    per call, on min(usable CPUs, heads) threads, each holding one tile.
+    The cache writes (and any growth) and the key and value views happen
+    here, on the calling thread, and the heads' h x m outputs are projected
+    and summed here in head order, so the pool changes no bit.
     """
-    n = len(cache)
-    workers = 1 if h.shape[1] == 1 else min(_usable_cpus(), len(weights.layers[0].heads))
+    n, m = len(cache), h.shape[1]
+    n_heads = len(weights.layers[0].heads)
+    slopes = np.array([weights.slope_for_head(mi) for mi in range(n_heads)])[:, None, None]
+    groups = [slice(None)] if m == 1 else [slice(mi, mi + 1) for mi in range(n_heads)]
+    workers = min(_usable_cpus(), len(groups))
+    keep_alphas = trace is not None and trace.alphas is not None
     for li, layer in enumerate(weights.layers):
-        kv = []
-        for mi, head in enumerate(layer.heads):
-            k, v = cache.write(li, mi, head.w_k @ h, head.w_v @ h)
-            if ctx_len < n:
-                k = np.concatenate([k[:, :ctx_len], k[:, n:]], axis=1)
-                v = np.concatenate([v[:, :ctx_len], v[:, n:]], axis=1)
-            kv.append((k, v))
+        k, v = cache.write(li, *_project(layer.heads, ("w_k", "w_v"), h))
+        if ctx_len < n:
+            k = np.concatenate([k[..., :ctx_len], k[..., n:]], axis=-1)
+            v = np.concatenate([v[..., :ctx_len], v[..., n:]], axis=-1)
 
-        def attend(mi: int) -> tuple[np.ndarray, np.ndarray | None]:
-            k, v = kv[mi]
-            alpha = None if trace is None else np.zeros((h.shape[1], k.shape[1]))
-            return _attend(layer.heads[mi].w_q @ h, k, v, ctx_len, weights.slope_for_head(mi), pos, mask, alpha), alpha
+        def attend(heads: slice) -> tuple[np.ndarray, np.ndarray | None]:
+            alpha = np.zeros((len(layer.heads[heads]), m, k.shape[-1])) if keep_alphas else None
+            q = _project(layer.heads[heads], ("w_q",), h)[0]
+            return _attend(q, k[heads], v[heads], ctx_len, slopes[heads], pos, mask, alpha), alpha
 
-        heads = range(len(layer.heads))
-        outs = map(attend, heads) if workers < 2 else _head_pool(workers).map(attend, heads)
+        outs = map(attend, groups) if workers < 2 else _head_pool(workers).map(attend, groups)
         a = np.zeros_like(h)
         alphas = []
-        for head, (out, alpha) in zip(layer.heads, outs):  # summed in head order, as the serial loop sums
-            a += head.w_o @ out
-            alphas.append(alpha)
+        for heads, (out, alpha) in zip(groups, outs):  # summed in head order, as the serial loop sums
+            for head, head_out in zip(layer.heads[heads], out):
+                a += head.w_o @ head_out
+            if keep_alphas:
+                alphas.extend(alpha)
         if trace is not None:
             trace.hidden.append(h)
             trace.attn.append(a)
-            trace.alphas.append(alphas)
-        z = a + h
-        zz = layer_norm_cols(z) if layer.layer_norm == "standard" else z
-        h = layer.ff(zz) + z
-    cache.append(h.shape[1])
+            if keep_alphas:
+                trace.alphas.append(alphas)
+        # h alone holds the residual stream, so no earlier columns stay alive
+        # while the next layer's heads hold their tiles
+        h = a + h
+        h = layer.ff(layer_norm_cols(h) if layer.layer_norm == "standard" else h) + h
+    cache.append(m)
     return h
 
 
@@ -388,13 +420,20 @@ def forward(
     sets -inf on each tile's cells outside it; no n x n distance or mask
     matrix is built.
     """
+    return _forward(tokens, weights, weave, mask, alphas=[])
+
+
+def _forward(
+    tokens, weights: ModelWeights, weave: WeaveParams | None, mask: AttentionMask | None, alphas: list | None
+) -> ForwardTrace:
+    """forward, keeping each layer's head weights in alphas, or none when alphas is None."""
     if len(tokens) == 0:
         raise ValueError("empty input")
     h = embed(tokens, weights)
     n = h.shape[1]
     if mask is not None and mask.n != n:
         raise ValueError(f"mask length {mask.n} does not match sequence length {n}")
-    trace = ForwardTrace(hidden=[], attn=[], alphas=[])
+    trace = ForwardTrace(hidden=[], attn=[], alphas=alphas)
     cache = KVCache(len(weights.layers), len(weights.layers[0].heads), capacity=n)
     h = _run_layers(h, weights, cache, 0, _positions(weights, np.arange(n, dtype=np.float64), n, weave), mask, trace)
     trace.hidden.append(h)
@@ -450,15 +489,16 @@ class KVCache:
                 self._capacity = max(self._capacity, grown)
         return self._k[layer], self._v[layer]
 
-    def write(self, layer: int, head: int, k: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Store one head's keys and values (h x m) in the m slots past len(self);
-        append then commits them.  Returns that head's keys and values over
-        every filled slot and the new ones: h x (len + m) views of the storage."""
-        n, m = self._len, k.shape[1]
-        ks, vs = self._layer_storage(layer, k.shape[0], n + m)
-        ks[head, :, n : n + m] = k
-        vs[head, :, n : n + m] = v
-        return ks[head, :, : n + m], vs[head, :, : n + m]
+    def write(self, layer: int, k: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Store one layer's keys and values (heads x h x m) in the m slots
+        past len(self); append then commits them.  Returns the layer's keys
+        and values over every filled slot and the new ones: heads x h x
+        (len + m) views of the storage."""
+        n, m = self._len, k.shape[-1]
+        ks, vs = self._layer_storage(layer, k.shape[-2], n + m)
+        ks[:, :, n : n + m] = k
+        vs[:, :, n : n + m] = v
+        return ks[:, :, : n + m], vs[:, :, : n + m]
 
     def append(self, m: int) -> None:
         """Commit the m slots past len(self); every layer's keys and values

@@ -221,12 +221,12 @@ def rotary_table(coords, dim: int, theta_base: float) -> tuple[np.ndarray, np.nd
 
 
 def apply_rotary(x: np.ndarray, table: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """Rotate the columns of x (dim x n) by a rotary_table built for them."""
+    """Rotate the columns of x ([heads x] dim x n) by a rotary_table built for them."""
     c, s = table
-    xa, xb = x[0::2, :], x[1::2, :]
+    xa, xb = x[..., 0::2, :], x[..., 1::2, :]
     out = np.empty_like(x)
-    out[0::2, :] = xa * c - xb * s
-    out[1::2, :] = xa * s + xb * c
+    out[..., 0::2, :] = xa * c - xb * s
+    out[..., 1::2, :] = xa * s + xb * c
     return out
 
 
@@ -239,9 +239,10 @@ def rotate_by_coords(x: np.ndarray, coords: np.ndarray, theta_base: float) -> np
     return apply_rotary(x, rotary_table(coords, x.shape[0], theta_base))
 
 
-def scores_additive(q: np.ndarray, k: np.ndarray, dmat: np.ndarray, slope: float) -> np.ndarray:
-    """Dot-product scores with a linear distance penalty."""
-    return q @ k.T - slope * dmat
+def scores_additive(q: np.ndarray, k: np.ndarray, dmat: np.ndarray, slope: float | np.ndarray) -> np.ndarray:
+    """Dot-product scores with a linear distance penalty; leading axes of q
+    and k (and of slope) are heads."""
+    return q @ np.swapaxes(k, -1, -2) - slope * dmat
 
 
 def scores_rotary(q: np.ndarray, k: np.ndarray, dmat: np.ndarray, theta_base: float) -> np.ndarray:
@@ -252,18 +253,19 @@ def scores_rotary(q: np.ndarray, k: np.ndarray, dmat: np.ndarray, theta_base: fl
     (capped, leaky, stair or grouped over all pairs) needs it; when D[a, b] =
     c_a - c_b (raw positions, or the pipeline's per-chunk coordinates), rotate
     both sides once with rotary_table + apply_rotary and take one matmul.
+    Leading axes of q (m x h) and k (n x h) are heads.
     """
-    m, h = q.shape
+    m, h = q.shape[-2:]
     if h % 2 != 0:
         raise ValueError("rotary dimension must be even")
     theta = rope_angles(h, theta_base)
-    out = np.zeros((m, k.shape[0]), dtype=np.float64)
+    out = np.zeros(q.shape[:-1] + (k.shape[-2],), dtype=np.float64)
     for j, th in enumerate(theta):
-        qa, qb = q[:, 2 * j], q[:, 2 * j + 1]
-        ka, kb = k[:, 2 * j], k[:, 2 * j + 1]
+        qa, qb = q[..., :, 2 * j, None], q[..., :, 2 * j + 1, None]
+        ka, kb = k[..., None, :, 2 * j], k[..., None, :, 2 * j + 1]
         ang = dmat * th
-        out += np.cos(ang) * (np.outer(qa, ka) + np.outer(qb, kb))
-        out += np.sin(ang) * (np.outer(qb, ka) - np.outer(qa, kb))
+        out += np.cos(ang) * (qa * ka + qb * kb)
+        out += np.sin(ang) * (qb * ka - qa * kb)
     return out
 
 

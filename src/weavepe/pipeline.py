@@ -25,11 +25,11 @@ so the last chunk and a decode step attend over a plain slice of the cache;
 a middle chunk joins only the first chunk's columns to its own.  The layers
 and the row-tiled attention are model's (_run_layers, _attend), shared with
 model.forward; a chunk's cell count and largest distance are computed in
-closed form from its coordinates.  Each layer's heads run on a small
-thread pool (model._run_layers), since the time goes to the elementwise
-passes over the scores, which release the GIL; a decode step runs its heads
-one after another.  Middle chunks are independent given the first chunk's
-keys and values but still run one after another.
+closed form from its coordinates.  A chunk's heads run on a small thread
+pool (model._run_layers), since the time goes to the elementwise passes
+over the scores, which release the GIL; a decode step attends with all of a
+layer's heads in one stacked call instead.  Middle chunks are independent
+given the first chunk's keys and values but still run one after another.
 """
 
 from __future__ import annotations

@@ -27,6 +27,7 @@ from weavepe.model import (
     HeadWeights,
     LayerWeights,
     ModelWeights,
+    _forward,
     forward,
     zero_ff,
 )
@@ -374,12 +375,13 @@ def threshold_scan(model: TheoryModel, t_max: int | None = None) -> ThresholdRep
     """Run the forward pass for t = 1..t_max and compare against the closed form.
 
     The closed form runs first, so that alpha1's row-block temporaries are
-    freed before the forward pass holds its n x n attention weights.
+    freed before the forward pass runs; the pass keeps no n x n head
+    weights, since the scan reads only the last layer's output.
     """
     t_max = t_max or model.cfg.t_max
     ts = np.arange(1, t_max + 1)
     predicted = model.predict(ts)
-    trace = model.run(t_max)
+    trace = _forward([1] * (t_max - 1), model.weights, model.weave, None, alphas=None)  # model.run's pass
     observed = trace.attn[-1][WATCH_DIM, :]
     err = float(np.max(np.abs(observed - predicted)))
     below = np.nonzero(observed <= model.cfg.threshold + 1e-9)[0]

@@ -189,8 +189,7 @@ def _commit(cache, k_blocks, v_blocks):
     """Write each layer and head's keys and values ([layer][head] -> h x m)
     past len(cache), then commit their m slots."""
     for layer, (ks, vs) in enumerate(zip(k_blocks, v_blocks)):
-        for head, (k, v) in enumerate(zip(ks, vs)):
-            cache.write(layer, head, k, v)
+        cache.write(layer, np.stack(ks), np.stack(vs))
     cache.append(k_blocks[0][0].shape[1])
 
 
@@ -281,10 +280,10 @@ def test_kv_cache_growth_keeps_earlier_columns():
 
 def test_kv_cache_append_needs_written_slots():
     cache = KVCache(n_layers=2, n_heads=1)
-    cache.write(0, 0, np.ones((3, 2)), np.ones((3, 2)))
+    cache.write(0, np.ones((1, 3, 2)), np.ones((1, 3, 2)))
     with pytest.raises(ValueError):
         cache.append(2)
-    cache.write(1, 0, np.ones((3, 2)), np.ones((3, 2)))
+    cache.write(1, np.ones((1, 3, 2)), np.ones((1, 3, 2)))
     cache.append(2)
     assert len(cache) == 2
 

@@ -289,6 +289,34 @@ def test_head_pool_changes_no_bit(monkeypatch):
     assert all(np.array_equal(a, b) for a, b in zip(pooled, serial))
 
 
+def test_decode_step_attends_all_heads_in_one_call(monkeypatch):
+    # a step with one query calls _attend once per layer, every head on the
+    # leading axis; a chunk of several queries still calls it once per head
+    from collections import Counter
+
+    from weavepe import model
+
+    w = random_model(d=16, n_heads=4, n_layers=3, vocab=16, seed=3)
+    res = prefill(_tokens(150), w, TOY)
+    calls, attend = [], model._attend
+
+    def spy(q, k, v, *args):
+        calls.append((q.shape, k.shape, v.shape))
+        return attend(q, k, v, *args)
+
+    monkeypatch.setattr(model, "_attend", spy)
+    t = len(res.cache)
+    decode_step(res.cache, 3, w, TOY)
+    assert calls == [((4, 4, 1), (4, 4, t + 1), (4, 4, t + 1))] * 3
+    calls.clear()
+    pre = prefill(_tokens(150), w, TOY)
+    want = Counter()
+    for c in pre.report.chunks:
+        m = c.q_span[1] - c.q_span[0]
+        want[((1, 4, m), (1, 4, c.ctx_len + m), (1, 4, c.ctx_len + m))] += 3 * 4
+    assert Counter(calls) == want
+
+
 def test_generate_deterministic_and_stops():
     w = random_model(d=8, n_heads=2, n_layers=1, vocab=16, seed=4)
     a = generate(_tokens(30), w, TOY, max_new=6)

@@ -174,6 +174,9 @@ def test_every_chunk_matches_dense_oracle(case):
         (150, 10, 130, 440, [10, 140, 140, 150]),
         # a last chunk of one token: a rotary query is rotated per woven distance
         (16, 4, 1, 29, [4, 12, 12, 1]),
+        # middle chunks of one token: one query, all heads in one call, seeing
+        # the first chunk's keys and its own, not the whole cache
+        (5, 4, 2, 12, [4, 1, 1, 1, 1, 1, 1, 2]),
     ],
 )
 def test_chunks_at_tile_height_match_dense_oracle(family, train, first, min_last, total, lengths):

@@ -290,7 +290,7 @@ def test_alpha1_row_blocks_match_per_t_loop(weave, ts):
 
 def test_threshold_scan_peak_is_the_forward_pass(monkeypatch):
     # the closed form runs before the forward pass, so its row blocks never
-    # sit next to the trace's two 700 x 700 attention matrices
+    # sit next to the forward pass's own arrays
     model = build_corollary(TheoryConfig(window=32, cap=8, tread=2, t_max=MAX_SCAN))
     threshold_scan(model)  # warm-up: first-call allocations stay out of both peaks
     held_at_predict = []
@@ -316,3 +316,22 @@ def test_threshold_scan_peak_is_the_forward_pass(monkeypatch):
     # tiles, so the peak alone cannot see the order: nothing as large as a
     # trace may be alive when the closed form starts
     assert held_at_predict[0] - before <= 64 * 1024, held_at_predict[0] - before
+
+
+def test_threshold_scan_keeps_no_head_weights():
+    # the scan reads only the last layer's output, so its forward pass keeps
+    # no n x n head weights: its peak stays below one 700 x 700 float64 matrix
+    # (keeping them, it peaked at 9 MB); run still returns them
+    model = build_corollary(TheoryConfig(window=32, cap=8, tread=2, t_max=MAX_SCAN))
+    threshold_scan(model)  # warm-up: first-call allocations stay out of the peak
+    tracemalloc.start()
+    try:
+        rep = threshold_scan(model)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.agrees
+    assert peak < MAX_SCAN * MAX_SCAN * 8, peak
+    alphas = model.run(50).alphas
+    assert len(alphas) == len(model.weights.layers)
+    assert all(a.shape == (50, 50) for layer in alphas for a in layer)
