@@ -27,6 +27,7 @@ from weavepe.pe_core import Scheme, WeaveParams, position_matrix
 from weavepe.pipeline import MesaConfig, generate
 from weavepe.splitter import dynamic_split
 from weavepe.theory import (
+    MAX_SCAN,
     TheoryConfig,
     build_corollary,
     build_theorem1,
@@ -151,20 +152,15 @@ _THEOREMS = {
 
 
 def cmd_verify_theory(args) -> int:
-    builder = _THEOREMS[args.theorem]
-    kwargs = {"window": args.M, "threshold": args.H}
-    if args.theorem in ("3", "corollary"):
-        kwargs["cap"] = args.N if args.N is not None else 2
-    if args.theorem == "corollary":
-        if args.E is None:
-            raise ValueError("the corollary needs --E, the staircase tread (E=1 is the identity weave: theorem 2)")
-        kwargs["tread"] = args.E
-    t_max = args.t_max
-    if t_max is None:
+    if args.theorem == "corollary" and args.E is None:
+        raise ValueError("the corollary needs --E, the staircase tread (E=1 is the identity weave: theorem 2)")
+    # theorems 1 and 2 read no cap, and only the corollary reads the tread
+    cfg = TheoryConfig(window=args.M, threshold=args.H, **_given(args, cap="N", tread="E", t_max="t_max"))
+    if args.theorem in ("3", "corollary") and args.t_max is None:
         # each weave is scanned to its own closed-form ceiling
-        t_max = scan_cap(args.M, kwargs["cap"], tread=kwargs.get("tread")) if "cap" in kwargs else 700
-    cfg = TheoryConfig(t_max=t_max, **kwargs)
-    model = builder(cfg)
+        tread = cfg.tread if args.theorem == "corollary" else None
+        cfg = dataclasses.replace(cfg, t_max=scan_cap(args.M, cfg.cap, tread=tread))
+    model = _THEOREMS[args.theorem](cfg)
     report = threshold_scan(model)
     out = _outdir(args)
     path = out / f"threshold_theorem{args.theorem}_M{args.M}.csv"
@@ -173,7 +169,7 @@ def cmd_verify_theory(args) -> int:
         "theorem": args.theorem,
         "M": args.M,
         "H": args.H,
-        "t_max": t_max,
+        "t_max": cfg.t_max,
         "crossing": report.crossing,
         "max_abs_err": report.max_abs_err,
         "agrees_with_closed_form": bool(report.agrees),
@@ -286,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--N", type=int, default=None)
     sp.add_argument("--E", type=int, default=None, help="staircase tread; required for the corollary")
     sp.add_argument("--t-max", dest="t_max", type=int, default=None,
-                    help="scan length; default: the weave's own ceiling scan_cap(M, N[, tread=E]), else 700")
+                    help=f"scan length; default: the weave's own ceiling scan_cap(M, N[, tread=E]), else {MAX_SCAN}")
     common(sp)
     sp.set_defaults(func=cmd_verify_theory)
 

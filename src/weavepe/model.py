@@ -144,13 +144,19 @@ def layer_norm_cols(x: np.ndarray) -> np.ndarray:
     return (x - mu) / np.sqrt(var + 1e-12)
 
 
-def embed(tokens, weights: ModelWeights) -> np.ndarray:
-    """Initial hidden state: embedding columns of <bos> followed by the tokens."""
-    ids = np.concatenate([[BOS_ID], np.asarray(tokens, dtype=np.int64)])
+def token_ids(tokens, weights: ModelWeights) -> np.ndarray:
+    """tokens as int64 ids; each must be in the vocabulary, or the first
+    that is not is named in a ValueError."""
+    ids = np.asarray(tokens, dtype=np.int64)
     bad = np.flatnonzero((ids < 0) | (ids >= weights.vocab_size))
     if bad.size:
         raise ValueError(f"unknown token id {ids[bad[0]]}")
-    return weights.w_e[:, ids].astype(np.float64)
+    return ids
+
+
+def embed(tokens, weights: ModelWeights) -> np.ndarray:
+    """Initial hidden state: embedding columns of <bos> followed by the tokens."""
+    return weights.w_e[:, token_ids([BOS_ID, *tokens], weights)].astype(np.float64)
 
 
 @dataclass

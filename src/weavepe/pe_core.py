@@ -4,7 +4,8 @@ Every scheme here remaps the causal relative distance t - i through a weave
 function before the positional term is applied, so a model trained on a short
 window can be pointed at keys far outside it without ever seeing an unseen
 distance.  Weave functions take integer distances and return floats so the
-capped, leaky, and staircase variants share one signature.
+capped, leaky, and staircase variants share one signature; weave_table is
+the one place a WeaveParams becomes W(d).
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from __future__ import annotations
 import enum
 import json
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -269,20 +269,22 @@ def scores_rotary(q: np.ndarray, k: np.ndarray, dmat: np.ndarray, theta_base: fl
     return out
 
 
-def weave_fn(params: WeaveParams) -> Callable[[np.ndarray], np.ndarray]:
-    """Vectorized distance remap for a scheme; identity for un-woven schemes.
+def weave_table(params: WeaveParams | None, n: int) -> np.ndarray:
+    """W(d) for the raw distances d = 0..n-1, as float64: the raw distance
+    for None and every identity scheme.
 
     The grouped (self-extend) remap is not a pure function of the distance,
     so it is rejected here; use woven_distances for it.
     """
-    if params.scheme in IDENTITY_SCHEMES:
-        return lambda d: np.asarray(d, dtype=np.float64)
+    d = np.arange(n)
+    if params is None or params.scheme in IDENTITY_SCHEMES:
+        return d.astype(np.float64)
     if params.scheme is Scheme.REROPE:
-        return lambda d: weave_rerope(d, params.cap)
+        return weave_rerope(d, params.cap)
     if params.scheme is Scheme.LEAKY_REROPE:
-        return lambda d: weave_leaky(d, params.cap, params.leak)
+        return weave_leaky(d, params.cap, params.leak)
     if params.scheme is Scheme.STAIR:
-        return lambda d: weave_stair(d, params.cap, params.tread)
+        return weave_stair(d, params.cap, params.tread)
     raise ValueError(f"{params.scheme.value} weave is not a pure function of the distance")
 
 
@@ -326,14 +328,14 @@ def woven_distances(params: WeaveParams, rows, cols) -> np.ndarray:
     """Woven distance of each (query index, key index) pair, rows x cols: the
     weave of t - i, or under the grouped scheme the remap of the pair itself;
     0 where the key comes after the query (raw distance 0, which every weave
-    keeps at 0).  A pure distance weave runs once per raw distance up to the
-    largest, then each cell looks its distance up."""
+    keeps at 0).  A pure distance weave is a lookup into its weave_table up
+    to the largest raw distance."""
     t, i = np.asarray(rows)[:, None], np.asarray(cols)
     raw = np.maximum(t - i, 0)
     if params.scheme is Scheme.SELF_EXTEND:
         w, g = params.neighbor, params.group
         return np.where(raw <= w, raw, t // g + w - w // g - i // g).astype(np.float64)
-    return np.asarray(weave_fn(params)(np.arange(raw.max() + 1)), dtype=np.float64)[raw]
+    return weave_table(params, raw.max() + 1)[raw]
 
 
 def position_matrix(params: WeaveParams, n: int) -> PositionMatrix:

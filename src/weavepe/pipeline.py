@@ -3,10 +3,11 @@
 Prefill runs the first chunk alone at local positions, each middle chunk
 against the first chunk only (both at local coordinates, so no positional
 distance ever exceeds the trained window), and the last chunk against the
-full cache with staircase-woven coordinates anchored at the final token.
-A prompt that fits the trained window (or the first+last budget) is one
+full cache with coordinates woven by MesaConfig.weave (the staircase by
+default; capped and leaky weaves too) anchored at the final token.  A
+prompt that fits the trained window (or the first+last budget) is one
 chunk at raw positions, the same computation as the first chunk.  A decode
-step is the last chunk of one token: the same staircase, decode_distances,
+step is the last chunk of one token: the same weave, decode_distances,
 anchored at the new token, so every decode query sees exactly the woven
 distance to every key.
 
@@ -40,18 +41,20 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from weavepe.model import (
+    BOS_ID,
     KVCache,
     ModelWeights,
     _positions,
     _run_layers,
     forward,  # noqa: F401  kept importable here: perfbench/layertrace.py wraps this name
+    token_ids,
 )
 from weavepe.pe_core import (
     IDENTITY_SCHEMES,
     Scheme,
     WeaveParams,
     rotate_by_coords,  # noqa: F401  kept importable here: perfbench/layertrace.py wraps this name
-    weave_fn,
+    weave_table,
 )
 from weavepe.splitter import ChunkPlan, chunk_spans, dynamic_split
 
@@ -154,9 +157,7 @@ def prefill(tokens, weights: ModelWeights, config: MesaConfig) -> PrefillResult:
     """
     if len(tokens) == 0:
         raise ValueError("empty input")
-    seq_ids = np.asarray([0] + [int(t) for t in tokens], dtype=np.int64)
-    if seq_ids.min() < 0 or seq_ids.max() >= weights.vocab_size:
-        raise ValueError("token id out of range")
+    seq_ids = token_ids([BOS_ID, *tokens], weights)
     total = len(seq_ids)
     t0 = time.perf_counter()
 
@@ -213,10 +214,8 @@ def decode_step(
 ) -> tuple[np.ndarray, KVCache]:
     """Append one token: the last chunk of a one-token prompt extension, its
     query anchored at itself and every cached raw key at its woven distance."""
-    if not (0 <= int(next_token) < weights.vocab_size):
-        raise ValueError(f"unknown token id {next_token}")
     t = len(cache)
-    h = weights.w_e[:, [int(next_token)]].astype(np.float64)
+    h = weights.w_e[:, token_ids([next_token], weights)].astype(np.float64)
     h = _run_layers(h, weights, cache, t, _positions(weights, t - decode_distances(t, config), 1))
     logits = weights.w_e.T @ h[:, -1]
     return logits, cache
@@ -255,6 +254,7 @@ def generate(
 
 def decode_distances(anchor: int, config: MesaConfig) -> np.ndarray:
     """Woven distance from the token at position anchor to each of the keys
-    0..anchor: the staircase rule that the last chunk and every decode step
-    apply, anchored at their final token, and the pipeline's only weave."""
-    return weave_fn(config.weave)(anchor - np.arange(anchor + 1))
+    0..anchor: config.weave's table reversed, which the last chunk and every
+    decode step apply, anchored at their final token; the pipeline's only
+    weave."""
+    return weave_table(config.weave, anchor + 1)[::-1]

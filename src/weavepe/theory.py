@@ -31,7 +31,7 @@ from weavepe.model import (
     forward,
     zero_ff,
 )
-from weavepe.pe_core import Scheme, WeaveParams, weave_fn
+from weavepe.pe_core import Scheme, WeaveParams, weave_table
 
 #: double-precision floor for exp(-(t-1)); beyond this the first-layer signal underflows
 MAX_SCAN = 700
@@ -81,14 +81,6 @@ def bos_weight(t) -> np.ndarray | float:
     return float(out) if np.ndim(t) == 0 else out
 
 
-def weave_values(weave: WeaveParams | None, t_max: int) -> np.ndarray:
-    """W(d) for d = 0..t_max-1; identity when no weave is given."""
-    d = np.arange(t_max, dtype=np.int64)
-    if weave is None:
-        return d.astype(np.float64)
-    return np.asarray(weave_fn(weave)(d), dtype=np.float64)
-
-
 def weave_schedule(weave: WeaveParams | None, t_max: int) -> tuple[np.ndarray, np.ndarray]:
     """First-layer signal schedule under a weave.
 
@@ -98,7 +90,7 @@ def weave_schedule(weave: WeaveParams | None, t_max: int) -> tuple[np.ndarray, n
     schedules plateau within a tread once e^(-W) underflows against the sum,
     where p is constant too.
     """
-    w = weave_values(weave, t_max)
+    w = weave_table(weave, t_max)
     ew = np.exp(-w)
     denom = np.cumsum(ew)
     x = ew / denom
@@ -155,12 +147,17 @@ def position_inversion(x: float, t_max: int) -> int:
 class PositionRecoveryFF:
     """Feed-forward stand-in writing the decoded position into dimension 3.
 
-    The output complement is rounding-compensated so that adding it back to
-    the sub-layer input yields the integer position bit-exactly.
+    The decoder inverts the first-layer signal schedule of weave (None: no
+    weave) over t = 1..t_max.  The output complement is rounding-compensated
+    so that adding it back to the sub-layer input yields the integer
+    position bit-exactly.
     """
 
-    decoder: PositionDecoder
-    weave_doc: dict | None = None
+    weave: WeaveParams | None
+    t_max: int
+
+    def __post_init__(self) -> None:
+        self.decoder = PositionDecoder(*weave_schedule(self.weave, self.t_max))
 
     def __call__(self, z: np.ndarray) -> np.ndarray:
         x = z[2]
@@ -176,15 +173,19 @@ class PositionRecoveryFF:
         return out
 
     def describe(self) -> dict:
-        return {"kind": "position_recovery", **(self.weave_doc or {})}
+        """The saved doc: t_max and the weave's scheme, cap and tread (None without one)."""
+        doc = {"kind": "position_recovery", "t_max": self.t_max, "scheme": None, "cap": None, "tread": None}
+        if self.weave is not None:
+            doc.update(scheme=self.weave.scheme.value, cap=self.weave.cap, tread=self.weave.tread)
+        return doc
 
 
 def recovery_ff_from_doc(doc: dict) -> PositionRecoveryFF:
+    """The PositionRecoveryFF whose describe() gave doc."""
     weave = None
     if doc.get("scheme"):
         weave = WeaveParams(scheme=Scheme(doc["scheme"]), cap=doc["cap"], tread=doc["tread"])
-    sched, rec = weave_schedule(weave, doc["t_max"])
-    return PositionRecoveryFF(decoder=PositionDecoder(sched, rec), weave_doc=doc)
+    return PositionRecoveryFF(weave, doc["t_max"])
 
 
 @dataclass
@@ -212,7 +213,7 @@ class TheoryModel:
         """
         ts = np.asarray(ts)
         t_max = int(np.max(ts))
-        w = weave_values(self.weave, t_max)
+        w = weave_table(self.weave, t_max)
         # row t_max - t holds W(t-i) at column i-1: W(t-1), ..., W(0), +inf, ...
         rev = np.concatenate([w[::-1], np.full(t_max - 1, np.inf)])
         windows = np.lib.stride_tricks.sliding_window_view(rev, t_max)
@@ -284,14 +285,7 @@ def _build_two_layer(cfg: TheoryConfig, weave: WeaveParams | None, label: str) -
     w_o1 = np.zeros((D_MODEL, D_HEAD))
     w_o1[2, 0] = 1.0
     w_o1[2, 1] = -1.0
-    sched, rec = weave_schedule(weave, cfg.t_max)
-    weave_doc = {
-        "t_max": cfg.t_max,
-        "scheme": weave.scheme.value if weave else None,
-        "cap": weave.cap if weave else None,
-        "tread": weave.tread if weave else None,
-    }
-    ff1 = PositionRecoveryFF(decoder=PositionDecoder(sched, rec), weave_doc=weave_doc)
+    ff1 = PositionRecoveryFF(weave, cfg.t_max)
     layer1 = LayerWeights(heads=[HeadWeights(w_q=w_q1, w_k=w_k1, w_v=w_v1, w_o=w_o1)], ff=ff1)
 
     # layer 2: query slot 1 carries +position, key slot 3 carries -position,

@@ -127,17 +127,24 @@ def test_bench_run_times_no_call_under_tracemalloc(monkeypatch):
     from weavepe import evalkit
 
     traced = []
-    real = evalkit.forward
+    real = evalkit._forward
 
     def spy(*args, **kwargs):
         traced.append(tracemalloc.is_tracing())
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(evalkit, "forward", spy)
+    monkeypatch.setattr(evalkit, "_forward", spy)
     rows = bench_run("vanilla", [32], repeats=3)
     # three timed passes, then one untimed pass for the allocation peak
     assert traced == [False, False, False, True]
     assert rows[0]["peak_bytes"] > 0
+
+
+def test_bench_run_vanilla_keeps_no_n_by_n_matrix():
+    # the vanilla pass keeps no head weights, so its peak stays below one n x n float64 matrix
+    n = 1024
+    (row,) = bench_run("vanilla", [n])
+    assert row["peak_bytes"] < n * n * 8
 
 
 def test_templates_contain_no_digits():

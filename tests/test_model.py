@@ -21,7 +21,7 @@ from weavepe.model import (
     zero_ff,
 )
 from weavepe.pe_core import Scheme, WeaveParams, apply_rotary, rotary_table
-from weavepe.theory import TheoryConfig, build_theorem1, build_theorem2
+from weavepe.theory import TheoryConfig, build_corollary, build_theorem1, build_theorem2, build_theorem3
 
 
 def test_embed_prepends_bos():
@@ -305,12 +305,19 @@ def test_weights_round_trip():
 
 
 def test_theory_weights_round_trip():
-    m = build_theorem2(TheoryConfig(window=8, t_max=40))
-    text = save_weights(m.weights)
-    back = load_weights(text)
-    a = forward([1] * 20, m.weights, weave=m.weave).final
-    b = forward([1] * 20, back, weave=m.weave).final
-    assert np.array_equal(a, b)
+    # the un-woven, capped and staircase recovery FFs each rebuild from their saved doc
+    for m in (
+        build_theorem2(TheoryConfig(window=8, t_max=40)),
+        build_theorem3(TheoryConfig(window=8, cap=2, t_max=40)),
+        build_corollary(TheoryConfig(window=8, cap=3, tread=2, t_max=40)),
+    ):
+        text = save_weights(m.weights)
+        back = load_weights(text)
+        assert save_weights(back) == text, m.label
+        assert back.layers[0].ff == m.weights.layers[0].ff, m.label
+        a = forward([1] * 20, m.weights, weave=m.weave).final
+        b = forward([1] * 20, back, weave=m.weave).final
+        assert np.array_equal(a, b), m.label
 
 
 def test_theorem_weights_golden_file():

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weavepe.pe_core import (
+    IDENTITY_SCHEMES,
     Scheme,
     WeaveParams,
     alibi_score,
@@ -22,10 +23,10 @@ from weavepe.pe_core import (
     self_extend_map,
     self_extend_map_ceil,
     stair_selfextend_equivalent,
-    weave_fn,
     weave_leaky,
     weave_rerope,
     weave_stair,
+    weave_table,
 )
 
 
@@ -252,9 +253,30 @@ def test_position_matrix_golden_file():
     assert pm.to_csv() == golden.read_text()
 
 
-def test_weave_fn_rejects_grouped_scheme():
-    with pytest.raises(ValueError):
-        weave_fn(WeaveParams(scheme=Scheme.SELF_EXTEND))
+def test_weave_table_matches_each_weave():
+    n = 200
+    d = np.arange(n)
+    cases = [
+        (WeaveParams(scheme=Scheme.STAIR, cap=16, tread=5), weave_stair(d, 16, 5)),
+        (WeaveParams(scheme=Scheme.REROPE, cap=16), weave_rerope(d, 16)),
+        (WeaveParams(scheme=Scheme.LEAKY_REROPE, cap=16, leak=0.25), weave_leaky(d, 16, 0.25)),
+    ]
+    for params, want in cases:
+        got = weave_table(params, n)
+        assert got.dtype == np.float64
+        assert np.array_equal(got, want), params.scheme
+
+
+@pytest.mark.parametrize("scheme", [None, *sorted(IDENTITY_SCHEMES, key=lambda s: s.value)])
+def test_weave_table_is_the_raw_distance_without_a_weave(scheme):
+    got = weave_table(None if scheme is None else WeaveParams(scheme=scheme, cap=4), 50)
+    assert got.dtype == np.float64
+    assert np.array_equal(got, np.arange(50))
+
+
+def test_weave_table_rejects_grouped_scheme():
+    with pytest.raises(ValueError, match="not a pure function of the distance"):
+        weave_table(WeaveParams(scheme=Scheme.SELF_EXTEND), 10)
 
 
 def test_weave_params_validation():

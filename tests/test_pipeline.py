@@ -370,6 +370,21 @@ def test_decode_rejects_unknown_token():
         decode_step(res.cache, 99, w, TOY)
 
 
+@pytest.mark.parametrize("bad", [16, -1, 99])
+def test_every_entry_point_names_a_bad_token_id(bad):
+    # forward, prefill and decode_step share one token-id rule and one message
+    w = random_model(d=8, n_heads=2, n_layers=2, vocab=16, seed=3)
+    cache = prefill(_tokens(10), w, TOY).cache
+    message = f"^unknown token id {bad}$"
+    with pytest.raises(ValueError, match=message):
+        forward([1, bad, 2], w)
+    with pytest.raises(ValueError, match=message):
+        prefill([1, bad, 2], w, TOY)
+    with pytest.raises(ValueError, match=message):
+        decode_step(cache, bad, w, TOY)
+    assert len(cache) == 11  # the rejected step appended nothing
+
+
 def test_mesa_config_validation():
     with pytest.raises(ValueError):
         MesaConfig(train_len=50, first_len=100)

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from dense_oracle import masked_softmax
 from weavepe import model
 from weavepe.model import layer_norm_cols, random_model
-from weavepe.pe_core import Scheme, WeaveParams, scores_rotary, weave_fn
+from weavepe.pe_core import Scheme, WeaveParams, scores_rotary, weave_table
 from weavepe.pipeline import MesaConfig, decode_step, prefill
 from weavepe.splitter import chunk_spans
 
@@ -52,7 +52,7 @@ def _oracle(weights, seq, cfg, plan):
     every token, and the final-token logits."""
     total = len(seq)
     keys = np.arange(total)
-    weave = weave_fn(cfg.weave)
+    weave = weave_table(cfg.weave, total)
     anchor = total - 1
     spans = chunk_spans(plan)
     layer_in = [np.zeros((weights.d, total)) for _ in weights.layers]
@@ -67,7 +67,7 @@ def _oracle(weights, seq, cfg, plan):
             shift = lo - plan.first_len
             qc, kc = q - shift, np.where(keys < plan.first_len, keys, keys - shift)
         else:
-            qc, kc = anchor - weave(anchor - q), anchor - weave(anchor - keys)
+            qc, kc = anchor - weave[anchor - q], anchor - weave[anchor - keys]
         dist = np.asarray(qc, dtype=np.float64)[:, None] - np.asarray(kc, dtype=np.float64)[None, :]
         h = weights.w_e[:, seq[lo:hi]].astype(np.float64)
         for li, layer in enumerate(weights.layers):
@@ -82,7 +82,7 @@ def _oracle_decode(weights, layer_in, token, cfg):
     layer_in: its logits, and the inputs of every layer with its column added."""
     t = layer_in[0].shape[1]
     keys = np.arange(t + 1)
-    dist = np.asarray(weave_fn(cfg.weave)(t - keys), dtype=np.float64)[None, :]
+    dist = weave_table(cfg.weave, t + 1)[t - keys][None, :]
     h = weights.w_e[:, [token]].astype(np.float64)
     grown = []
     for li, layer in enumerate(weights.layers):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from weavepe.model import forward
-from weavepe.pe_core import Scheme, WeaveParams
+from weavepe.pe_core import Scheme, WeaveParams, weave_table
 from weavepe.theory import (
     MAX_SCAN,
     PositionDecoder,
@@ -25,7 +25,6 @@ from weavepe.theory import (
     scan_cap,
     threshold_scan,
     weave_schedule,
-    weave_values,
 )
 
 GOLDENS = Path(__file__).parent / "goldens"
@@ -259,7 +258,7 @@ def test_oracle_equivalence_across_models():
 def _alpha1_loop(model, ts):
     """The closed form one t at a time: the reference the row blocks must match."""
     t_max = int(np.max(ts))
-    w = weave_values(model.weave, t_max)
+    w = weave_table(model.weave, t_max)
     out = np.empty(len(ts), dtype=np.float64)
     for j, t in enumerate(ts):
         i = np.arange(1, t + 1)
