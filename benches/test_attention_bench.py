@@ -1,6 +1,6 @@
 """Micro-benchmarks of the tiled attention, one layer of the last chunk, the
-in-window prefill and the decode path at the reference config's sizes, and
-of one 700-position threshold scan and its closed form.
+middle chunks, the in-window prefill and the decode path at the reference
+config's sizes, and of one 700-position threshold scan and its closed form.
 
 Not part of the test suite (pytest's testpaths is tests/); run with
 
@@ -13,9 +13,10 @@ queries over 16,385 keys.
 
 import numpy as np
 
-from weavepe.model import KVCache, _attend, _positions, _run_layers, random_model
+from weavepe.model import KVCache, _attend, _pool_map, _positions, _run_layers, random_model
 from weavepe.pe_core import Scheme, WeaveParams, rotary_table, weave_stair
 from weavepe.pipeline import MesaConfig, decode_distances, decode_step, prefill
+from weavepe.splitter import chunk_spans, dynamic_split
 from weavepe.theory import MAX_SCAN, TheoryConfig, build_corollary, threshold_scan
 
 HEAD_DIM = 16
@@ -45,12 +46,44 @@ def test_last_chunk_layer(benchmark):
 
     def fresh_cache():
         cache = KVCache(1, 4, capacity=KEYS)
-        cache.write(0, np.stack(ctx), np.stack(ctx))
+        cache.write(0, 0, np.stack(ctx), np.stack(ctx))
         cache.append(CTX)
-        return (h, weights, cache, CTX, pos), {}
+        return (h, weights, cache, CTX, CTX, pos), {}
 
     out = benchmark.pedantic(_run_layers, setup=fresh_cache, rounds=5)
     assert out.shape == (64, LAST_ROWS) and np.isfinite(out).all()
+
+
+def test_middle_stage_16k(benchmark):
+    # REF's 17 middle chunks of 924 queries, each over the first chunk's 100
+    # keys and its own, at the same time on the pool as prefill runs them;
+    # each round over a fresh prompt-sized cache holding the first chunk.
+    # The inputs are embedded tokens, not unit normals: scores that large
+    # push the softmax into subnormals, which run several times slower.
+    weights = random_model(d=64, n_heads=4, n_layers=4, vocab=256, seed=0)
+    plan = dynamic_split(KEYS, 1024, 100, 512, 200)
+    spans = chunk_spans(plan)
+    middles, ctx = spans[1:-1], plan.first_len
+    h = weights.w_e[:, np.random.default_rng(4).integers(1, 256, size=KEYS)]
+
+    def fresh_cache():
+        cache = KVCache(4, 4, capacity=KEYS)
+        _run_layers(h[:, :ctx], weights, cache, 0, 0, _positions(weights, np.arange(ctx, dtype=np.float64), ctx))
+        cache.append(ctx)
+        return (cache,), {}
+
+    def middle_stage(cache):
+        def run(span):
+            lo, hi = span
+            pos = _positions(weights, np.arange(ctx + hi - lo, dtype=np.float64), hi - lo)
+            return _run_layers(h[:, lo:hi], weights, cache, lo, ctx, pos)
+
+        for (lo, hi), _ in zip(middles, _pool_map(run, middles)):
+            cache.append(hi - lo)
+        return cache
+
+    cache = benchmark.pedantic(middle_stage, setup=fresh_cache, rounds=5)
+    assert len(middles) == 17 and len(cache) == middles[-1][1]
 
 
 def _ref_blocks(n):
@@ -61,7 +94,7 @@ def _ref_blocks(n):
 def _fill(cache, blocks):
     """Write blocks ([layer][head] -> h x n) as every head's keys and values, then commit them."""
     for layer, heads in enumerate(blocks):
-        cache.write(layer, np.stack(heads), np.stack(heads))
+        cache.write(layer, len(cache), np.stack(heads), np.stack(heads))
     cache.append(blocks[0][0].shape[1])
 
 

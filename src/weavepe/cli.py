@@ -241,7 +241,7 @@ def cmd_bench(args) -> int:
     for r in rows:
         print(
             f"{r['method']:8s} n={r['n']:7d} prefill {r['prefill_seconds']:8.4f}s "
-            f"decode {r['decode_seconds']:8.4f}s cells {r['cells']}"
+            f"decode {r['decode_seconds']:8.4f}s peak {r['peak_bytes']} B cells {r['cells']}"
         )
     return 0
 

@@ -224,8 +224,10 @@ def bench_run(
 
 
 def bench_table_csv(rows: list[dict]) -> str:
-    """The deterministic columns of bench_run rows; timings stay out of files."""
-    cols = ["method", "n", "peak_bytes", "cells"]
+    """The deterministic columns of bench_run rows.  Timings and the
+    allocation peak stay out of files: the peak depends on how the pool's
+    threads overlap their tiles, so it varies between identical runs."""
+    cols = ["method", "n", "cells"]
     lines = [",".join(cols)]
     for r in rows:
         lines.append(",".join(str(r[c]) for c in cols))

@@ -22,9 +22,12 @@ Every array of _attend may carry a leading heads axis.  A step with one
 query (every decode step) attends with all of a layer's heads in one call
 on the calling thread, so its per-head numpy calls become one batched call
 each; threads made such a step no faster.  More queries attend one head per
-call, on min(usable CPUs, heads) threads: numpy releases the GIL in the
-elementwise passes and matmuls that dominate a tile, so each thread holds
-one tile.  The calling thread projects and writes every head's keys and
+call, on min(usable CPUs, heads) pool threads: numpy releases the GIL in
+the elementwise passes and matmuls that dominate a tile, so each thread
+holds one tile.  A call already on a pool thread (a prefill's middle
+chunk, the chunks running at once) attends with all heads in one call on
+that thread instead, and never submits to the pool, which would deadlock.
+The thread that runs a layer projects and writes every head's keys and
 values and sums the heads' outputs in head order, so the result is
 bit-identical to running the heads one after another, which a one-head
 model and a one-CPU host still do.
@@ -35,8 +38,9 @@ from __future__ import annotations
 import functools
 import json
 import os
+import threading
 from dataclasses import dataclass
-from typing import Callable, Protocol
+from typing import Callable, Iterator, Protocol
 
 import numpy as np
 
@@ -328,12 +332,32 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+#: name prefix of the pool's threads
+_POOL_THREADS = "weavepe-pool"
+
+
 @functools.cache
-def _head_pool(workers: int):
-    """The threads that run one layer's heads (_run_layers), made on first use."""
+def _pool(workers: int):
+    """The threads that run one layer's heads or a prefill's middle chunks, made on first use."""
     from concurrent.futures import ThreadPoolExecutor  # imported here: one-head models never pay for it
 
-    return ThreadPoolExecutor(workers, thread_name_prefix="weavepe-heads")
+    return ThreadPoolExecutor(workers, thread_name_prefix=_POOL_THREADS)
+
+
+def _on_pool() -> bool:
+    """Whether the calling thread is one of the pool's."""
+    return threading.current_thread().name.startswith(_POOL_THREADS)
+
+
+def _pool_map(fn: Callable, items) -> Iterator:
+    """fn of each item, yielded in order: on min(usable CPUs, len(items))
+    pool threads when that is two or more, else on the calling thread, and
+    always there when that is a pool thread: a task waiting on tasks queued
+    behind it on the same workers would wait for ever."""
+    workers = min(_usable_cpus(), len(items))
+    if workers < 2 or _on_pool():
+        return map(fn, items)
+    return _pool(workers).map(fn, items)
 
 
 def _project(heads: list[HeadWeights], names: tuple[str, ...], h: np.ndarray) -> np.ndarray:
@@ -348,52 +372,53 @@ def _run_layers(
     h: np.ndarray,
     weights: ModelWeights,
     cache: KVCache,
+    lo: int,
     ctx_len: int,
     pos,
     mask: AttentionMask | None = None,
     trace: ForwardTrace | None = None,
 ) -> np.ndarray:
-    """Run the columns of h through every layer; appends their raw K/V.
+    """Run the columns of h, tokens lo..lo+m-1, through every layer; writes
+    their raw K/V into cache slots lo..lo+m-1, which the caller commits
+    (KVCache.append).
 
     Each layer first projects every head's new keys and values at once
-    (_project) and writes them into the cache slots past len(cache).  The
-    queries see the first ctx_len cached keys, then their own keys
-    causally: a plain slice of the cache when ctx_len is len(cache) (the
-    first and last chunk, a decode step, forward), else (a middle chunk)
-    those ctx_len columns joined to the new ones.  pos is the _positions of
-    exactly those keys.  forward passes its mask, applied per tile, and a
-    trace that receives each layer's input and attention output, and its
-    head weights if its alphas is a list (None asks for none).  Returns the
-    final hidden state.
+    (_project) and writes them into those slots.  The queries see the first
+    ctx_len cached keys, then their own keys causally: a plain slice of the
+    cache when ctx_len is lo (the first and last chunk, a decode step,
+    forward), else (a middle chunk) those ctx_len columns joined to the new
+    ones.  pos is the _positions of exactly those keys.  forward passes its
+    mask, applied per tile, and a trace that receives each layer's input and
+    attention output, and its head weights if its alphas is a list (None
+    asks for none).  Returns the final hidden state.
 
-    One query (every decode step) attends with all of a layer's heads in
-    one _attend call, on the calling thread.  More queries attend one head
-    per call, on min(usable CPUs, heads) threads, each holding one tile.
-    The cache writes (and any growth) and the key and value views happen
-    here, on the calling thread, and the heads' h x m outputs are projected
-    and summed here in head order, so the pool changes no bit.
+    One query (every decode step), or a call on a pool thread (a middle
+    chunk), attends with all of a layer's heads in one _attend call, on its
+    own thread.  More queries attend one head per call, on min(usable CPUs,
+    heads) pool threads, each holding one tile.  The cache writes and the
+    key and value views happen on the thread that called this, and the
+    heads' h x m outputs are projected and summed there in head order, so
+    the pool changes no bit.
     """
-    n, m = len(cache), h.shape[1]
+    m = h.shape[1]
     n_heads = len(weights.layers[0].heads)
     slopes = np.array([weights.slope_for_head(mi) for mi in range(n_heads)])[:, None, None]
-    groups = [slice(None)] if m == 1 else [slice(mi, mi + 1) for mi in range(n_heads)]
-    workers = min(_usable_cpus(), len(groups))
+    groups = [slice(None)] if m == 1 or _on_pool() else [slice(mi, mi + 1) for mi in range(n_heads)]
     keep_alphas = trace is not None and trace.alphas is not None
     for li, layer in enumerate(weights.layers):
-        k, v = cache.write(li, *_project(layer.heads, ("w_k", "w_v"), h))
-        if ctx_len < n:
-            k = np.concatenate([k[..., :ctx_len], k[..., n:]], axis=-1)
-            v = np.concatenate([v[..., :ctx_len], v[..., n:]], axis=-1)
+        k, v = cache.write(li, lo, *_project(layer.heads, ("w_k", "w_v"), h))
+        if ctx_len < lo:
+            k = np.concatenate([k[..., :ctx_len], k[..., lo:]], axis=-1)
+            v = np.concatenate([v[..., :ctx_len], v[..., lo:]], axis=-1)
 
         def attend(heads: slice) -> tuple[np.ndarray, np.ndarray | None]:
             alpha = np.zeros((len(layer.heads[heads]), m, k.shape[-1])) if keep_alphas else None
             q = _project(layer.heads[heads], ("w_q",), h)[0]
             return _attend(q, k[heads], v[heads], ctx_len, slopes[heads], pos, mask, alpha), alpha
 
-        outs = map(attend, groups) if workers < 2 else _head_pool(workers).map(attend, groups)
         a = np.zeros_like(h)
         alphas = []
-        for heads, (out, alpha) in zip(groups, outs):  # summed in head order, as the serial loop sums
+        for heads, (out, alpha) in zip(groups, _pool_map(attend, groups)):  # summed in head order
             for head, head_out in zip(layer.heads[heads], out):
                 a += head.w_o @ head_out
             if keep_alphas:
@@ -407,7 +432,6 @@ def _run_layers(
         # while the next layer's heads hold their tiles
         h = a + h
         h = layer.ff(layer_norm_cols(h) if layer.layer_norm == "standard" else h) + h
-    cache.append(m)
     return h
 
 
@@ -441,7 +465,7 @@ def _forward(
         raise ValueError(f"mask length {mask.n} does not match sequence length {n}")
     trace = ForwardTrace(hidden=[], attn=[], alphas=alphas)
     cache = KVCache(len(weights.layers), len(weights.layers[0].heads), capacity=n)
-    h = _run_layers(h, weights, cache, 0, _positions(weights, np.arange(n, dtype=np.float64), n, weave), mask, trace)
+    h = _run_layers(h, weights, cache, 0, 0, _positions(weights, np.arange(n, dtype=np.float64), n, weave), mask, trace)
     trace.hidden.append(h)
     return trace
 
@@ -454,12 +478,14 @@ class KVCache:
     order and a span of positions is a span of slots.  view returns slices
     of this storage, never copies.
 
-    A step writes each head's new keys and values into the slots past
-    len(cache) (write), attends over them in place, and append then commits
-    them.  Capacity starts at the constructor's (prefill passes the prompt
-    length); a write that runs past it grows that layer's arrays to the
-    larger of the need and capacity + 1/8 — never by doubling, so growing a
-    full cache allocates at most one layer's K or V again at a time.
+    A step writes each head's new keys and values into its own tokens'
+    slots (write), attends over them in place, and append then commits
+    them, in token order; prefill's middle chunks write theirs past slots
+    other chunks are still writing.  Capacity starts at the constructor's
+    (prefill passes the prompt length); a write at len(cache) that runs
+    past it grows that layer's arrays to the larger of the need and
+    capacity + 1/8 — never by doubling, so growing a full cache allocates
+    at most one layer's K or V again at a time.
     """
 
     def __init__(self, n_layers: int, n_heads: int, capacity: int = 0):
@@ -495,16 +521,20 @@ class KVCache:
                 self._capacity = max(self._capacity, grown)
         return self._k[layer], self._v[layer]
 
-    def write(self, layer: int, k: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Store one layer's keys and values (heads x h x m) in the m slots
-        past len(self); append then commits them.  Returns the layer's keys
-        and values over every filled slot and the new ones: heads x h x
-        (len + m) views of the storage."""
-        n, m = self._len, k.shape[-1]
-        ks, vs = self._layer_storage(layer, k.shape[-2], n + m)
-        ks[:, :, n : n + m] = k
-        vs[:, :, n : n + m] = v
-        return ks[:, :, : n + m], vs[:, :, : n + m]
+    def write(self, layer: int, lo: int, k: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Store one layer's keys and values (heads x h x m) in slots
+        lo..lo+m-1; append then commits them.  Returns the layer's keys and
+        values over slots 0..lo+m-1: heads x h x (lo + m) views of the
+        storage.  Only a write at len(self) may grow the storage: growth
+        keeps the filled slots alone, and the slots past them may be in
+        use by other threads."""
+        m, size = k.shape[-1], 0 if self._k[layer] is None else self._k[layer].shape[2]
+        if lo > self._len and size < lo + m:
+            raise ValueError(f"slots {lo}..{lo + m - 1} lie past the filled {self._len} and the storage")
+        ks, vs = self._layer_storage(layer, k.shape[-2], lo + m)
+        ks[:, :, lo : lo + m] = k
+        vs[:, :, lo : lo + m] = v
+        return ks[:, :, : lo + m], vs[:, :, : lo + m]
 
     def append(self, m: int) -> None:
         """Commit the m slots past len(self); every layer's keys and values

@@ -21,16 +21,20 @@ itself by each key's distance instead (model._Woven), so no key is rotated
 and no per-key trigonometry runs; no per-cell trigonometry runs at all.
 
 Cache slot i holds token i.  Each chunk or step writes its raw keys and
-values into the preallocated slots past the filled ones before attending,
-so the last chunk and a decode step attend over a plain slice of the cache;
-a middle chunk joins only the first chunk's columns to its own.  The layers
+values into its own tokens' preallocated slots before attending, so the
+last chunk and a decode step attend over a plain slice of the cache; a
+middle chunk joins only the first chunk's columns to its own.  The layers
 and the row-tiled attention are model's (_run_layers, _attend), shared with
 model.forward; a chunk's cell count and largest distance are computed in
-closed form from its coordinates.  A chunk's heads run on a small thread
-pool (model._run_layers), since the time goes to the elementwise passes
-over the scores, which release the GIL; a decode step attends with all of a
-layer's heads in one stacked call instead.  Middle chunks are independent
-given the first chunk's keys and values but still run one after another.
+closed form from its coordinates.  The single, first and last chunk run
+their heads on a small thread pool (model._run_layers), since the time
+goes to the elementwise passes over the scores, which release the GIL.
+The middle chunks need only the first chunk's keys and values, so they run
+at the same time on that pool, one chunk per task, each attending with all
+its heads in one stacked call, as a decode step does; their small tiles,
+split one head per thread, would hand the GIL back and forth every few
+tens of microseconds.  Each chunk is committed (KVCache.append) on the
+calling thread, in chunk order.
 """
 
 from __future__ import annotations
@@ -44,6 +48,7 @@ from weavepe.model import (
     BOS_ID,
     KVCache,
     ModelWeights,
+    _pool_map,
     _positions,
     _run_layers,
     forward,  # noqa: F401  kept importable here: perfbench/layertrace.py wraps this name
@@ -177,7 +182,10 @@ def prefill(tokens, weights: ModelWeights, config: MesaConfig) -> PrefillResult:
     report = RunReport(plan=plan, fallback=fallback)
     anchor = total - 1
 
-    for ci, (lo, hi) in enumerate(spans):
+    def run(ci: int) -> tuple[np.ndarray, ChunkTrace]:
+        """Chunk ci through the layers, its keys and values written to its
+        own slots; returns its last column's final hidden state."""
+        lo, hi = spans[ci]
         m = hi - lo
         # the chunk's keys are tokens 0..ctx_len-1 then its own m tokens
         if ci == 0:
@@ -191,20 +199,29 @@ def prefill(tokens, weights: ModelWeights, config: MesaConfig) -> PrefillResult:
             kind, ctx_len = "last", lo
             coords = anchor - decode_distances(anchor, config)
         h = weights.w_e[:, seq_ids[lo:hi]].astype(np.float64)
-        h = _run_layers(h, weights, cache, ctx_len, _positions(weights, coords, m))
-        # coordinates never decrease with the key index under every weave here, so
-        # the largest distance scored is the last query's to the first key
-        report.chunks.append(
-            ChunkTrace(
-                kind=kind,
-                q_span=(lo, hi),
-                ctx_len=ctx_len,
-                cells=m * ctx_len + m * (m + 1) // 2,
-                max_pe_distance=float(coords[-1] - coords[0]),
-            )
+        h = _run_layers(h, weights, cache, lo, ctx_len, _positions(weights, coords, m))
+        trace = ChunkTrace(
+            kind=kind,
+            q_span=(lo, hi),
+            ctx_len=ctx_len,
+            cells=m * ctx_len + m * (m + 1) // 2,
+            # coordinates never decrease with the key index under every weave here, so
+            # the largest distance scored is the last query's to the first key
+            max_pe_distance=float(coords[-1] - coords[0]),
         )
+        # a copy, so that a middle chunk's hidden state does not stay alive through the last chunk
+        return h[:, -1].copy(), trace
 
-    logits = weights.w_e.T @ h[:, -1]
+    # the first (or single) chunk, then the middle chunks, at once on the pool,
+    # then the last chunk, which needs them all; the first sizes every layer's
+    # storage to the prompt, so the middle chunks write into it without growing it
+    last = max(len(spans) - 1, 1)
+    for stage in (range(1), range(1, last), range(last, len(spans))):
+        for final, trace in _pool_map(run, stage):
+            cache.append(trace.q_span[1] - trace.q_span[0])
+            report.chunks.append(trace)
+
+    logits = weights.w_e.T @ final
     report.prefill_seconds = time.perf_counter() - t0
     return PrefillResult(logits=logits, cache=cache, report=report)
 
@@ -216,7 +233,8 @@ def decode_step(
     query anchored at itself and every cached raw key at its woven distance."""
     t = len(cache)
     h = weights.w_e[:, token_ids([next_token], weights)].astype(np.float64)
-    h = _run_layers(h, weights, cache, t, _positions(weights, t - decode_distances(t, config), 1))
+    h = _run_layers(h, weights, cache, t, t, _positions(weights, t - decode_distances(t, config), 1))
+    cache.append(1)
     logits = weights.w_e.T @ h[:, -1]
     return logits, cache
 

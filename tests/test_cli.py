@@ -194,8 +194,19 @@ def test_bench_writes_table(tmp_path, capsys):
     capsys.readouterr()
     table = (out / "bench.csv").read_text().splitlines()
     assert len(table) == 3
-    # timings go to stdout only; the file holds the deterministic columns
-    assert table[0] == "method,n,peak_bytes,cells"
+    # timings and allocation peaks go to stdout only; the file holds the deterministic columns
+    assert table[0] == "method,n,cells"
+
+
+def test_bench_files_are_byte_identical_under_one_seed(tmp_path, capsys):
+    # the mesa rows run middle chunks and heads on the pool, whose allocation
+    # peak varies between runs; the file must not
+    outs = [tmp_path / "a", tmp_path / "b"]
+    for out in outs:
+        args = ["bench", "--methods", "vanilla,mesa", "--n-list", "256,1024", "--seed", 7, "--out", out]
+        assert run_cli(args) == 0
+    assert "peak" in capsys.readouterr().out
+    assert (outs[0] / "bench.csv").read_bytes() == (outs[1] / "bench.csv").read_bytes()
 
 
 def test_env_override_applies(tmp_path, capsys, monkeypatch):

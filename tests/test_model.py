@@ -187,9 +187,9 @@ def test_mask_argument_restricts_attention():
 
 def _commit(cache, k_blocks, v_blocks):
     """Write each layer and head's keys and values ([layer][head] -> h x m)
-    past len(cache), then commit their m slots."""
+    into the slots from len(cache) on, then commit their m slots."""
     for layer, (ks, vs) in enumerate(zip(k_blocks, v_blocks)):
-        cache.write(layer, np.stack(ks), np.stack(vs))
+        cache.write(layer, len(cache), np.stack(ks), np.stack(vs))
     cache.append(k_blocks[0][0].shape[1])
 
 
@@ -280,12 +280,28 @@ def test_kv_cache_growth_keeps_earlier_columns():
 
 def test_kv_cache_append_needs_written_slots():
     cache = KVCache(n_layers=2, n_heads=1)
-    cache.write(0, np.ones((1, 3, 2)), np.ones((1, 3, 2)))
+    cache.write(0, 0, np.ones((1, 3, 2)), np.ones((1, 3, 2)))
     with pytest.raises(ValueError):
         cache.append(2)
-    cache.write(1, np.ones((1, 3, 2)), np.ones((1, 3, 2)))
+    cache.write(1, 0, np.ones((1, 3, 2)), np.ones((1, 3, 2)))
     cache.append(2)
     assert len(cache) == 2
+
+
+def test_kv_cache_write_past_filled_slots_never_grows():
+    # a write past the filled slots (a middle chunk's, on a pool thread) must
+    # fit the storage: growth keeps only the filled slots, and others may be in use
+    cache = KVCache(n_layers=1, n_heads=1, capacity=6)
+    cache.write(0, 0, np.ones((1, 3, 2)), np.ones((1, 3, 2)))
+    cache.append(2)
+    k, _ = cache.write(0, 4, np.full((1, 3, 2), 4.0), np.full((1, 3, 2), 4.0))
+    assert k.shape == (1, 3, 6) and np.all(k[..., 4:] == 4.0)
+    with pytest.raises(ValueError, match="past the filled 2"):
+        cache.write(0, 5, np.ones((1, 3, 2)), np.ones((1, 3, 2)))
+    cache.write(0, 2, np.full((1, 3, 2), 2.0), np.full((1, 3, 2), 2.0))
+    cache.append(4)
+    assert len(cache) == 6 and cache.capacity == 6
+    assert np.array_equal(cache.view(0, 0)[0][0], [1, 1, 2, 2, 4, 4])
 
 
 def test_kv_cache_empty_views():

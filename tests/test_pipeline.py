@@ -291,30 +291,121 @@ def test_head_pool_changes_no_bit(monkeypatch):
 
 def test_decode_step_attends_all_heads_in_one_call(monkeypatch):
     # a step with one query calls _attend once per layer, every head on the
-    # leading axis; a chunk of several queries still calls it once per head
+    # leading axis, on the calling thread; so does each middle chunk, on its
+    # pool thread, while the first and last chunk call it once per head there
     from collections import Counter
 
     from weavepe import model
 
+    monkeypatch.setattr(model, "_usable_cpus", lambda: 2)  # middle chunks on the pool even on a one-CPU host
     w = random_model(d=16, n_heads=4, n_layers=3, vocab=16, seed=3)
     res = prefill(_tokens(150), w, TOY)
     calls, attend = [], model._attend
 
     def spy(q, k, v, *args):
-        calls.append((q.shape, k.shape, v.shape))
+        calls.append((q.shape, k.shape, v.shape, model._on_pool()))
         return attend(q, k, v, *args)
 
     monkeypatch.setattr(model, "_attend", spy)
     t = len(res.cache)
     decode_step(res.cache, 3, w, TOY)
-    assert calls == [((4, 4, 1), (4, 4, t + 1), (4, 4, t + 1))] * 3
+    assert calls == [((4, 4, 1), (4, 4, t + 1), (4, 4, t + 1), False)] * 3
     calls.clear()
     pre = prefill(_tokens(150), w, TOY)
     want = Counter()
     for c in pre.report.chunks:
-        m = c.q_span[1] - c.q_span[0]
-        want[((1, 4, m), (1, 4, c.ctx_len + m), (1, 4, c.ctx_len + m))] += 3 * 4
+        m, keys, middle = c.q_span[1] - c.q_span[0], c.ctx_len + c.q_span[1] - c.q_span[0], c.kind == "middle"
+        heads = 4 if middle else 1
+        want[((heads, 4, m), (heads, 4, keys), (heads, 4, keys), True)] += 3 * (4 // heads)
+    assert sum(c.kind == "middle" for c in pre.report.chunks) == 3
     assert Counter(calls) == want
+
+
+def _chunked_run(monkeypatch, cpus, n, family, pool_calls=None):
+    """Prefill of n - 1 tokens (n with <bos>) and 4 decode steps of a 4-head
+    model of family with cpus usable CPUs, in a daemon thread so that a
+    deadlock fails the test instead of hanging it: the report's doc, the 5
+    logits, and every layer and head's cached keys and values.  pool_calls,
+    if given, receives the name of each thread that asked for the pool."""
+    from weavepe import model
+
+    monkeypatch.setattr(model, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(model, "TILE_ROWS", 16)  # several tiles per middle chunk
+    if pool_calls is not None:
+        pool = model._pool
+
+        def spy(workers):
+            pool_calls.append(threading.current_thread().name)
+            return pool(workers)
+
+        monkeypatch.setattr(model, "_pool", spy)
+    w = random_model(d=16, n_heads=4, n_layers=2, vocab=16, seed=5, pe_family=family)
+    done = []
+
+    def run():
+        res = prefill(_tokens(n - 1), w, TOY)
+        logits, cache = [res.logits], res.cache
+        for _ in range(4):
+            step, cache = decode_step(cache, int(np.argmax(logits[-1])), w, TOY)
+            logits.append(step)
+        done.append((res.report, logits, cache))
+
+    worker = threading.Thread(target=run, daemon=True)
+    worker.start()
+    worker.join(timeout=60)
+    monkeypatch.undo()
+    assert not worker.is_alive(), "prefill never finished: a pool task waiting on the pool deadlocks"
+    report, logits, cache = done[0]
+    return report.to_doc(), logits, [kv for li in range(2) for mi in range(4) for kv in cache.view(li, mi)]
+
+
+@pytest.mark.parametrize("family", ["dot", "additive", "rotary"])
+@pytest.mark.parametrize("n, middles", [(81, 1), (100, 2), (300, 5)])
+def test_middle_chunks_on_the_pool_change_no_bit(monkeypatch, family, n, middles):
+    pool_calls = []
+    doc, logits, kv = _chunked_run(monkeypatch, 2, n, family, pool_calls)
+    assert sum(c["kind"] == "middle" for c in doc["chunks"]) == middles
+    # nothing on a pool thread asked for the pool: a nested map would deadlock
+    assert pool_calls and not any(name.startswith("weavepe-pool") for name in pool_calls)
+    serial = _chunked_run(monkeypatch, 1, n, family)
+    assert doc == serial[0]
+    assert len(logits) == len(serial[1]) == 5 and len(kv) == len(serial[2]) == 16
+    assert all(np.array_equal(a, b) for a, b in zip(logits + kv, serial[1] + serial[2]))
+
+
+def test_middle_chunks_change_no_bit_under_fast_thread_switches(monkeypatch):
+    # more workers than this host has CPUs, switching threads every 10 us, so
+    # the chunks' writes into the shared storage interleave as finely as they can
+    import sys
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        pooled = _chunked_run(monkeypatch, 4, 400, "rotary")
+    finally:
+        sys.setswitchinterval(interval)
+    serial = _chunked_run(monkeypatch, 1, 400, "rotary")
+    assert pooled[0] == serial[0]
+    assert all(np.array_equal(a, b) for a, b in zip(pooled[1] + pooled[2], serial[1] + serial[2]))
+
+
+def test_prefill_commits_each_chunk_once_in_order(monkeypatch):
+    # one KVCache.append per chunk, on the calling thread, in chunk order
+    from weavepe import model
+
+    monkeypatch.setattr(model, "_usable_cpus", lambda: 2)
+    appends, append = [], model.KVCache.append
+
+    def spy(cache, m):
+        appends.append((len(cache), m, threading.get_ident()))
+        return append(cache, m)
+
+    monkeypatch.setattr(model.KVCache, "append", spy)
+    w = random_model(d=16, n_heads=4, n_layers=2, vocab=16, seed=3)
+    res = prefill(_tokens(299), w, TOY)
+    spans = [c.q_span for c in res.report.chunks]
+    assert [c.kind for c in res.report.chunks].count("middle") == 5
+    assert appends == [(lo, hi - lo, threading.get_ident()) for lo, hi in spans]
 
 
 def test_generate_deterministic_and_stops():
