@@ -1,6 +1,7 @@
 """Micro-benchmarks of the tiled attention, one layer of the last chunk, the
 middle chunks, the in-window prefill and the decode path at the reference
-config's sizes, and of one 700-position threshold scan and its closed form.
+config's sizes, and of one 700-position threshold scan, its closed form and
+its forward pass apart.
 
 Not part of the test suite (pytest's testpaths is tests/); run with
 
@@ -13,7 +14,7 @@ queries over 16,385 keys.
 
 import numpy as np
 
-from weavepe.model import KVCache, _attend, _pool_map, _positions, _run_layers, random_model
+from weavepe.model import KVCache, _attend, _forward, _pool_map, _positions, _run_layers, random_model
 from weavepe.pe_core import Scheme, WeaveParams, rotary_table, weave_stair
 from weavepe.pipeline import MesaConfig, decode_distances, decode_step, prefill
 from weavepe.splitter import chunk_spans, dynamic_split
@@ -161,6 +162,13 @@ def test_alpha1_700(benchmark):
     ts = np.arange(1, MAX_SCAN + 1)
     alpha1 = benchmark(model.alpha1, ts)
     assert np.all(alpha1[32:] > 1.0 / ts[32:])
+
+
+def test_woven_forward_700(benchmark):
+    # the scan's forward pass alone: its staircase tiles read from one weave table
+    model = _corollary_700()
+    trace = benchmark(_forward, [1] * (MAX_SCAN - 1), model.weights, model.weave, None, alphas=None)
+    assert trace.final.shape == (3, MAX_SCAN) and trace.alphas is None
 
 
 def test_threshold_scan_700(benchmark):

@@ -47,6 +47,7 @@ import numpy as np
 from weavepe.masks import AttentionMask
 from weavepe.pe_core import (
     IDENTITY_SCHEMES,
+    Scheme,
     WeaveParams,
     alibi_slopes,
     apply_rotary,
@@ -54,6 +55,8 @@ from weavepe.pe_core import (
     rotary_table,
     scores_additive,
     scores_rotary,
+    toeplitz_tiles,
+    weave_table,
     woven_distances,
 )
 
@@ -221,8 +224,8 @@ class _Woven:
 
 @dataclass(frozen=True)
 class _Distances:
-    """Positional input scored per tile from each pair's distance: additive coordinate
-    differences, or forward's woven distances under a capped, leaky, stair or grouped weave."""
+    """Positional input scored per tile from each pair's distance: forward's
+    distances, or the pipeline's additive coordinate differences."""
 
     tile: Callable[[int, int], np.ndarray]  # (lo, hi): keys lo..hi-1 against keys 0..hi-1
     theta_base: float | None  # the rotary family's; None for the additive family
@@ -237,24 +240,34 @@ class _Distances:
         return scores_rotary(qt, kt, dist, self.theta_base)
 
 
-def _positions(weights: ModelWeights, coords: np.ndarray, m: int, weave: WeaveParams | None = None):
+def _positions(weights: ModelWeights, coords: np.ndarray | None, m: int, weave: WeaveParams | None = None):
     """Positional input of _attend for m queries over keys at coords; the one
     place that picks a positional form.
 
     Built once per chunk, forward or decode step and shared by every layer
     and head; the queries are the last m keys, so they take the tail of
-    coords.  The dot family gets None; forward under a non-identity weave
-    _Distances of its keys' woven distances; the additive family _Distances
-    of coordinate differences; the rotary family one rotary table over
-    coords, but one query (a decode step, or a one-token chunk) a _Woven,
-    which rotates the query by each key's distance coords[-1] - coords.
+    coords.  forward passes no coords: its m keys sit at 0..m-1, and each
+    pair's distance is its weave's (the raw t - i without one).  The dot
+    family gets None.  forward's additive family, and any family under a
+    distance weave, gets _Distances whose tiles are windows onto that
+    weave's one weave_table (toeplitz_tiles); the grouped remap, which is
+    not a function of t - i, gets _Distances of woven_distances per tile.
+    The pipeline's additive chunks get _Distances of coordinate
+    differences, since the last chunk's anchored coordinates are not
+    evenly spaced.  The rotary family gets one rotary table over coords,
+    but one query (a decode step, or a one-token chunk) a _Woven, which
+    rotates the query by each key's distance coords[-1] - coords.
     """
     fam = weights.pe_family
     if fam == "dot":
         return None
     base = weights.theta_base if fam == "rotary" else None
-    if weave is not None and weave.scheme not in IDENTITY_SCHEMES:
-        return _Distances(lambda lo, hi: woven_distances(weave, np.arange(lo, hi), np.arange(hi)), base)
+    if coords is None:
+        if weave is not None and weave.scheme is Scheme.SELF_EXTEND:
+            return _Distances(lambda lo, hi: woven_distances(weave, np.arange(lo, hi), np.arange(hi)), base)
+        if fam == "additive" or (weave is not None and weave.scheme not in IDENTITY_SCHEMES):
+            return _Distances(toeplitz_tiles(weave_table(weave, m)), base)
+        coords = np.arange(m, dtype=np.float64)
     if fam == "additive":
         return _Distances(lambda lo, hi: coords[lo:hi, None] - coords[None, :hi], None)
     if m > 1:
@@ -444,9 +457,12 @@ def forward(
     """Full forward pass, every layer's states kept; deterministic in all arguments.
 
     The whole input runs through _run_layers as one chunk with no context
-    at the coordinates 0..n-1, so forward and every prefill chunk share one
-    attention kernel.  Any weave but an identity one (or None) gives each
-    tile the woven distances of its pairs instead (_positions), and a mask
+    at the positions 0..n-1, so forward and every prefill chunk share one
+    attention kernel.  Without a weave or under a distance weave, a pair's
+    distance depends on t - i alone, so the additive family, and any family
+    under a distance weave, reads each tile's distances as a window onto
+    one reversed weave table built once per call; the grouped remap, a
+    function of the pair, is rebuilt per tile (_positions).  A mask
     sets -inf on each tile's cells outside it; no n x n distance or mask
     matrix is built.
     """
@@ -465,7 +481,7 @@ def _forward(
         raise ValueError(f"mask length {mask.n} does not match sequence length {n}")
     trace = ForwardTrace(hidden=[], attn=[], alphas=alphas)
     cache = KVCache(len(weights.layers), len(weights.layers[0].heads), capacity=n)
-    h = _run_layers(h, weights, cache, 0, 0, _positions(weights, np.arange(n, dtype=np.float64), n, weave), mask, trace)
+    h = _run_layers(h, weights, cache, 0, 0, _positions(weights, None, n, weave), mask, trace)
     trace.hidden.append(h)
     return trace
 

@@ -13,8 +13,10 @@ from __future__ import annotations
 import enum
 import json
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 
 class Scheme(enum.Enum):
@@ -288,6 +290,19 @@ def weave_table(params: WeaveParams | None, n: int) -> np.ndarray:
     raise ValueError(f"{params.scheme.value} weave is not a pure function of the distance")
 
 
+def toeplitz_tiles(table: np.ndarray, pad: float = 0.0) -> Callable[[int, int], np.ndarray]:
+    """Tiles (lo, hi) of the n x n matrix whose row t holds table[t - i] at
+    columns i <= t and pad past t: its rows lo..hi-1 over columns 0..hi-1.
+
+    A weave's distance matrix is constant along each diagonal, so every tile
+    is a strided view of one reversed table [table[n-1], ..., table[0], pad
+    x (n-1)], whose window n-1-t is row t; no tile is built or gathered.
+    """
+    n = table.size
+    windows = sliding_window_view(np.concatenate([table[::-1], np.full(n - 1, pad)]), n)
+    return lambda lo, hi: windows[n - hi : n - lo][::-1, :hi]
+
+
 @dataclass(frozen=True)
 class PositionMatrix:
     """Lower-triangular matrix of woven relative distances per (query, key) pair."""
@@ -329,7 +344,9 @@ def woven_distances(params: WeaveParams, rows, cols) -> np.ndarray:
     weave of t - i, or under the grouped scheme the remap of the pair itself;
     0 where the key comes after the query (raw distance 0, which every weave
     keeps at 0).  A pure distance weave is a lookup into its weave_table up
-    to the largest raw distance."""
+    to the largest raw distance.  position_matrix and the grouped remap's
+    forward tiles use it; forward reads a pure weave's tiles as windows onto
+    one reversed weave_table instead (model._positions)."""
     t, i = np.asarray(rows)[:, None], np.asarray(cols)
     raw = np.maximum(t - i, 0)
     if params.scheme is Scheme.SELF_EXTEND:

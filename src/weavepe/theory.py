@@ -31,7 +31,7 @@ from weavepe.model import (
     forward,
     zero_ff,
 )
-from weavepe.pe_core import Scheme, WeaveParams, weave_table
+from weavepe.pe_core import Scheme, WeaveParams, toeplitz_tiles, weave_table
 
 #: double-precision floor for exp(-(t-1)); beyond this the first-layer signal underflows
 MAX_SCAN = 700
@@ -201,39 +201,53 @@ class TheoryModel:
         """Closed-form final-layer attention weight on the first token at each t.
 
         Computed directly from the weave: alpha_i = W(t-1) - W(i-1) - W(t-i)
-        for keys i = 1..t (all zero for the un-woven models), then a stable
-        softmax.  Independent of the transformer plumbing.
+        for keys i = 1..t (all zero for the un-woven models), then a softmax.
+        Independent of the transformer plumbing.  Each t must be an integer
+        >= 1, else a ValueError names the first that is not.
 
-        The t values run in row blocks of TILE_ROWS, as _attend tiles query
-        rows: a block scores only keys i <= its largest t, reads W(t-i)
-        from a strided window over the reversed weave table, whose +inf
-        padding sets keys past t to -inf, and shifts each row by its first
-        key's score -W(0), which is 0 and the row maximum under every weave,
-        before one exp and one row sum.
+        Every t in 1..max(ts) is evaluated, in row blocks of TILE_ROWS
+        consecutive t, as _attend tiles query rows, and out[ts - 1] is
+        returned.  A block scores only keys i <= its largest t and reads
+        every term by basic slicing, W(t-i) from toeplitz_tiles of the
+        weave table, whose +inf padding sets keys past t to -inf.  A row's
+        first key scores W(t-1) - W(0) - W(t-1), exactly 0 since W(0) = 0,
+        and no key scores more under a weave with W(a+b) <= W(a) + W(b)
+        (every weave here but a leak above 1).  So 0 is the row maximum,
+        and one unshifted exp cannot overflow before the row sum.
         """
         ts = np.asarray(ts)
+        bad = ts[~(ts >= 1) | (ts != np.floor(ts))]
+        if bad.size:
+            raise ValueError(f"each t must be an integer >= 1, got {bad.tolist()[0]}")
+        ts = ts.astype(np.int64)
         t_max = int(np.max(ts))
         w = weave_table(self.weave, t_max)
-        # row t_max - t holds W(t-i) at column i-1: W(t-1), ..., W(0), +inf, ...
-        rev = np.concatenate([w[::-1], np.full(t_max - 1, np.inf)])
-        windows = np.lib.stride_tricks.sliding_window_view(rev, t_max)
-        out = np.empty(len(ts), dtype=np.float64)
-        for r0 in range(0, len(ts), TILE_ROWS):
-            tb = ts[r0:r0 + TILE_ROWS]
-            hi = int(np.max(tb))
-            score = w[tb - 1, None] - w[:hi] - windows[t_max - tb, :hi]
-            score -= score[:, :1]
-            out[r0:r0 + TILE_ROWS] = 1.0 / np.sum(np.exp(score, out=score), axis=1)
-        return out
+        reach = toeplitz_tiles(w, np.inf)  # row t-1 holds W(t-i) at column i-1, +inf past t
+        out = np.empty(t_max, dtype=np.float64)
+        for lo in range(0, t_max, TILE_ROWS):
+            hi = min(lo + TILE_ROWS, t_max)  # the block is t = lo+1..hi, over keys 1..hi
+            score = w[lo:hi, None] - w[:hi] - reach(lo, hi)
+            out[lo:hi] = 1.0 / np.sum(np.exp(score, out=score), axis=1)
+        return out[ts - 1]
 
     def predict(self, ts: np.ndarray) -> np.ndarray:
         """Closed-form o_t[3] = H + alpha1(t) * M - 1 (equals M/t - 1 + H un-woven)."""
         return self.cfg.threshold + self.alpha1(ts) * self.cfg.window - 1.0
 
     def run(self, t_max: int | None = None) -> ForwardTrace:
-        t_max = t_max or self.cfg.t_max
+        """forward over t = 1..t_max (cfg.t_max when None), every head's weights kept."""
+        t_max = _scan_length(self.cfg, t_max)
         tokens = [1] * (t_max - 1)  # plus <bos> gives columns t = 1..t_max
         return forward(tokens, self.weights, weave=self.weave)
+
+
+def _scan_length(cfg: TheoryConfig, t_max: int | None) -> int:
+    """t_max, or cfg.t_max when it is None; a ValueError below 1."""
+    if t_max is None:
+        return cfg.t_max
+    if t_max < 1:
+        raise ValueError(f"t_max must be >= 1, got {t_max}")
+    return t_max
 
 
 def _embedding() -> np.ndarray:
@@ -366,13 +380,14 @@ class ThresholdReport:
 
 
 def threshold_scan(model: TheoryModel, t_max: int | None = None) -> ThresholdReport:
-    """Run the forward pass for t = 1..t_max and compare against the closed form.
+    """Run the forward pass for t = 1..t_max (cfg.t_max when None) and
+    compare against the closed form.
 
     The closed form runs first, so that alpha1's row-block temporaries are
     freed before the forward pass runs; the pass keeps no n x n head
     weights, since the scan reads only the last layer's output.
     """
-    t_max = t_max or model.cfg.t_max
+    t_max = _scan_length(model.cfg, t_max)
     ts = np.arange(1, t_max + 1)
     predicted = model.predict(ts)
     trace = _forward([1] * (t_max - 1), model.weights, model.weave, None, alphas=None)  # model.run's pass

@@ -3,16 +3,20 @@
 import numpy as np
 import pytest
 
+import weavepe.model as model_module
 from dense_oracle import masked_softmax
 from weavepe.masks import causal_mask, sink_mask
 from weavepe.model import (
     BOS_ID,
+    TILE_ROWS,
     DenseFF,
     HeadWeights,
     KVCache,
     LayerWeights,
     ModelWeights,
     WhitespaceVocab,
+    _Distances,
+    _positions,
     embed,
     forward,
     load_weights,
@@ -20,7 +24,15 @@ from weavepe.model import (
     save_weights,
     zero_ff,
 )
-from weavepe.pe_core import Scheme, WeaveParams, apply_rotary, rotary_table
+from weavepe.pe_core import (
+    IDENTITY_SCHEMES,
+    Scheme,
+    WeaveParams,
+    apply_rotary,
+    position_matrix,
+    rotary_table,
+    woven_distances,
+)
 from weavepe.theory import TheoryConfig, build_corollary, build_theorem1, build_theorem2, build_theorem3
 
 
@@ -183,6 +195,81 @@ def test_mask_argument_restricts_attention():
     alpha = tr.alphas[0][0]
     assert alpha[7, 2] == 0.0 and alpha[7, 4] == 0.0
     assert alpha[7, 0] > 0.0 and alpha[7, 7] > 0.0
+
+
+_PURE_WEAVES = {
+    "stair": WeaveParams(scheme=Scheme.STAIR, cap=5, tread=3),
+    "rerope": WeaveParams(scheme=Scheme.REROPE, cap=7),
+    "leaky": WeaveParams(scheme=Scheme.LEAKY_REROPE, cap=6, leak=0.3),
+}
+_WEAVES = {"none": None, **_PURE_WEAVES, "grouped": WeaveParams(scheme=Scheme.SELF_EXTEND, neighbor=8, group=3)}
+
+
+def _per_tile_positions(weights, coords, m, weave=None):
+    """forward's positional input rebuilt for every tile: woven_distances of
+    each pair under a non-identity weave, else coordinate differences (or
+    the rotary table) over 0..m-1."""
+    if coords is None:
+        coords = np.arange(m, dtype=np.float64)
+        if weights.pe_family != "dot" and weave is not None and weave.scheme not in IDENTITY_SCHEMES:
+            base = weights.theta_base if weights.pe_family == "rotary" else None
+            return _Distances(lambda lo, hi: woven_distances(weave, np.arange(lo, hi), np.arange(hi)), base)
+    return _positions(weights, coords, m)
+
+
+@pytest.mark.parametrize("mask", ["none", "sink"])
+@pytest.mark.parametrize("weave", list(_WEAVES))
+@pytest.mark.parametrize("family", ["dot", "additive", "rotary"])
+def test_forward_distance_windows_change_no_bit(monkeypatch, family, weave, mask):
+    # three row tiles; the windows onto one weave table against the distances rebuilt per tile
+    w = random_model(d=16, n_heads=2, n_layers=2, vocab=16, seed=3, pe_family=family)
+    tokens = np.random.default_rng(5).integers(1, 16, size=150).tolist()
+    sink = sink_mask(151, 3, 40) if mask == "sink" else None
+    got = forward(tokens, w, weave=_WEAVES[weave], mask=sink)
+    monkeypatch.setattr(model_module, "_positions", _per_tile_positions)
+    want = forward(tokens, w, weave=_WEAVES[weave], mask=sink)
+    assert all(np.array_equal(a, b) for a, b in zip(got.hidden, want.hidden, strict=True))
+    for layer_a, layer_b in zip(got.alphas, want.alphas, strict=True):
+        assert all(np.array_equal(a, b) for a, b in zip(layer_a, layer_b, strict=True))
+
+
+@pytest.mark.parametrize("family", ["additive", "rotary"])
+@pytest.mark.parametrize("weave", list(_PURE_WEAVES))
+def test_distance_tiles_are_windows_onto_the_position_matrix(family, weave):
+    n = 150
+    params = _PURE_WEAVES[weave]
+    pos = _positions(random_model(d=8, n_heads=2, n_layers=1, vocab=8, pe_family=family), None, n, params)
+    entries = position_matrix(params, n).entries
+    spans = [(lo, min(lo + TILE_ROWS, n)) for lo in range(0, n, TILE_ROWS)] + [(0, 1), (7, 8), (3, 97), (149, 150)]
+    for lo, hi in spans:
+        tile = pos.tile(lo, hi)
+        assert tile.shape == (hi - lo, hi) and not tile.flags.owndata  # a view, not a built array
+        seen = np.tri(hi - lo, hi, lo, dtype=bool)  # on and below the diagonal
+        assert np.array_equal(tile[seen], entries[lo:hi, :hi][seen])
+
+
+@pytest.mark.parametrize("weave", list(_WEAVES.values()), ids=list(_WEAVES))
+def test_forward_builds_one_weave_table(monkeypatch, weave):
+    # a distance weave reads every tile from one table; only the grouped remap rebuilds per tile
+    calls = {"weave_table": 0, "woven_distances": 0}
+
+    def spy(name):
+        real = getattr(model_module, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(model_module, name, spy(name))
+    w = random_model(d=8, n_heads=2, n_layers=2, vocab=16, seed=1, pe_family="additive")
+    forward(np.random.default_rng(2).integers(1, 16, size=199).tolist(), w, weave=weave)
+    if weave is not None and weave.scheme is Scheme.SELF_EXTEND:
+        assert calls["weave_table"] == 0 and calls["woven_distances"] > 0
+    else:
+        assert calls == {"weave_table": 1, "woven_distances": 0}
 
 
 def _commit(cache, k_blocks, v_blocks):

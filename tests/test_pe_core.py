@@ -23,6 +23,7 @@ from weavepe.pe_core import (
     self_extend_map,
     self_extend_map_ceil,
     stair_selfextend_equivalent,
+    toeplitz_tiles,
     weave_leaky,
     weave_rerope,
     weave_stair,
@@ -277,6 +278,17 @@ def test_weave_table_is_the_raw_distance_without_a_weave(scheme):
 def test_weave_table_rejects_grouped_scheme():
     with pytest.raises(ValueError, match="not a pure function of the distance"):
         weave_table(WeaveParams(scheme=Scheme.SELF_EXTEND), 10)
+
+
+@pytest.mark.parametrize("pad", [0.0, np.inf])
+def test_toeplitz_tiles_hold_each_distance_and_pad_past_the_diagonal(pad):
+    n = 9
+    table = np.arange(n) ** 2.0
+    want = np.array([[table[t - i] if i <= t else pad for i in range(n)] for t in range(n)])
+    tiles = toeplitz_tiles(table, pad)
+    for lo in range(n):
+        for hi in range(lo + 1, n + 1):
+            assert np.array_equal(tiles(lo, hi), want[lo:hi, :hi]), (lo, hi)
 
 
 def test_weave_params_validation():

@@ -287,6 +287,37 @@ def test_alpha1_row_blocks_match_per_t_loop(weave, ts):
         assert np.array_equal(got, 1.0 / ts)
 
 
+@pytest.mark.parametrize("builder", [build_theorem2, build_theorem3, build_corollary])
+def test_alpha1_at_any_ts_reads_the_full_scan(builder):
+    model = builder(TheoryConfig(window=32, cap=8, tread=2))
+    ts = np.array([5, 3, MAX_SCAN, 1, 5])
+    assert np.array_equal(model.alpha1(ts), model.alpha1(np.arange(1, MAX_SCAN + 1))[ts - 1])
+
+
+_GOLDEN_COROLLARY = TheoryConfig(window=8, cap=2, tread=2, t_max=29)
+
+
+def test_threshold_scan_rejects_zero_t_max():
+    # 0 once fell back to cfg.t_max and scanned all 29 positions
+    with pytest.raises(ValueError, match="t_max must be >= 1, got 0"):
+        threshold_scan(build_corollary(_GOLDEN_COROLLARY), t_max=0)
+
+
+def test_run_rejects_zero_t_max():
+    with pytest.raises(ValueError, match="t_max must be >= 1, got 0"):
+        build_corollary(_GOLDEN_COROLLARY).run(0)
+
+
+def test_alpha1_rejects_t_below_one():
+    with pytest.raises(ValueError, match="got 0$"):
+        build_corollary(_GOLDEN_COROLLARY).alpha1(np.array([0, 3]))
+
+
+def test_alpha1_rejects_non_integer_t():
+    with pytest.raises(ValueError, match="got 2.5$"):
+        build_corollary(_GOLDEN_COROLLARY).alpha1(np.array([3, 2.5]))
+
+
 def test_threshold_scan_peak_is_the_forward_pass(monkeypatch):
     # the closed form runs before the forward pass, so its row blocks never
     # sit next to the forward pass's own arrays
@@ -311,7 +342,7 @@ def test_threshold_scan_peak_is_the_forward_pass(monkeypatch):
     finally:
         tracemalloc.stop()
     assert scan_peak <= run_peak + 64 * 1024, (scan_peak, run_peak)
-    # the blocks (about 1 MB) fit under the forward pass's own transient
+    # the blocks (about 0.8 MB) fit under the forward pass's own transient
     # tiles, so the peak alone cannot see the order: nothing as large as a
     # trace may be alive when the closed form starts
     assert held_at_predict[0] - before <= 64 * 1024, held_at_predict[0] - before
