@@ -229,6 +229,7 @@ class _Distances:
 
     tile: Callable[[int, int], np.ndarray]  # (lo, hi): keys lo..hi-1 against keys 0..hi-1
     theta_base: float | None  # the rotary family's; None for the additive family
+    table: np.ndarray | None = None  # the weave table whose windows the tiles are, if they are
 
     def scores(self, qt: np.ndarray, k: np.ndarray, lo: int, slope: float | np.ndarray) -> np.ndarray:
         """Scores of the query rows qt ([heads x] rows x h), the first being
@@ -238,6 +239,25 @@ class _Distances:
         if self.theta_base is None:
             return scores_additive(qt, kt, dist, slope)
         return scores_rotary(qt, kt, dist, self.theta_base)
+
+    def scorer(self, slope: float | np.ndarray) -> Callable[[np.ndarray, np.ndarray, int], np.ndarray]:
+        """scores with slope bound, built once per _attend call.
+
+        The additive family over a weave table scales that table by each
+        head's slope here, once; a tile's scores then subtract a window of
+        it (toeplitz_tiles) in place, so a tile holds one score array, and
+        each slope * W(d) is the product slope * dist would have taken.
+        """
+        if self.theta_base is not None or self.table is None:
+            return functools.partial(self.scores, slope=slope)
+        penalty = toeplitz_tiles((slope * self.table).reshape(np.shape(slope)[:-2] + self.table.shape))
+
+        def scores(qt: np.ndarray, k: np.ndarray, lo: int) -> np.ndarray:
+            s = qt @ k
+            s -= penalty(lo, k.shape[-1])
+            return s
+
+        return scores
 
 
 def _positions(weights: ModelWeights, coords: np.ndarray | None, m: int, weave: WeaveParams | None = None):
@@ -266,7 +286,8 @@ def _positions(weights: ModelWeights, coords: np.ndarray | None, m: int, weave: 
         if weave is not None and weave.scheme is Scheme.SELF_EXTEND:
             return _Distances(lambda lo, hi: woven_distances(weave, np.arange(lo, hi), np.arange(hi)), base)
         if fam == "additive" or (weave is not None and weave.scheme not in IDENTITY_SCHEMES):
-            return _Distances(toeplitz_tiles(weave_table(weave, m)), base)
+            table = weave_table(weave, m)
+            return _Distances(toeplitz_tiles(table), base, table)
         coords = np.arange(m, dtype=np.float64)
     if fam == "additive":
         return _Distances(lambda lo, hi: coords[lo:hi, None] - coords[None, :hi], None)
@@ -315,13 +336,15 @@ def _attend(
     qt = np.swapaxes(q, -1, -2)
     m = qt.shape[-2]
     out = np.empty(v.shape[:-1] + (m,))
+    if isinstance(pos, _Distances):
+        scores = pos.scorer(slope)
     for r0 in range(0, m, TILE_ROWS):
         r1 = min(r0 + TILE_ROWS, m)
         nk = ctx_len + r1
         if isinstance(pos, _Woven):
             s = pos.scores(q, k)
         elif isinstance(pos, _Distances):
-            s = pos.scores(qt[..., r0:r1, :], k[..., :nk], ctx_len + r0, slope)
+            s = scores(qt[..., r0:r1, :], k[..., :nk], ctx_len + r0)
         else:
             s = qt[..., r0:r1, :] @ k[..., :nk]
         s[..., ctx_len + r0 :] += _CAUSAL_TAIL[: r1 - r0, : r1 - r0]

@@ -290,17 +290,19 @@ def weave_table(params: WeaveParams | None, n: int) -> np.ndarray:
     raise ValueError(f"{params.scheme.value} weave is not a pure function of the distance")
 
 
-def toeplitz_tiles(table: np.ndarray, pad: float = 0.0) -> Callable[[int, int], np.ndarray]:
+def toeplitz_tiles(table: np.ndarray) -> Callable[[int, int], np.ndarray]:
     """Tiles (lo, hi) of the n x n matrix whose row t holds table[t - i] at
-    columns i <= t and pad past t: its rows lo..hi-1 over columns 0..hi-1.
+    columns i <= t and 0 past t: its rows lo..hi-1 over columns 0..hi-1.
 
     A weave's distance matrix is constant along each diagonal, so every tile
-    is a strided view of one reversed table [table[n-1], ..., table[0], pad
+    is a strided view of one reversed table [table[n-1], ..., table[0], 0
     x (n-1)], whose window n-1-t is row t; no tile is built or gathered.
+    Leading axes of table (heads, say) lead each tile.
     """
-    n = table.size
-    windows = sliding_window_view(np.concatenate([table[::-1], np.full(n - 1, pad)]), n)
-    return lambda lo, hi: windows[n - hi : n - lo][::-1, :hi]
+    n = table.shape[-1]
+    padded = np.concatenate([table[..., ::-1], np.zeros(table.shape[:-1] + (n - 1,))], axis=-1)
+    windows = sliding_window_view(padded, n, axis=-1)
+    return lambda lo, hi: windows[..., n - hi : n - lo, :][..., ::-1, :hi]
 
 
 @dataclass(frozen=True)

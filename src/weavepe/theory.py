@@ -21,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from weavepe.model import (
-    TILE_ROWS,
     DenseFF,
     ForwardTrace,
     HeadWeights,
@@ -31,7 +30,7 @@ from weavepe.model import (
     forward,
     zero_ff,
 )
-from weavepe.pe_core import Scheme, WeaveParams, toeplitz_tiles, weave_table
+from weavepe.pe_core import Scheme, WeaveParams, weave_table
 
 #: double-precision floor for exp(-(t-1)); beyond this the first-layer signal underflows
 MAX_SCAN = 700
@@ -203,32 +202,36 @@ class TheoryModel:
         Computed directly from the weave: alpha_i = W(t-1) - W(i-1) - W(t-i)
         for keys i = 1..t (all zero for the un-woven models), then a softmax.
         Independent of the transformer plumbing.  Each t must be an integer
-        >= 1, else a ValueError names the first that is not.
+        in 1..MAX_SCAN, else a ValueError names the first that is not.
 
-        Every t in 1..max(ts) is evaluated, in row blocks of TILE_ROWS
-        consecutive t, as _attend tiles query rows, and out[ts - 1] is
-        returned.  A block scores only keys i <= its largest t and reads
-        every term by basic slicing, W(t-i) from toeplitz_tiles of the
-        weave table, whose +inf padding sets keys past t to -inf.  A row's
-        first key scores W(t-1) - W(0) - W(t-1), exactly 0 since W(0) = 0,
-        and no key scores more under a weave with W(a+b) <= W(a) + W(b)
-        (every weave here but a leak above 1).  So 0 is the row maximum,
-        and one unshifted exp cannot overflow before the row sum.
+        With j = i-1 and v(d) = e^(c d - W(d)) for any c, each term of the
+        softmax denominator e^(alpha_i) is v(j) v(t-1-j) / v(t-1), so
+
+            alpha1(t) = v(t-1) / (v * v)(t-1),
+
+        one self-convolution of v over d = 0..max(ts)-1.  Under an identity
+        weave v is all ones and alpha1(t) = 1/t exactly.  c is the smallest
+        integer >= 1 with W(d) <= c d (1 for every weave but a leak above
+        1), so c d is exact and every v(d) >= 1: no term underflows.  Where
+        W(d) <= d the products stay below e^(t-1) <= e^(MAX_SCAN-1), which
+        double precision holds; a weave that still overflows (a steep leak
+        past a far cap) raises a ValueError naming it.
         """
         ts = np.asarray(ts)
-        bad = ts[~(ts >= 1) | (ts != np.floor(ts))]
+        bad = ts[~((ts >= 1) & (ts <= MAX_SCAN)) | (ts != np.floor(ts))]
         if bad.size:
-            raise ValueError(f"each t must be an integer >= 1, got {bad.tolist()[0]}")
+            raise ValueError(f"each t must be an integer in 1..{MAX_SCAN}, got {bad.tolist()[0]}")
         ts = ts.astype(np.int64)
         t_max = int(np.max(ts))
         w = weave_table(self.weave, t_max)
-        reach = toeplitz_tiles(w, np.inf)  # row t-1 holds W(t-i) at column i-1, +inf past t
-        out = np.empty(t_max, dtype=np.float64)
-        for lo in range(0, t_max, TILE_ROWS):
-            hi = min(lo + TILE_ROWS, t_max)  # the block is t = lo+1..hi, over keys 1..hi
-            score = w[lo:hi, None] - w[:hi] - reach(lo, hi)
-            out[lo:hi] = 1.0 / np.sum(np.exp(score, out=score), axis=1)
-        return out[ts - 1]
+        d = np.arange(t_max, dtype=np.float64)
+        c = math.ceil(np.max(w[1:] / d[1:], initial=1.0))
+        with np.errstate(over="ignore"):  # an inf in v is one in vv, as (v * v)(d) >= v(0) v(d) = v(d)
+            v = np.exp(c * d - w)
+            vv = np.convolve(v, v)[:t_max]
+        if not np.all(np.isfinite(vv)):
+            raise ValueError(f"alpha1 overflows double precision under {self.weave}")
+        return (v / vv)[ts - 1]
 
     def predict(self, ts: np.ndarray) -> np.ndarray:
         """Closed-form o_t[3] = H + alpha1(t) * M - 1 (equals M/t - 1 + H un-woven)."""
@@ -383,9 +386,8 @@ def threshold_scan(model: TheoryModel, t_max: int | None = None) -> ThresholdRep
     """Run the forward pass for t = 1..t_max (cfg.t_max when None) and
     compare against the closed form.
 
-    The closed form runs first, so that alpha1's row-block temporaries are
-    freed before the forward pass runs; the pass keeps no n x n head
-    weights, since the scan reads only the last layer's output.
+    The pass keeps no n x n head weights, since the scan reads only the
+    last layer's output.
     """
     t_max = _scan_length(model.cfg, t_max)
     ts = np.arange(1, t_max + 1)

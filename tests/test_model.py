@@ -289,15 +289,20 @@ def test_attend_holds_one_score_tile():
     rng = np.random.default_rng(0)
     h, m, n = 16, 3 * TILE_ROWS, 4096
     q, k, v = rng.normal(size=(h, m)), rng.normal(size=(h, n)), rng.normal(size=(h, n))
-    pos = rotary_table(np.arange(n, dtype=np.float64), h, 10000.0)
-    tracemalloc.start()
-    try:
-        _attend(q, k, v, n - m, 0.0, pos)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    tile, rotated = TILE_ROWS * n * 8, (m + n) * h * 8
-    assert peak < tile + rotated + (256 << 10)
+    tile = TILE_ROWS * n * 8
+    rotary = rotary_table(np.arange(n, dtype=np.float64), h, 10000.0)
+    # forward's table-backed additive tiles: one tile, plus the slope-scaled
+    # table reversed and padded to 2n - 1 values
+    stair = WeaveParams(scheme=Scheme.STAIR, cap=512, tread=50)
+    additive = _positions(random_model(d=h, n_heads=1, n_layers=1, pe_family="additive"), None, n, stair)
+    for pos, held in [(rotary, (m + n) * h * 8), (additive, (2 * n - 1) * 8)]:  # rotated q and k; the table
+        tracemalloc.start()
+        try:
+            _attend(q, k, v, n - m, 0.5, pos)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < tile + held + (256 << 10), (type(pos).__name__, peak)
 
 
 def test_kv_cache_round_trip():

@@ -280,15 +280,16 @@ def test_weave_table_rejects_grouped_scheme():
         weave_table(WeaveParams(scheme=Scheme.SELF_EXTEND), 10)
 
 
-@pytest.mark.parametrize("pad", [0.0, np.inf])
-def test_toeplitz_tiles_hold_each_distance_and_pad_past_the_diagonal(pad):
+def test_toeplitz_tiles_hold_each_distance_and_pad_past_the_diagonal():
     n = 9
     table = np.arange(n) ** 2.0
-    want = np.array([[table[t - i] if i <= t else pad for i in range(n)] for t in range(n)])
-    tiles = toeplitz_tiles(table, pad)
+    want = np.array([[table[t - i] if i <= t else 0.0 for i in range(n)] for t in range(n)])
+    tiles = toeplitz_tiles(table)
+    heads = toeplitz_tiles(np.stack([table, -2.0 * table]))  # a leading axis leads each tile
     for lo in range(n):
         for hi in range(lo + 1, n + 1):
             assert np.array_equal(tiles(lo, hi), want[lo:hi, :hi]), (lo, hi)
+            assert np.array_equal(heads(lo, hi), [want[lo:hi, :hi], -2.0 * want[lo:hi, :hi]]), (lo, hi)
 
 
 def test_weave_params_validation():

@@ -256,7 +256,7 @@ def test_oracle_equivalence_across_models():
 
 
 def _alpha1_loop(model, ts):
-    """The closed form one t at a time: the reference the row blocks must match."""
+    """The closed form one t at a time: the reference the convolution must match."""
     t_max = int(np.max(ts))
     w = weave_table(model.weave, t_max)
     out = np.empty(len(ts), dtype=np.float64)
@@ -272,8 +272,8 @@ def _alpha1_loop(model, ts):
     [None]
     + [WeaveParams(scheme=Scheme.REROPE, cap=n) for n in (2, 4, 8)]
     + [WeaveParams(scheme=Scheme.STAIR, cap=4, tread=e) for e in (1, 2, 5)]
-    + [WeaveParams(scheme=Scheme.LEAKY_REROPE, cap=4, leak=0.5)],
-    ids=["none", "capped-2", "capped-4", "capped-8", "stair-1", "stair-2", "stair-5", "leaky"],
+    + [WeaveParams(scheme=Scheme.LEAKY_REROPE, cap=4, leak=leak) for leak in (0.5, 3.0)],
+    ids=["none", "capped-2", "capped-4", "capped-8", "stair-1", "stair-2", "stair-5", "leaky", "leaky-3"],
 )
 @pytest.mark.parametrize(
     "ts", [np.arange(1, MAX_SCAN + 1), np.array([5, 3, MAX_SCAN, 1, 5])], ids=["1..700", "unsorted"]
@@ -318,9 +318,24 @@ def test_alpha1_rejects_non_integer_t():
         build_corollary(_GOLDEN_COROLLARY).alpha1(np.array([3, 2.5]))
 
 
+def test_alpha1_rejects_t_past_max_scan():
+    # past MAX_SCAN the closed form's products leave double precision
+    with pytest.raises(ValueError, match=f"in 1..{MAX_SCAN}, got {MAX_SCAN + 1}$"):
+        build_corollary(_GOLDEN_COROLLARY).alpha1(np.array([3, MAX_SCAN + 1]))
+
+
+def test_alpha1_names_a_weave_it_cannot_hold():
+    # a leak of 4 past a cap of 200 puts e^(2 * 600) into the convolution,
+    # which once came back as alpha1 = v / inf = 0
+    weave = WeaveParams(scheme=Scheme.LEAKY_REROPE, cap=200, leak=4.0)
+    model = replace(build_theorem2(TheoryConfig(window=16)), weave=weave)
+    with pytest.raises(ValueError, match="overflows double precision under WeaveParams"):
+        model.alpha1(np.arange(1, MAX_SCAN + 1))
+
+
 def test_threshold_scan_peak_is_the_forward_pass(monkeypatch):
-    # the closed form runs before the forward pass, so its row blocks never
-    # sit next to the forward pass's own arrays
+    # the closed form runs before the forward pass, so nothing it holds
+    # sits next to the forward pass's own arrays
     model = build_corollary(TheoryConfig(window=32, cap=8, tread=2, t_max=MAX_SCAN))
     threshold_scan(model)  # warm-up: first-call allocations stay out of both peaks
     held_at_predict = []
@@ -342,9 +357,9 @@ def test_threshold_scan_peak_is_the_forward_pass(monkeypatch):
     finally:
         tracemalloc.stop()
     assert scan_peak <= run_peak + 64 * 1024, (scan_peak, run_peak)
-    # the blocks (about 0.8 MB) fit under the forward pass's own transient
-    # tiles, so the peak alone cannot see the order: nothing as large as a
-    # trace may be alive when the closed form starts
+    # the closed form's few t_max-long arrays fit under the forward pass's
+    # own transient tiles, so the peak alone cannot see the order: nothing
+    # as large as a trace may be alive when the closed form starts
     assert held_at_predict[0] - before <= 64 * 1024, held_at_predict[0] - before
 
 
