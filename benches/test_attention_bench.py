@@ -1,4 +1,4 @@
-"""Micro-benchmarks of the tiled attention, one layer of the last chunk, the
+"""Micro-benchmarks of the tiled attention, the last layer of the last chunk, the
 middle chunks, the in-window prefill and the decode path at the reference
 config's sizes, and of one 700-position threshold scan, its closed form and
 its forward pass apart.
@@ -36,8 +36,10 @@ def test_last_chunk_attention(benchmark):
 
 
 def test_last_chunk_layer(benchmark):
-    # one REF layer of the last chunk: 4 heads, 577 queries over 16,385 keys,
-    # each round over a fresh cache holding the 15,808 context keys
+    # REF's last layer of the last chunk, as prefill runs it: 4 heads write
+    # all 577 columns' keys and values, then only the final tile's row
+    # attends over 16,385 keys, each round over a fresh cache holding the
+    # 15,808 context keys
     weights = random_model(d=64, n_heads=4, n_layers=1, vocab=256, seed=0)
     config = MesaConfig(train_len=1024, weave=WeaveParams(scheme=Scheme.STAIR, cap=512, tread=50))
     pos = _positions(weights, (KEYS - 1) - decode_distances(KEYS - 1, config), LAST_ROWS)
@@ -49,15 +51,16 @@ def test_last_chunk_layer(benchmark):
         cache = KVCache(1, 4, capacity=KEYS)
         cache.write(0, 0, np.stack(ctx), np.stack(ctx))
         cache.append(CTX)
-        return (h, weights, cache, CTX, CTX, pos), {}
+        return (h, weights, cache, CTX, CTX, pos), {"read": 1}
 
     out = benchmark.pedantic(_run_layers, setup=fresh_cache, rounds=5)
-    assert out.shape == (64, LAST_ROWS) and np.isfinite(out).all()
+    assert out.shape == (64, 1) and np.isfinite(out).all()
 
 
 def test_middle_stage_16k(benchmark):
     # REF's 17 middle chunks of 924 queries, each over the first chunk's 100
-    # keys and its own, at the same time on the pool as prefill runs them;
+    # keys and its own, at the same time on the pool as prefill runs them,
+    # reading no column, so their last layer only writes keys and values;
     # each round over a fresh prompt-sized cache holding the first chunk.
     # The inputs are embedded tokens, not unit normals: scores that large
     # push the softmax into subnormals, which run several times slower.
@@ -77,7 +80,7 @@ def test_middle_stage_16k(benchmark):
         def run(span):
             lo, hi = span
             pos = _positions(weights, np.arange(ctx + hi - lo, dtype=np.float64), hi - lo)
-            return _run_layers(h[:, lo:hi], weights, cache, lo, ctx, pos)
+            return _run_layers(h[:, lo:hi], weights, cache, lo, ctx, pos, read=0)
 
         for (lo, hi), _ in zip(middles, _pool_map(run, middles)):
             cache.append(hi - lo)

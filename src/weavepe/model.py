@@ -16,7 +16,8 @@ mask, -inf on its cells outside it), runs the softmax in place and defers
 its normalisation past the value product, as in FlashAttention (Dao et al.,
 arXiv 2205.14135).  No score, distance or mask matrix larger than one tile
 is held, and a tile is freed before the next is scored; only forward keeps
-each head's normalised n x n weights.
+each head's normalised n x n weights.  A caller that reads only the last
+columns (prefill) has the last layer attend only the tiles holding them.
 
 Every array of _attend may carry a leading heads axis.  A step with one
 query (every decode step) attends with all of a layer's heads in one call
@@ -413,6 +414,7 @@ def _run_layers(
     pos,
     mask: AttentionMask | None = None,
     trace: ForwardTrace | None = None,
+    read: int | None = None,
 ) -> np.ndarray:
     """Run the columns of h, tokens lo..lo+m-1, through every layer; writes
     their raw K/V into cache slots lo..lo+m-1, which the caller commits
@@ -426,7 +428,17 @@ def _run_layers(
     ones.  pos is the _positions of exactly those keys.  forward passes its
     mask, applied per tile, and a trace that receives each layer's input and
     attention output, and its head weights if its alphas is a list (None
-    asks for none).  Returns the final hidden state.
+    asks for none).  Returns the final hidden state: all m columns, or the
+    last read of them when read (0..m) is given.
+
+    Only the last layer's keys and values feed a later chunk or step, and
+    only its read columns feed the caller, so with read given the last
+    layer still projects and writes every column's keys and values but
+    attends, projects queries, sums heads and runs the feed-forward only
+    from row r0 = (m - read) // TILE_ROWS * TILE_ROWS on, the start of the
+    tile that holds the first read column, and for read 0 not at all.
+    Those rows attend as queries after ctx_len + r0 context keys, so they
+    score exactly the tiles, keys and positions a full pass scores.
 
     One query (every decode step), or a call on a pool thread (a middle
     chunk), attends with all of a layer's heads in one _attend call, on its
@@ -441,16 +453,22 @@ def _run_layers(
     slopes = np.array([weights.slope_for_head(mi) for mi in range(n_heads)])[:, None, None]
     groups = [slice(None)] if m == 1 or _on_pool() else [slice(mi, mi + 1) for mi in range(n_heads)]
     keep_alphas = trace is not None and trace.alphas is not None
+    r0 = 0
     for li, layer in enumerate(weights.layers):
         k, v = cache.write(li, lo, *_project(layer.heads, ("w_k", "w_v"), h))
+        if read is not None and li == len(weights.layers) - 1:
+            r0 = m if read == 0 else (m - read) // TILE_ROWS * TILE_ROWS
+            h = h[:, r0:]
+            if r0 == m:
+                break
         if ctx_len < lo:
             k = np.concatenate([k[..., :ctx_len], k[..., lo:]], axis=-1)
             v = np.concatenate([v[..., :ctx_len], v[..., lo:]], axis=-1)
 
         def attend(heads: slice) -> tuple[np.ndarray, np.ndarray | None]:
-            alpha = np.zeros((len(layer.heads[heads]), m, k.shape[-1])) if keep_alphas else None
+            alpha = np.zeros((len(layer.heads[heads]), h.shape[1], k.shape[-1])) if keep_alphas else None
             q = _project(layer.heads[heads], ("w_q",), h)[0]
-            return _attend(q, k[heads], v[heads], ctx_len, slopes[heads], pos, mask, alpha), alpha
+            return _attend(q, k[heads], v[heads], ctx_len + r0, slopes[heads], pos, mask, alpha), alpha
 
         a = np.zeros_like(h)
         alphas = []
@@ -468,7 +486,7 @@ def _run_layers(
         # while the next layer's heads hold their tiles
         h = a + h
         h = layer.ff(layer_norm_cols(h) if layer.layer_norm == "standard" else h) + h
-    return h
+    return h if read is None else h[:, h.shape[1] - read :]
 
 
 def forward(

@@ -35,6 +35,11 @@ its heads in one stacked call, as a decode step does; their small tiles,
 split one head per thread, would hand the GIL back and forth every few
 tens of microseconds.  Each chunk is committed (KVCache.append) on the
 calling thread, in chunk order.
+
+Only the last column's final hidden state feeds the logits, and a later
+chunk or step reads only the cached keys and values, so every chunk's last
+layer writes its keys and values but only the final chunk attends there,
+and only with the tile that holds that column (_run_layers' read).
 """
 
 from __future__ import annotations
@@ -98,7 +103,7 @@ class ChunkTrace:
     kind: str                      # "single" | "first" | "middle" | "last"
     q_span: tuple[int, int]        # raw token indices of the queries
     ctx_len: int                   # context keys before the chunk: tokens 0..ctx_len-1
-    cells: int                     # visible (query, key) pairs, the scores softmaxed (one head, one layer)
+    cells: int                     # visible (query, key) pairs of one head in one full layer; the last layer scores fewer
     max_pe_distance: float         # largest coordinate distance fed to the PE
 
     def allowed_pairs(self) -> set[tuple[int, int]]:
@@ -182,9 +187,10 @@ def prefill(tokens, weights: ModelWeights, config: MesaConfig) -> PrefillResult:
     report = RunReport(plan=plan, fallback=fallback)
     anchor = total - 1
 
-    def run(ci: int) -> tuple[np.ndarray, ChunkTrace]:
+    def run(ci: int) -> tuple[np.ndarray | None, ChunkTrace]:
         """Chunk ci through the layers, its keys and values written to its
-        own slots; returns its last column's final hidden state."""
+        own slots; returns the final hidden state of the prompt's last
+        column for the final chunk, None for any other."""
         lo, hi = spans[ci]
         m = hi - lo
         # the chunk's keys are tokens 0..ctx_len-1 then its own m tokens
@@ -199,7 +205,9 @@ def prefill(tokens, weights: ModelWeights, config: MesaConfig) -> PrefillResult:
             kind, ctx_len = "last", lo
             coords = anchor - decode_distances(anchor, config)
         h = weights.w_e[:, seq_ids[lo:hi]].astype(np.float64)
-        h = _run_layers(h, weights, cache, lo, ctx_len, _positions(weights, coords, m))
+        # the logits read the final chunk's last column alone; the other chunks feed only the cache
+        read = int(ci == len(spans) - 1)
+        h = _run_layers(h, weights, cache, lo, ctx_len, _positions(weights, coords, m), read=read)
         trace = ChunkTrace(
             kind=kind,
             q_span=(lo, hi),
@@ -209,8 +217,7 @@ def prefill(tokens, weights: ModelWeights, config: MesaConfig) -> PrefillResult:
             # the largest distance scored is the last query's to the first key
             max_pe_distance=float(coords[-1] - coords[0]),
         )
-        # a copy, so that a middle chunk's hidden state does not stay alive through the last chunk
-        return h[:, -1].copy(), trace
+        return (h[:, -1] if read else None), trace
 
     # the first (or single) chunk, then the middle chunks, at once on the pool,
     # then the last chunk, which needs them all; the first sizes every layer's

@@ -292,12 +292,15 @@ def test_head_pool_changes_no_bit(monkeypatch):
 def test_decode_step_attends_all_heads_in_one_call(monkeypatch):
     # a step with one query calls _attend once per layer, every head on the
     # leading axis, on the calling thread; so does each middle chunk, on its
-    # pool thread, while the first and last chunk call it once per head there
+    # pool thread, while the first and last chunk call it once per head
+    # there.  In the last layer only the last chunk attends, and only with
+    # its final tile's rows
     from collections import Counter
 
     from weavepe import model
 
     monkeypatch.setattr(model, "_usable_cpus", lambda: 2)  # middle chunks on the pool even on a one-CPU host
+    monkeypatch.setattr(model, "TILE_ROWS", 8)  # the last chunk spans several tiles
     w = random_model(d=16, n_heads=4, n_layers=3, vocab=16, seed=3)
     res = prefill(_tokens(150), w, TOY)
     calls, attend = [], model._attend
@@ -316,9 +319,126 @@ def test_decode_step_attends_all_heads_in_one_call(monkeypatch):
     for c in pre.report.chunks:
         m, keys, middle = c.q_span[1] - c.q_span[0], c.ctx_len + c.q_span[1] - c.q_span[0], c.kind == "middle"
         heads = 4 if middle else 1
-        want[((heads, 4, m), (heads, 4, keys), (heads, 4, keys), True)] += 3 * (4 // heads)
+        want[((heads, 4, m), (heads, 4, keys), (heads, 4, keys), True)] += 2 * (4 // heads)
+        if c.kind == "last":
+            rows = m - (m - 1) // 8 * 8
+            assert rows < m
+            want[((1, 4, rows), (1, 4, keys), (1, 4, keys), True)] += 4
     assert sum(c.kind == "middle" for c in pre.report.chunks) == 3
     assert Counter(calls) == want
+
+
+#: a window wide enough for a single pass of several tiles, and a last chunk of more than one
+WIDE = MesaConfig(
+    train_len=256,
+    weave=WeaveParams(scheme=Scheme.STAIR, cap=128, tread=8),
+    first_len=16,
+    min_last=128,
+    rest_max=32,
+)
+
+
+def _attend_calls(monkeypatch):
+    """The (query columns, keys, context length) of every _attend call made from now on."""
+    from weavepe import model
+
+    calls, attend = [], model._attend
+
+    def spy(q, k, v, ctx_len, *args):
+        calls.append((q.shape[-1], k.shape[-1], ctx_len))
+        return attend(q, k, v, ctx_len, *args)
+
+    monkeypatch.setattr(model, "_attend", spy)
+    return calls
+
+
+def _prefill_and_decode(w, n):
+    """Prefill of n tokens, then 3 decode steps of fixed tokens: the prefill
+    result, every layer and head's cached keys and values, and the 3 logits."""
+    res = prefill(_tokens(n), w, WIDE)
+    cache, steps = res.cache, []
+    for token in (3, 7, 1):
+        logits, cache = decode_step(cache, token, w, WIDE)
+        steps.append(logits)
+    kv = [x for li in range(len(w.layers)) for mi in range(len(w.layers[0].heads)) for x in cache.view(li, mi)]
+    return res, kv, steps
+
+
+def _full_last_layer(monkeypatch):
+    """Make prefill run every column of every layer, as a pass that reads all of them."""
+    from weavepe import model, pipeline
+
+    monkeypatch.setattr(pipeline, "_run_layers", lambda *args, read=None: model._run_layers(*args))
+
+
+def test_single_pass_caches_the_keys_and_values_of_forward():
+    # 151 positions, three tiles: the last layer attends only the third, but
+    # writes every column's keys and values, each the product of forward's
+    # hidden state at that layer
+    from weavepe.model import TILE_ROWS
+
+    w = random_model(d=8, n_heads=2, n_layers=3, vocab=16, seed=3)
+    res = prefill(_tokens(150), w, WIDE)
+    assert res.report.fallback and len(res.cache) > 2 * TILE_ROWS
+    tr = forward(_tokens(150), w)
+    for li, layer in enumerate(w.layers):
+        for mi, head in enumerate(layer.heads):
+            k, v = res.cache.view(li, mi)
+            assert np.array_equal(k, head.w_k @ tr.hidden[li])
+            assert np.array_equal(v, head.w_v @ tr.hidden[li])
+
+
+@pytest.mark.parametrize("family", ["dot", "additive", "rotary"])
+@pytest.mark.parametrize("n", [150, 644])  # a single pass of three tiles; a first, two middle and a 149-row last chunk
+def test_last_layer_rows_change_no_cached_or_decoded_bit(monkeypatch, family, n):
+    # against a prefill whose last layer runs every column: the same report,
+    # every cached key and value and every decode logit bit for bit, and the
+    # prefill logits within 1e-13
+    w = random_model(d=8, n_heads=2, n_layers=3, vocab=16, seed=3, pe_family=family)
+    res, kv, steps = _prefill_and_decode(w, n)
+    _full_last_layer(monkeypatch)
+    full, full_kv, full_steps = _prefill_and_decode(w, n)
+    assert res.report.to_doc() == full.report.to_doc()
+    assert res.report.fallback == (n == 150)
+    assert len(kv) == len(full_kv) == 12
+    assert all(np.array_equal(a, b) for a, b in zip(kv, full_kv))
+    assert all(np.array_equal(a, b) for a, b in zip(steps, full_steps))
+    np.testing.assert_allclose(res.logits, full.logits, rtol=0, atol=1e-13)
+
+
+def test_single_pass_logits_beyond_one_tile_match_forward(monkeypatch):
+    # within 1e-13, not bit for bit: the last layer's narrower query, output
+    # and feed-forward products may round differently.  That layer attends
+    # its final tile's 23 rows alone, as queries after the first 128
+    from collections import Counter
+
+    from weavepe.model import TILE_ROWS
+
+    w = random_model(d=8, n_heads=2, n_layers=3, vocab=16, seed=3)
+    calls = _attend_calls(monkeypatch)
+    res = prefill(_tokens(150), w, WIDE)
+    assert res.report.fallback
+    r0 = 150 // TILE_ROWS * TILE_ROWS
+    assert Counter(calls) == Counter({(151, 151, 0): 2 * 2, (151 - r0, 151, r0): 2})
+    np.testing.assert_allclose(res.logits, forward(_tokens(150), w).logits(w), rtol=0, atol=1e-13)
+
+
+def test_one_layer_non_final_chunks_do_not_attend(monkeypatch):
+    # a one-layer model's only layer is its last: the first and middle chunks
+    # only write their keys and values, and the last chunk attends its final
+    # tile's rows alone, after ctx_len + r0 keys
+    from weavepe.model import TILE_ROWS
+
+    w = random_model(d=8, n_heads=2, n_layers=1, vocab=16, seed=3)
+    calls = _attend_calls(monkeypatch)
+    res = prefill(_tokens(644), w, WIDE)
+    *rest, last = res.report.chunks
+    assert [c.kind for c in rest] == ["first", "middle", "middle"] and last.kind == "last"
+    m = last.q_span[1] - last.q_span[0]
+    r0 = (m - 1) // TILE_ROWS * TILE_ROWS
+    assert r0 > 0
+    assert calls == [(m - r0, last.ctx_len + m, last.ctx_len + r0)] * 2
+    assert len(res.cache) == 645
 
 
 def _chunked_run(monkeypatch, cpus, n, family, pool_calls=None):
