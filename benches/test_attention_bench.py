@@ -7,6 +7,8 @@ Not part of the test suite (pytest's testpaths is tests/); run with
 
     PYTHONPATH=src python -m pytest benches/ --benchmark-only
 
+CI runs each once, untimed (--benchmark-disable), so that they keep working.
+
 Reference config: random_model(d=64, n_heads=4, n_layers=4, vocab=256),
 rotary, STAIR cap=512 tread=50, 16,384-token prompt; its last chunk is 577
 queries over 16,385 keys.

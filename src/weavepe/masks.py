@@ -50,14 +50,14 @@ class AttentionMask:
         overlap = np.maximum(0, left - lo)
         return int(np.sum(left + right - overlap))
 
-    def tile(self, lo: int, hi: int) -> np.ndarray:
-        """Boolean form of the rows of queries lo..hi-1 over the keys 0..hi-1."""
-        t, i = np.arange(lo, hi)[:, None], np.arange(hi)
+    def tile(self, lo: int, hi: int, c0: int, c1: int) -> np.ndarray:
+        """Boolean form of the rows of queries lo..hi-1 over the keys c0..c1-1."""
+        t, i = np.arange(lo, hi)[:, None], np.arange(c0, c1)
         return (i <= t) & ((i < self.n_global) | (t - i < self.n_local))
 
     def dense(self) -> np.ndarray:
         """Boolean matrix form; intended for small n only."""
-        return self.tile(0, self.n)
+        return self.tile(0, self.n, 0, self.n)
 
     def to_csv(self) -> str:
         dense = self.dense()

@@ -10,14 +10,17 @@ same cached key can be assigned different woven positions later.
 forward, each prefill chunk and each decode step run the same layers
 (_run_layers) and the same attention (_attend); _positions alone turns their
 keys' coordinates (and forward's weave) into the positional input.  Rows
-run in tiles of TILE_ROWS queries; a tile scores only the keys its rows may
-see, adds the causal -inf on its diagonal tail alone (and, under forward's
-mask, -inf on its cells outside it), runs the softmax in place and defers
-its normalisation past the value product, as in FlashAttention (Dao et al.,
-arXiv 2205.14135).  No score, distance or mask matrix larger than one tile
-is held, and a tile is freed before the next is scored; only forward keeps
-each head's normalised n x n weights.  A caller that reads only the last
-columns (prefill) has the last layer attend only the tiles holding them.
+run in tiles of TILE_ROWS queries, and a tile scores only the keys its rows
+may see, in blocks of KEY_BLOCK keys.  Each block gets the causal -inf on
+the diagonal tail cells it holds (and, under forward's mask, -inf on its
+cells outside it), and the softmax runs online over the blocks, in place,
+with its normalisation deferred past the value product, as in
+FlashAttention (Dao et al., arXiv 2205.14135; Rabe & Staats, arXiv
+2112.05682).  No score, distance or mask matrix larger than one block is
+held, and a block is freed before the next is scored, so a tile's working
+set does not grow with the context; only forward keeps each head's
+normalised n x n weights.  A caller that reads only the last columns
+(prefill) has the last layer attend only the tiles holding them.
 
 Every array of _attend may carry a leading heads axis.  A step with one
 query (every decode step) attends with all of a layer's heads in one call
@@ -25,7 +28,7 @@ on the calling thread, so its per-head numpy calls become one batched call
 each; threads made such a step no faster.  More queries attend one head per
 call, on min(usable CPUs, heads) pool threads: numpy releases the GIL in
 the elementwise passes and matmuls that dominate a tile, so each thread
-holds one tile.  A call already on a pool thread (a prefill's middle
+holds one block.  A call already on a pool thread (a prefill's middle
 chunk, the chunks running at once) attends with all heads in one call on
 that thread instead, and never submits to the pool, which would deadlock.
 The thread that runs a layer projects and writes every head's keys and
@@ -184,9 +187,18 @@ class ForwardTrace:
         return weights.w_e.T @ self.hidden[-1][:, -1]
 
 
-#: query rows per attention tile; REF's last-chunk attention (577 x 16,385) is
-#: fastest from 48 to 64 rows, and about 35 % slower at 32 or 128
+#: query rows per attention tile; one head's _attend over REF's last chunk
+#: (577 x 16,385 keys, rotary) took 43-47 ms at 32 to 64 rows and 54 ms at
+#: 128 (2-CPU Xeon, Python 3.11, numpy 2.4, one BLAS thread)
 TILE_ROWS = 64
+#: key columns per block of a tile, so a tile's scores never exceed heads x
+#: TILE_ROWS x KEY_BLOCK cells (1 MiB per head); the same call took 47-52 ms
+#: at every width from 512 keys to all 16,385, and its tracemalloc peak was
+#: 4.07 MiB up to 2,048 keys, 6.2 MiB at 8,192 and 10.2 MiB unblocked
+KEY_BLOCK = 2048
+#: where each tile's running row max starts: finite, so a block whose cells a
+#: row may not see (all -inf) shifts to -inf, not NaN
+_LOWEST = np.finfo(np.float64).min
 #: additive causal mask for a full tile's diagonal tail: -inf above the diagonal
 _CAUSAL_TAIL = np.triu(np.full((TILE_ROWS, TILE_ROWS), -np.inf), 1)
 
@@ -228,20 +240,20 @@ class _Distances:
     """Positional input scored per tile from each pair's distance: forward's
     distances, or the pipeline's additive coordinate differences."""
 
-    tile: Callable[[int, int], np.ndarray]  # (lo, hi): keys lo..hi-1 against keys 0..hi-1
+    tile: Callable[[int, int, int, int], np.ndarray]  # (lo, hi, c0, c1): keys lo..hi-1 against keys c0..c1-1
     theta_base: float | None  # the rotary family's; None for the additive family
     table: np.ndarray | None = None  # the weave table whose windows the tiles are, if they are
 
-    def scores(self, qt: np.ndarray, k: np.ndarray, lo: int, slope: float | np.ndarray) -> np.ndarray:
+    def scores(self, qt: np.ndarray, k: np.ndarray, lo: int, c0: int, slope: float | np.ndarray) -> np.ndarray:
         """Scores of the query rows qt ([heads x] rows x h), the first being
-        key lo, against the keys k ([heads x] h x (lo + rows)); slope, one
-        per head, broadcasts against the scores."""
-        dist, kt = self.tile(lo, k.shape[-1]), np.swapaxes(k, -1, -2)
+        key lo, against the keys k ([heads x] h x cols), the first being key
+        c0; slope, one per head, broadcasts against the scores."""
+        dist, kt = self.tile(lo, lo + qt.shape[-2], c0, c0 + k.shape[-1]), np.swapaxes(k, -1, -2)
         if self.theta_base is None:
             return scores_additive(qt, kt, dist, slope)
         return scores_rotary(qt, kt, dist, self.theta_base)
 
-    def scorer(self, slope: float | np.ndarray) -> Callable[[np.ndarray, np.ndarray, int], np.ndarray]:
+    def scorer(self, slope: float | np.ndarray) -> Callable[[np.ndarray, np.ndarray, int, int], np.ndarray]:
         """scores with slope bound, built once per _attend call.
 
         The additive family over a weave table scales that table by each
@@ -253,9 +265,9 @@ class _Distances:
             return functools.partial(self.scores, slope=slope)
         penalty = toeplitz_tiles((slope * self.table).reshape(np.shape(slope)[:-2] + self.table.shape))
 
-        def scores(qt: np.ndarray, k: np.ndarray, lo: int) -> np.ndarray:
+        def scores(qt: np.ndarray, k: np.ndarray, lo: int, c0: int) -> np.ndarray:
             s = qt @ k
-            s -= penalty(lo, k.shape[-1])
+            s -= penalty(lo, lo + qt.shape[-2], c0, c0 + k.shape[-1])
             return s
 
         return scores
@@ -285,13 +297,13 @@ def _positions(weights: ModelWeights, coords: np.ndarray | None, m: int, weave: 
     base = weights.theta_base if fam == "rotary" else None
     if coords is None:
         if weave is not None and weave.scheme is Scheme.SELF_EXTEND:
-            return _Distances(lambda lo, hi: woven_distances(weave, np.arange(lo, hi), np.arange(hi)), base)
+            return _Distances(lambda lo, hi, c0, c1: woven_distances(weave, np.arange(lo, hi), np.arange(c0, c1)), base)
         if fam == "additive" or (weave is not None and weave.scheme not in IDENTITY_SCHEMES):
             table = weave_table(weave, m)
             return _Distances(toeplitz_tiles(table), base, table)
         coords = np.arange(m, dtype=np.float64)
     if fam == "additive":
-        return _Distances(lambda lo, hi: coords[lo:hi, None] - coords[None, :hi], None)
+        return _Distances(lambda lo, hi, c0, c1: coords[lo:hi, None] - coords[None, c0:c1], None)
     if m > 1:
         return rotary_table(coords, weights.head_dim, base)
     starts = np.flatnonzero(np.r_[True, coords[1:] != coords[:-1]])  # first key of each run
@@ -321,43 +333,72 @@ def _attend(
     (ctx_len + m)) attend head by head in the same passes, and slope, one
     per head (heads x 1 x 1), broadcasts against their scores; one head's
     arrays may also come without the axis.  Query row r sees keys
-    [0, ctx_len + r].  Rows run in tiles of TILE_ROWS: a tile ending at row
-    r1 scores only keys [0, ctx_len + r1), the causal -inf goes on its
-    rows x rows diagonal tail alone, and the softmax runs in place on the
-    tile with its normalisation deferred past the value product.  pos is
-    _positions over the ctx_len + m keys, and the queries, being the last m
-    keys, take its tail from ctx_len on; a _Woven (one query) scores its one
-    row itself.  forward passes its mask, which sets -inf on each tile's
-    cells outside it, and alpha, zeros of the weights' shape ([heads x] m x
-    (ctx_len + m)) into which each tile writes its normalised weights.
-    Returns [heads x] h x m values.
+    [0, ctx_len + r].  Rows run in tiles of TILE_ROWS, and a tile ending at
+    row r1 sees keys [0, ctx_len + r1), scored in blocks of KEY_BLOCK
+    columns: the causal -inf goes on the cells of its rows x rows diagonal
+    tail that a block holds, and the softmax runs online over the blocks,
+    as in FlashAttention.  Each block is shifted by the running row max and
+    exponentiated in place; the row sums and the value products, s @ v^T,
+    accumulate, rescaled by exp(old max - new max) when a block raises the
+    max, and the normalisation waits past the row's last block.  A tile of
+    one block is plain softmax arithmetic.  The running max starts at the
+    lowest finite float, not -inf, so a row that sees no key of a block
+    adds zeros, not NaN.  pos is _positions over the ctx_len + m keys, and
+    the queries, being the last m keys, take its tail from ctx_len on; a
+    _Woven (one query) scores its one row itself, as one block.  forward
+    passes its mask, which sets -inf on each block's cells outside it, and
+    alpha, zeros of the weights' shape ([heads x] m x (ctx_len + m)) into
+    which each block writes its weights, rescaled and normalised after the
+    row's last block.  Returns [heads x] h x m values.
     """
     if isinstance(pos, tuple):  # a rotary table over the keys
         q, k = apply_rotary(q, tuple(t[:, ctx_len:] for t in pos)), apply_rotary(k, pos)
-    qt = np.swapaxes(q, -1, -2)
+    qt, vt = np.swapaxes(q, -1, -2), np.swapaxes(v, -1, -2)
     m = qt.shape[-2]
     out = np.empty(v.shape[:-1] + (m,))
     if isinstance(pos, _Distances):
         scores = pos.scorer(slope)
+    width = ctx_len + m if isinstance(pos, _Woven) else KEY_BLOCK  # a _Woven's one row is one block
     for r0 in range(0, m, TILE_ROWS):
         r1 = min(r0 + TILE_ROWS, m)
-        nk = ctx_len + r1
-        if isinstance(pos, _Woven):
-            s = pos.scores(q, k)
-        elif isinstance(pos, _Distances):
-            s = scores(qt[..., r0:r1, :], k[..., :nk], ctx_len + r0)
-        else:
-            s = qt[..., r0:r1, :] @ k[..., :nk]
-        s[..., ctx_len + r0 :] += _CAUSAL_TAIL[: r1 - r0, : r1 - r0]
-        if mask is not None:
-            s[..., ~mask.tile(ctx_len + r0, nk)] = -np.inf
-        s -= s.max(axis=-1, keepdims=True)
-        np.exp(s, out=s)
-        total = s.sum(axis=-1, keepdims=True)
-        out[..., r0:r1] = (v[..., :nk] @ np.swapaxes(s, -1, -2)) / np.swapaxes(total, -1, -2)
-        if alpha is not None:
-            np.divide(s, total, out=alpha[..., r0:r1, :nk])
-        del s  # free this tile before the next is scored: one tile alive, not two
+        lo, nk = ctx_len + r0, ctx_len + r1  # the tile's first query is key lo; its rows see keys [0, nk)
+        top = _LOWEST  # running row max
+        shifts = []  # (first key, end key, max subtracted) of each block kept in alpha
+        for c0 in range(0, nk, width):
+            c1 = min(c0 + width, nk)
+            if isinstance(pos, _Woven):
+                s = pos.scores(q, k)
+            elif isinstance(pos, _Distances):
+                s = scores(qt[..., r0:r1, :], k[..., c0:c1], lo, c0)
+            else:
+                s = qt[..., r0:r1, :] @ k[..., c0:c1]
+            if c1 > lo:  # the block holds part of the diagonal tail
+                s[..., max(c0, lo) - c0 :] += _CAUSAL_TAIL[: r1 - r0, max(c0, lo) - lo : c1 - lo]
+            if mask is not None:
+                s[..., ~mask.tile(lo, nk, c0, c1)] = -np.inf
+            new = s.max(axis=-1, keepdims=True)
+            if c0 or mask is not None:  # every row sees key 0 of the first block, unless a mask hides it
+                np.maximum(new, top, out=new)
+            s -= new
+            np.exp(s, out=s)
+            if c0 == 0:
+                total, acc = s.sum(axis=-1, keepdims=True), s @ vt[..., :c1, :]
+            else:
+                rescale = np.exp(top - new)
+                total *= rescale
+                total += s.sum(axis=-1, keepdims=True)
+                acc *= rescale
+                acc += s @ vt[..., c0:c1, :]
+            top = new
+            if alpha is not None:
+                alpha[..., r0:r1, c0:c1] = s
+                shifts.append((c0, c1, new))
+            del s  # free this block before the next is scored: one block alive, not two
+        out[..., r0:r1] = np.swapaxes(acc / total, -1, -2)
+        for c0, c1, shift in shifts:
+            kept = alpha[..., r0:r1, c0:c1]
+            kept *= np.exp(shift - top)
+            kept /= total
     return out
 
 
@@ -443,10 +484,10 @@ def _run_layers(
     One query (every decode step), or a call on a pool thread (a middle
     chunk), attends with all of a layer's heads in one _attend call, on its
     own thread.  More queries attend one head per call, on min(usable CPUs,
-    heads) pool threads, each holding one tile.  The cache writes and the
-    key and value views happen on the thread that called this, and the
-    heads' h x m outputs are projected and summed there in head order, so
-    the pool changes no bit.
+    heads) pool threads, each holding one block of one tile.  The cache
+    writes and the key and value views happen on the thread that called
+    this, and the heads' h x m outputs are projected and summed there in
+    head order, so the pool changes no bit.
     """
     m = h.shape[1]
     n_heads = len(weights.layers[0].heads)
@@ -539,10 +580,11 @@ class KVCache:
     slots (write), attends over them in place, and append then commits
     them, in token order; prefill's middle chunks write theirs past slots
     other chunks are still writing.  Capacity starts at the constructor's
-    (prefill passes the prompt length); a write at len(cache) that runs
-    past it grows that layer's arrays to the larger of the need and
-    capacity + 1/8 — never by doubling, so growing a full cache allocates
-    at most one layer's K or V again at a time.
+    (prefill passes the prompt length, generate the prompt plus its new
+    tokens); a write at len(cache) that runs past it grows that layer's
+    arrays to the larger of the need and capacity + 1/8 — never by
+    doubling, so growing a full cache allocates at most one layer's K or V
+    again at a time.
     """
 
     def __init__(self, n_layers: int, n_heads: int, capacity: int = 0):

@@ -290,9 +290,10 @@ def weave_table(params: WeaveParams | None, n: int) -> np.ndarray:
     raise ValueError(f"{params.scheme.value} weave is not a pure function of the distance")
 
 
-def toeplitz_tiles(table: np.ndarray) -> Callable[[int, int], np.ndarray]:
-    """Tiles (lo, hi) of the n x n matrix whose row t holds table[t - i] at
-    columns i <= t and 0 past t: its rows lo..hi-1 over columns 0..hi-1.
+def toeplitz_tiles(table: np.ndarray) -> Callable[[int, int, int, int], np.ndarray]:
+    """Tiles (lo, hi, c0, c1) of the n x n matrix whose row t holds
+    table[t - i] at columns i <= t and 0 past t: its rows lo..hi-1 over
+    columns c0..c1-1.
 
     A weave's distance matrix is constant along each diagonal, so every tile
     is a strided view of one reversed table [table[n-1], ..., table[0], 0
@@ -302,7 +303,7 @@ def toeplitz_tiles(table: np.ndarray) -> Callable[[int, int], np.ndarray]:
     n = table.shape[-1]
     padded = np.concatenate([table[..., ::-1], np.zeros(table.shape[:-1] + (n - 1,))], axis=-1)
     windows = sliding_window_view(padded, n, axis=-1)
-    return lambda lo, hi: windows[..., n - hi : n - lo, :][..., ::-1, :hi]
+    return lambda lo, hi, c0, c1: windows[..., n - hi : n - lo, :][..., ::-1, c0:c1]
 
 
 @dataclass(frozen=True)

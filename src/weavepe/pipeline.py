@@ -9,7 +9,9 @@ prompt that fits the trained window (or the first+last budget) is one
 chunk at raw positions, the same computation as the first chunk.  A decode
 step is the last chunk of one token: the same weave, decode_distances,
 anchored at the new token, so every decode query sees exactly the woven
-distance to every key.
+distance to every key; a step whose distance to the first key would pass
+the trained window raises instead.  generate sizes the cache for its new
+tokens up front, so its steps never grow it.
 
 Every distance a chunk feeds the positional term is a difference of
 coordinates.  A chunk's keys are its context, always the tokens
@@ -158,13 +160,19 @@ class PrefillResult:
 
 
 def prefill(tokens, weights: ModelWeights, config: MesaConfig) -> PrefillResult:
-    """Chunked prefill of the whole prompt; returns last-position logits and the cache.
+    """Chunked prefill of the whole prompt; returns last-position logits and
+    the cache, sized to the prompt.
 
     Inputs that fit the trained window (or the first+last budget) fall back to
     a single vanilla pass: one chunk at raw positions with no context.  A
     longer input under an identity weave is rejected: its last chunk would
     feed raw distances past the trained window.
     """
+    return _prefill(tokens, weights, config, len(tokens) + 1)
+
+
+def _prefill(tokens, weights: ModelWeights, config: MesaConfig, slots: int) -> PrefillResult:
+    """prefill, its cache sized to slots tokens, <bos> and the prompt included."""
     if len(tokens) == 0:
         raise ValueError("empty input")
     seq_ids = token_ids([BOS_ID, *tokens], weights)
@@ -183,7 +191,7 @@ def prefill(tokens, weights: ModelWeights, config: MesaConfig) -> PrefillResult:
     else:
         plan = dynamic_split(total, config.train_len, config.first_len, config.min_last, config.rest_max)
         spans = chunk_spans(plan)
-    cache = KVCache(len(weights.layers), len(weights.layers[0].heads), capacity=total)
+    cache = KVCache(len(weights.layers), len(weights.layers[0].heads), capacity=slots)
     report = RunReport(plan=plan, fallback=fallback)
     anchor = total - 1
 
@@ -221,7 +229,7 @@ def prefill(tokens, weights: ModelWeights, config: MesaConfig) -> PrefillResult:
 
     # the first (or single) chunk, then the middle chunks, at once on the pool,
     # then the last chunk, which needs them all; the first sizes every layer's
-    # storage to the prompt, so the middle chunks write into it without growing it
+    # storage to slots, so the middle chunks write into it without growing it
     last = max(len(spans) - 1, 1)
     for stage in (range(1), range(1, last), range(last, len(spans))):
         for final, trace in _pool_map(run, stage):
@@ -237,10 +245,19 @@ def decode_step(
     cache: KVCache, next_token: int, weights: ModelWeights, config: MesaConfig
 ) -> tuple[np.ndarray, KVCache]:
     """Append one token: the last chunk of a one-token prompt extension, its
-    query anchored at itself and every cached raw key at its woven distance."""
+    query anchored at itself and every cached raw key at its woven distance.
+
+    Raises, before writing the cache, when the token's woven distance to the
+    first key, the largest it would score, lies past the trained window."""
     t = len(cache)
+    dist = decode_distances(t, config)
+    if dist[0] > config.train_len - 1:
+        raise ValueError(
+            f"decoding position {t} would score woven distance {dist[0]:g} to the first key, "
+            f"past the trained window of {config.train_len} positions (distances up to {config.train_len - 1})"
+        )
     h = weights.w_e[:, token_ids([next_token], weights)].astype(np.float64)
-    h = _run_layers(h, weights, cache, t, t, _positions(weights, t - decode_distances(t, config), 1))
+    h = _run_layers(h, weights, cache, t, t, _positions(weights, t - dist, 1))
     cache.append(1)
     logits = weights.w_e.T @ h[:, -1]
     return logits, cache
@@ -259,8 +276,9 @@ def generate(
     max_new: int,
     stop_id: int | None = None,
 ) -> GenerationResult:
-    """Greedy generation: prefill once, then decode one token at a time."""
-    pre = prefill(tokens, weights, config)
+    """Greedy generation: prefill once, into a cache sized for the prompt and
+    max_new tokens, then decode one token at a time."""
+    pre = _prefill(tokens, weights, config, len(tokens) + 1 + max_new)
     report = pre.report
     out: list[int] = []
     logits = pre.logits

@@ -149,8 +149,10 @@ def test_verify_theory_corollary_requires_tread(tmp_path, capsys):
 
 
 def test_run_report_deterministic(tmp_path, capsys):
+    # a tread of 10 keeps the 301 positions and 4 new tokens inside the
+    # window: the last step scores W(304) = 32 + ceil(272 / 10) = 60 < 64
     args = [
-        "run", "--random-tokens", 300, "--T", 64, "--N", 32, "--E", 4,
+        "run", "--random-tokens", 300, "--T", 64, "--N", 32, "--E", 10,
         "--F", 8, "--L", 16, "--M-max", 8, "--d", 8, "--max-new", 4, "--seed", 5,
     ]
     a, b = tmp_path / "a", tmp_path / "b"
@@ -167,8 +169,10 @@ def test_run_with_text_input(tmp_path, capsys):
     src = tmp_path / "prompt.txt"
     src.write_text("the cat sat on the mat and looked at the dog " * 12)
     out = tmp_path / "o"
+    # 133 positions and 3 new tokens; a tread of 8 keeps the last step's
+    # W(135) = 16 + ceil(119 / 8) = 31 inside the window
     args = [
-        "run", "--input", src, "--T", 32, "--N", 16, "--E", 2, "--F", 4, "--L", 8,
+        "run", "--input", src, "--T", 32, "--N", 16, "--E", 8, "--F", 4, "--L", 8,
         "--M-max", 4, "--d", 8, "--max-new", 3, "--out", out,
     ]
     assert run_cli(args) == 0

@@ -6,8 +6,9 @@ matrix (scores_rotary, scores_additive or a plain dot product), then takes
 an explicit masked softmax and the normalised value product.  forward runs
 the row-tiled attention core instead: coordinate rotations under an
 identity weave, each tile's own woven distances under any other, the causal
-tail plus a mask's tile, and normalisation deferred past the value product.
-position_matrix and AttentionMask.dense raise while forward runs, so it calls neither.
+tail plus a mask's tile, and normalisation deferred past the value product;
+with KEY_BLOCK patched small, each tile's keys in blocks under an online
+softmax.  position_matrix and AttentionMask.dense raise while forward runs, so it calls neither.
 """
 
 from unittest import mock
@@ -39,6 +40,8 @@ def _mask(kind, n):
         return sink_mask(n, 2, 5)
     if kind == "lambda":
         return lambda_mask(n, 3, 7)
+    if kind == "local":  # no global keys: a row past the first blocks sees none of them
+        return AttentionMask(n, n_global=0, n_local=5)
     return None
 
 
@@ -72,18 +75,19 @@ def _dense_forward(tokens, weights, weave, mask):
     return hidden, attn, alphas
 
 
-def _check(family, weave, mask_kind, standard_norm, n_tokens, tile, seed, n_layers=2, n_heads=2):
+def _check(family, weave, mask_kind, standard_norm, n_tokens, tile, seed, n_layers=2, n_heads=2, block=2048):
     w = random_model(d=4 * n_heads, n_heads=n_heads, n_layers=n_layers, vocab=16, seed=seed, pe_family=family)
     if standard_norm:
         w.layers[-1].layer_norm = "standard"
     tokens = np.random.default_rng(seed).integers(1, 16, size=n_tokens).tolist()
     mask = _mask(mask_kind, n_tokens + 1)
     hidden, attn, alphas = _dense_forward(tokens, w, weave, mask)
-    # TILE_ROWS patched where _attend reads it; forward builds no n x n
-    # distance or mask matrix, so both dense forms raise inside it
+    # TILE_ROWS and KEY_BLOCK patched where _attend reads them; forward
+    # builds no n x n distance or mask matrix, so both dense forms raise inside it
     dense_build = AssertionError("forward built an n x n matrix")
     with (
         mock.patch.object(model, "TILE_ROWS", tile),
+        mock.patch.object(model, "KEY_BLOCK", block),
         mock.patch.object(model, "position_matrix", side_effect=dense_build),
         mock.patch.object(AttentionMask, "dense", side_effect=dense_build),
     ):
@@ -99,10 +103,22 @@ def _check(family, weave, mask_kind, standard_norm, n_tokens, tile, seed, n_laye
 
 @pytest.mark.parametrize("family", ["rotary", "additive", "dot"])
 @pytest.mark.parametrize("weave", list(WEAVES))
-@pytest.mark.parametrize("mask_kind", ["causal", "sink", "lambda"])
+@pytest.mark.parametrize("mask_kind", ["causal", "sink", "lambda", "local"])
 def test_forward_matches_dense_oracle(family, weave, mask_kind):
     # 30 positions in tiles of 7: four full tiles and a partial one
     _check(family, WEAVES[weave], mask_kind, standard_norm=True, n_tokens=29, tile=7, seed=3)
+
+
+@pytest.mark.parametrize("family", ["rotary", "additive", "dot"])
+@pytest.mark.parametrize("weave", list(WEAVES))
+@pytest.mark.parametrize("mask_kind", ["causal", "sink", "lambda", "local"])
+def test_forward_in_key_blocks_matches_dense_oracle(family, weave, mask_kind):
+    # 70 positions in tiles of 8 over blocks of 16 keys: up to five blocks
+    # per tile, the last one partial, a block may lie wholly past the
+    # diagonal of a tile's first rows, and under the local mask a row sees
+    # no key of its first blocks, so its running max starts with no finite
+    # score; the kept weights are rescaled after each row's last block
+    _check(family, WEAVES[weave], mask_kind, standard_norm=True, n_tokens=69, tile=8, seed=3, block=16)
 
 
 @st.composite
@@ -117,18 +133,20 @@ def _cases(draw):
         group=draw(st.integers(1, 4)),
     )
     tile = draw(st.integers(1, 16))
+    block = draw(st.sampled_from([1, 2, 5, 16, 2048]))
     # lengths below, at and past one and two tile heights
     n_tokens = draw(st.sampled_from([tile - 1, tile, tile + 1, 2 * tile, 2 * tile + 1, 3 * tile + 2]) | st.integers(1, 40))
     return (
         draw(st.sampled_from(["rotary", "additive", "dot"])),
         weave,
-        draw(st.sampled_from(["causal", "sink", "lambda"])),
+        draw(st.sampled_from(["causal", "sink", "lambda", "local"])),
         draw(st.booleans()),
         max(n_tokens, 1),
         tile,
         draw(st.integers(0, 2**16)),
         draw(st.integers(1, 2)),
         draw(st.integers(1, 2)),
+        block,
     )
 
 

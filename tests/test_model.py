@@ -213,7 +213,7 @@ def _per_tile_positions(weights, coords, m, weave=None):
         coords = np.arange(m, dtype=np.float64)
         if weights.pe_family != "dot" and weave is not None and weave.scheme not in IDENTITY_SCHEMES:
             base = weights.theta_base if weights.pe_family == "rotary" else None
-            return _Distances(lambda lo, hi: woven_distances(weave, np.arange(lo, hi), np.arange(hi)), base)
+            return _Distances(lambda lo, hi, c0, c1: woven_distances(weave, np.arange(lo, hi), np.arange(c0, c1)), base)
     return _positions(weights, coords, m)
 
 
@@ -242,10 +242,12 @@ def test_distance_tiles_are_windows_onto_the_position_matrix(family, weave):
     entries = position_matrix(params, n).entries
     spans = [(lo, min(lo + TILE_ROWS, n)) for lo in range(0, n, TILE_ROWS)] + [(0, 1), (7, 8), (3, 97), (149, 150)]
     for lo, hi in spans:
-        tile = pos.tile(lo, hi)
-        assert tile.shape == (hi - lo, hi) and not tile.flags.owndata  # a view, not a built array
-        seen = np.tri(hi - lo, hi, lo, dtype=bool)  # on and below the diagonal
-        assert np.array_equal(tile[seen], entries[lo:hi, :hi][seen])
+        # every key, then a block of columns off the diagonal and one across it
+        for c0, c1 in [(0, hi), (lo // 2, lo // 2 + 1), (lo // 3, hi)]:
+            tile = pos.tile(lo, hi, c0, c1)
+            assert tile.shape == (hi - lo, c1 - c0) and not tile.flags.owndata  # a view, not a built array
+            seen = np.tri(hi - lo, hi, lo, dtype=bool)[:, c0:c1]  # on and below the diagonal
+            assert np.array_equal(tile[seen], entries[lo:hi, c0:c1][seen])
 
 
 @pytest.mark.parametrize("weave", list(_WEAVES.values()), ids=list(_WEAVES))
@@ -281,17 +283,18 @@ def _commit(cache, k_blocks, v_blocks):
 
 
 def test_attend_holds_one_score_tile():
-    # 3 full row tiles over 4,096 keys: a tile is 64 x 4,096 float64 (2 MiB)
+    # 3 full row tiles over 4,096 keys, scored in blocks: a block is 64 x
+    # 2,048 float64 (1 MiB), and the tile's other blocks are never alive with it
     import tracemalloc
 
-    from weavepe.model import TILE_ROWS, _attend
+    from weavepe.model import KEY_BLOCK, TILE_ROWS, _attend
 
     rng = np.random.default_rng(0)
     h, m, n = 16, 3 * TILE_ROWS, 4096
     q, k, v = rng.normal(size=(h, m)), rng.normal(size=(h, n)), rng.normal(size=(h, n))
-    tile = TILE_ROWS * n * 8
+    block = TILE_ROWS * KEY_BLOCK * 8
     rotary = rotary_table(np.arange(n, dtype=np.float64), h, 10000.0)
-    # forward's table-backed additive tiles: one tile, plus the slope-scaled
+    # forward's table-backed additive tiles: one block, plus the slope-scaled
     # table reversed and padded to 2n - 1 values
     stair = WeaveParams(scheme=Scheme.STAIR, cap=512, tread=50)
     additive = _positions(random_model(d=h, n_heads=1, n_layers=1, pe_family="additive"), None, n, stair)
@@ -302,7 +305,30 @@ def test_attend_holds_one_score_tile():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < tile + held + (256 << 10), (type(pos).__name__, peak)
+        assert peak < block + held + (256 << 10), (type(pos).__name__, peak)
+
+
+def test_attend_over_the_last_chunk_of_16k_stays_under_5_mib():
+    # one head of REF's last chunk, 577 queries over 16,385 keys, rotary:
+    # unblocked, its 64 x 16,385 score tile alone is 8 MiB and the call
+    # peaks at 10.2 MiB; in blocks of 2,048 keys it holds the rotated keys
+    # (2 MiB), their rotation's temporaries and one 1 MiB block
+    import tracemalloc
+
+    from weavepe.model import _attend
+
+    rng = np.random.default_rng(0)
+    h, m, n = 16, 577, 16_385
+    q, k, v = rng.normal(size=(h, m)), rng.normal(size=(h, n)), rng.normal(size=(h, n))
+    rotary = rotary_table(np.arange(n, dtype=np.float64), h, 10000.0)
+    tracemalloc.start()
+    try:
+        out = _attend(q, k, v, n - m, 0.0, rotary)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (h, m) and np.isfinite(out).all()
+    assert peak < 5 << 20, peak
 
 
 def test_kv_cache_round_trip():

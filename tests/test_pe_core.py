@@ -288,8 +288,11 @@ def test_toeplitz_tiles_hold_each_distance_and_pad_past_the_diagonal():
     heads = toeplitz_tiles(np.stack([table, -2.0 * table]))  # a leading axis leads each tile
     for lo in range(n):
         for hi in range(lo + 1, n + 1):
-            assert np.array_equal(tiles(lo, hi), want[lo:hi, :hi]), (lo, hi)
-            assert np.array_equal(heads(lo, hi), [want[lo:hi, :hi], -2.0 * want[lo:hi, :hi]]), (lo, hi)
+            for c0 in range(hi):  # every column range ending at or before the last row's diagonal
+                for c1 in range(c0 + 1, hi + 1):
+                    block = want[lo:hi, c0:c1]
+                    assert np.array_equal(tiles(lo, hi, c0, c1), block), (lo, hi, c0, c1)
+                    assert np.array_equal(heads(lo, hi, c0, c1), [block, -2.0 * block]), (lo, hi, c0, c1)
 
 
 def test_weave_params_validation():

@@ -1,6 +1,7 @@
 """Chunked prefill, woven decode, and fallback behavior."""
 
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -371,21 +372,25 @@ def _full_last_layer(monkeypatch):
     monkeypatch.setattr(pipeline, "_run_layers", lambda *args, read=None: model._run_layers(*args))
 
 
-def test_single_pass_caches_the_keys_and_values_of_forward():
+def test_single_pass_caches_the_keys_and_values_of_forward(monkeypatch):
     # 151 positions, three tiles: the last layer attends only the third, but
     # writes every column's keys and values, each the product of forward's
-    # hidden state at that layer
-    from weavepe.model import TILE_ROWS
+    # hidden state at that layer; so too in tiles of 8 rows over blocks of
+    # 16 keys, where both run the same online softmax
+    from weavepe import model
 
     w = random_model(d=8, n_heads=2, n_layers=3, vocab=16, seed=3)
-    res = prefill(_tokens(150), w, WIDE)
-    assert res.report.fallback and len(res.cache) > 2 * TILE_ROWS
-    tr = forward(_tokens(150), w)
-    for li, layer in enumerate(w.layers):
-        for mi, head in enumerate(layer.heads):
-            k, v = res.cache.view(li, mi)
-            assert np.array_equal(k, head.w_k @ tr.hidden[li])
-            assert np.array_equal(v, head.w_v @ tr.hidden[li])
+    for tile, block in [(64, 2048), (8, 16)]:
+        monkeypatch.setattr(model, "TILE_ROWS", tile)
+        monkeypatch.setattr(model, "KEY_BLOCK", block)
+        res = prefill(_tokens(150), w, WIDE)
+        assert res.report.fallback and len(res.cache) > 2 * tile
+        tr = forward(_tokens(150), w)
+        for li, layer in enumerate(w.layers):
+            for mi, head in enumerate(layer.heads):
+                k, v = res.cache.view(li, mi)
+                assert np.array_equal(k, head.w_k @ tr.hidden[li])
+                assert np.array_equal(v, head.w_v @ tr.hidden[li])
 
 
 @pytest.mark.parametrize("family", ["dot", "additive", "rotary"])
@@ -460,13 +465,16 @@ def _chunked_run(monkeypatch, cpus, n, family, pool_calls=None):
 
         monkeypatch.setattr(model, "_pool", spy)
     w = random_model(d=16, n_heads=4, n_layers=2, vocab=16, seed=5, pe_family=family)
+    # TOY's split with a tread of 12, so 400 positions and 4 steps stay
+    # inside the trained window: W(403) = 32 + ceil(371 / 12) = 63
+    cfg = replace(TOY, weave=WeaveParams(scheme=Scheme.STAIR, cap=32, tread=12))
     done = []
 
     def run():
-        res = prefill(_tokens(n - 1), w, TOY)
+        res = prefill(_tokens(n - 1), w, cfg)
         logits, cache = [res.logits], res.cache
         for _ in range(4):
-            step, cache = decode_step(cache, int(np.argmax(logits[-1])), w, TOY)
+            step, cache = decode_step(cache, int(np.argmax(logits[-1])), w, cfg)
             logits.append(step)
         done.append((res.report, logits, cache))
 
@@ -538,6 +546,60 @@ def test_generate_deterministic_and_stops():
     first_hit = a.token_ids.index(stop) + 1
     c = generate(_tokens(30), w, TOY, max_new=6, stop_id=stop)
     assert c.token_ids == a.token_ids[:first_hit]
+
+
+def test_generate_sizes_the_cache_once(monkeypatch):
+    # generate's cache holds the prompt and its max_new tokens from the
+    # start, so no decode step regrows it; the ids are the prefill and
+    # decode_step loop's
+    from weavepe import model
+
+    w = random_model(d=8, n_heads=2, n_layers=2, vocab=16, seed=4)
+    tokens, max_new = _tokens(100), 7
+    res = prefill(tokens, w, TOY)
+    logits, cache, want = res.logits, res.cache, []
+    for _ in range(max_new):
+        want.append(int(np.argmax(logits)))
+        logits, cache = decode_step(cache, want[-1], w, TOY)
+    assert cache.capacity == 101 + 101 // 8  # the loop's first step grew a prompt-sized cache
+    sizes, storage = [], model.KVCache._layer_storage
+
+    def spy(cache, layer, head_dim, need):
+        ks, vs = storage(cache, layer, head_dim, need)
+        sizes.append((ks.shape[2], vs.shape[2]))
+        return ks, vs
+
+    monkeypatch.setattr(model.KVCache, "_layer_storage", spy)
+    assert generate(tokens, w, TOY, max_new=max_new).token_ids == want
+    assert set(sizes) == {(101 + max_new, 101 + max_new)}
+
+
+@pytest.mark.parametrize("prompt", [63, 60])
+def test_decode_step_rejects_a_distance_past_the_window(prompt):
+    # an identity weave under T = 64: positions 0..63 are trained, so the
+    # step at position 64 would score raw distance 64 to <bos>; it raises
+    # before writing the cache
+    cfg = MesaConfig(train_len=64, weave=WeaveParams(scheme=Scheme.ROPE), first_len=8, min_last=16, rest_max=8)
+    w = random_model(d=8, n_heads=2, n_layers=2, vocab=16, seed=3)
+    res = prefill(_tokens(prompt), w, cfg)
+    assert res.report.fallback
+    logits, cache = res.logits, res.cache
+    with pytest.raises(ValueError, match="position 64 would score woven distance 64 .* window of 64 positions"):
+        for _ in range(10):
+            logits, cache = decode_step(cache, int(np.argmax(logits)), w, cfg)
+    assert len(cache) == 64
+
+
+def test_decode_step_stops_at_the_stairs_closed_form_length():
+    # TOY's staircase (N 32, E 4, T 64) takes N + (T - 1 - N) E + 1 = 157
+    # positions: W(156) = 63, and the step at 157 would score W(157) = 64
+    w = random_model(d=8, n_heads=2, n_layers=1, vocab=16, seed=3)
+    res = prefill(_tokens(150), w, TOY)
+    logits, cache = res.logits, res.cache
+    with pytest.raises(ValueError, match="position 157 would score woven distance 64 .* window of 64 positions"):
+        for _ in range(10):
+            logits, cache = decode_step(cache, int(np.argmax(logits)), w, TOY)
+    assert len(cache) == 157
 
 
 def test_prefill_cells_match_closed_form():

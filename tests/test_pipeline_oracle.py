@@ -130,63 +130,82 @@ def _model(family, seed, standard_norm=False, n_layers=2, n_heads=2):
 @st.composite
 def _cases(draw):
     first = draw(st.integers(1, 8))
-    train = draw(st.integers(first + 1, 48))
-    weave = WeaveParams(
-        scheme=draw(st.sampled_from([Scheme.STAIR, Scheme.REROPE, Scheme.LEAKY_REROPE])),
-        cap=draw(st.integers(1, train - 1)),
-        tread=draw(st.integers(1, 6)),
-        leak=draw(st.floats(0.05, 1.0)),
-    )
-    cfg = MesaConfig(
-        train_len=train,
-        weave=weave,
-        first_len=first,
-        min_last=draw(st.integers(1, 24)),
-        rest_max=draw(st.integers(1, 12)),
-    )
-    floor = max(train, cfg.min_last + first)
+    train = draw(st.integers(first + 2, 48))
+    scheme = draw(st.sampled_from([Scheme.STAIR, Scheme.REROPE, Scheme.LEAKY_REROPE]))
+    cap = draw(st.integers(1, train - 2))
+    min_last, rest_max = draw(st.integers(1, 24)), draw(st.integers(1, 12))
+    floor = max(train, min_last + first)
     total = draw(st.integers(floor + 1, floor + 120))
+    # the three decode steps stay inside the trained window: the last scores
+    # W(total + 2) = cap + (its steps past the cap, reach) woven <= train - 1
+    reach, room = total + 2 - cap, train - 1 - cap
+    tread = -(-reach // room)
+    leak = room / reach
+    weave = WeaveParams(
+        scheme=scheme,
+        cap=cap,
+        tread=draw(st.integers(tread, tread + 5)),
+        leak=draw(st.floats(leak / 20, 0.999 * leak)),
+    )
+    cfg = MesaConfig(train_len=train, weave=weave, first_len=first, min_last=min_last, rest_max=rest_max)
     family = draw(st.sampled_from(["rotary", "additive", "dot"]))
     tile = draw(st.sampled_from([1, 2, 3, 4, 7, 16]))
+    block = draw(st.sampled_from([1, 3, 16, model.KEY_BLOCK]))
     shape = {"n_layers": draw(st.integers(1, 3)), "n_heads": draw(st.integers(1, 3))}
-    return cfg, total, family, tile, draw(st.booleans()), shape, draw(st.integers(0, 2**16))
+    return cfg, total, family, tile, block, draw(st.booleans()), shape, draw(st.integers(0, 2**16))
 
 
 @given(_cases())
 @settings(deadline=None, max_examples=60)
 def test_every_chunk_matches_dense_oracle(case):
-    # small tiles put chunk lengths below, at, and off multiples of the tile height
-    cfg, total, family, tile, standard_norm, shape, seed = case
-    # patched where _attend reads it
-    with mock.patch.object(model, "TILE_ROWS", tile):
+    # small tiles put chunk lengths below, at, and off multiples of the tile
+    # height, and small key blocks split each tile's keys off the diagonal
+    cfg, total, family, tile, block, standard_norm, shape, seed = case
+    # patched where _attend reads them
+    with mock.patch.object(model, "TILE_ROWS", tile), mock.patch.object(model, "KEY_BLOCK", block):
         _check_against_oracle(_model(family, seed, standard_norm, **shape), cfg, total - 1, seed)
 
 
-@pytest.mark.parametrize("family", ["rotary", "additive", "dot"])
-@pytest.mark.parametrize(
-    "train, first, min_last, total, lengths",
-    [
-        # first 8 (below the tile), middles of exactly one tile, last of one tile
-        (72, 8, 64, 200, [8, 64, 64, 64]),
-        # middles of one tile, last of 101 rows (not a multiple)
-        (72, 8, 64, 237, [8, 64, 64, 101]),
-        # middles of 140 rows and a last of 150: over two tiles, off the multiple
-        (150, 10, 130, 440, [10, 140, 140, 150]),
-        # a last chunk of one token: a rotary query is rotated per woven distance
-        (16, 4, 1, 29, [4, 12, 12, 1]),
-        # middle chunks of one token: one query, all heads in one call, seeing
-        # the first chunk's keys and its own, not the whole cache
-        (5, 4, 2, 12, [4, 1, 1, 1, 1, 1, 1, 2]),
-    ],
-)
-def test_chunks_at_tile_height_match_dense_oracle(family, train, first, min_last, total, lengths):
+_TILE_HEIGHT_CASES = [
+    # first 8 (below the tile), middles of exactly one tile, last of one tile
+    (72, 8, 64, 200, [8, 64, 64, 64]),
+    # middles of one tile, last of 101 rows (not a multiple)
+    (72, 8, 64, 237, [8, 64, 64, 101]),
+    # middles of 140 rows and a last of 150: over two tiles, off the multiple
+    (150, 10, 130, 440, [10, 140, 140, 150]),
+    # a last chunk of one token: a rotary query is rotated per woven distance
+    (16, 4, 1, 29, [4, 12, 12, 1]),
+    # middle chunks of one token: one query, all heads in one call, seeing
+    # the first chunk's keys and its own, not the whole cache
+    (5, 4, 2, 12, [4, 1, 1, 1, 1, 1, 1, 2]),
+]
+
+
+def _check_tile_height_case(family, train, first, min_last, total, lengths):
+    # a tread of 6 keeps every case's three decode steps inside the window
     cfg = MesaConfig(
         train_len=train,
-        weave=WeaveParams(scheme=Scheme.STAIR, cap=train // 2, tread=5),
+        weave=WeaveParams(scheme=Scheme.STAIR, cap=train // 2, tread=6),
         first_len=first,
         min_last=min_last,
         rest_max=200,
     )
     report = _check_against_oracle(_model(family, seed=11), cfg, total - 1, seed=12)
     assert [hi - lo for lo, hi in (c.q_span for c in report.chunks)] == lengths
-    assert model.TILE_ROWS == 64
+
+
+@pytest.mark.parametrize("family", ["rotary", "additive", "dot"])
+@pytest.mark.parametrize("train, first, min_last, total, lengths", _TILE_HEIGHT_CASES)
+def test_chunks_at_tile_height_match_dense_oracle(family, train, first, min_last, total, lengths):
+    _check_tile_height_case(family, train, first, min_last, total, lengths)
+    assert model.TILE_ROWS == 64 and model.KEY_BLOCK == 2048
+
+
+@pytest.mark.parametrize("family", ["rotary", "additive", "dot"])
+@pytest.mark.parametrize("train, first, min_last, total, lengths", _TILE_HEIGHT_CASES)
+def test_chunks_in_key_blocks_match_dense_oracle(family, train, first, min_last, total, lengths):
+    # tiles of 8 rows over blocks of 16 keys: every chunk past the first
+    # splits its rows' keys into blocks, some wholly above the diagonal of
+    # a tile's first rows, and the online softmax must still match
+    with mock.patch.object(model, "TILE_ROWS", 8), mock.patch.object(model, "KEY_BLOCK", 16):
+        _check_tile_height_case(family, train, first, min_last, total, lengths)
