@@ -5,13 +5,16 @@ Double precision throughout; the threshold constructions depend on it.  The
 multi-head sub-layer uses the additive view (head outputs summed), which is
 equivalent to concatenate-then-project for block-structured output weights.
 Keys and values are cached before any rotation, token i in slot i, so the
-same cached key can be assigned different woven positions later.
+same cached key can be assigned different woven positions later.  The cache
+grows by pages and never moves a key, so attention reads its keys as spans,
+views of the pages that joined give one key index, and nothing joins them.
 
 forward, each prefill chunk and each decode step run the same layers
 (_run_layers) and the same attention (_attend); _positions alone turns their
 keys' coordinates (and forward's weave) into the positional input.  Rows
 run in tiles of TILE_ROWS queries, and a tile scores only the keys its rows
-may see, in blocks of KEY_BLOCK keys.  Each block gets the causal -inf on
+may see, in blocks of KEY_BLOCK keys (of KEY_BLOCK / heads when heads are
+stacked in one call).  Each block gets the causal -inf on
 the diagonal tail cells it holds (and, under forward's mask, -inf on its
 cells outside it), and the softmax runs online over the blocks, in place,
 with its normalisation deferred past the value product, as in
@@ -19,8 +22,11 @@ FlashAttention (Dao et al., arXiv 2205.14135; Rabe & Staats, arXiv
 2112.05682).  No score, distance or mask matrix larger than one block is
 held, and a block is freed before the next is scored, so a tile's working
 set does not grow with the context; only forward keeps each head's
-normalised n x n weights.  A caller that reads only the last columns
-(prefill) has the last layer attend only the tiles holding them.
+normalised n x n weights.  A block inside one span is one matmul over a
+view of it; a block that crosses spans is scored one span piece at a time
+into one block buffer, so the softmax passes still run once per block.  A
+caller that reads only the last columns (prefill) has the last layer attend
+only the tiles holding them.
 
 Every array of _attend may carry a leading heads axis.  A step with one
 query (every decode step) attends with all of a layer's heads in one call
@@ -39,11 +45,13 @@ model and a one-CPU host still do.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import json
+import math
 import os
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterator, Protocol
 
 import numpy as np
@@ -57,7 +65,6 @@ from weavepe.pe_core import (
     apply_rotary,
     position_matrix,  # noqa: F401  kept importable here: perfbench/layertrace.py wraps this name
     rotary_table,
-    scores_additive,
     scores_rotary,
     toeplitz_tiles,
     weave_table,
@@ -191,10 +198,11 @@ class ForwardTrace:
 #: (577 x 16,385 keys, rotary) took 43-47 ms at 32 to 64 rows and 54 ms at
 #: 128 (2-CPU Xeon, Python 3.11, numpy 2.4, one BLAS thread)
 TILE_ROWS = 64
-#: key columns per block of a tile, so a tile's scores never exceed heads x
-#: TILE_ROWS x KEY_BLOCK cells (1 MiB per head); the same call took 47-52 ms
-#: at every width from 512 keys to all 16,385, and its tracemalloc peak was
-#: 4.07 MiB up to 2,048 keys, 6.2 MiB at 8,192 and 10.2 MiB unblocked
+#: key columns per block of one head's tile, and KEY_BLOCK / heads when a
+#: call stacks heads, so a block never exceeds TILE_ROWS x KEY_BLOCK cells
+#: (1 MiB); the same call took 47-52 ms at every width from 512 keys to all
+#: 16,385, and its tracemalloc peak was 4.07 MiB up to 2,048 keys, 6.2 MiB
+#: at 8,192 and 10.2 MiB unblocked
 KEY_BLOCK = 2048
 #: where each tile's running row max starts: finite, so a block whose cells a
 #: row may not see (all -inf) shifts to -inf, not NaN
@@ -216,22 +224,57 @@ class _Woven:
     as complex numbers, times each run's turns e^(-i w theta), which is
     apply_rotary's rotation.  Each segment is then scored by one batched
     product of each run's rotated query with an h x length view of that
-    run's keys, so no key is copied either.
+    run's keys, so no key is copied either; a segment of one-key runs by
+    one einsum over the dims instead, which reads the keys row by row, not
+    one strided column per key, in about half the time (REF's 507 near
+    keys, one layer).  The keys come as spans (the cache's pages), and no
+    view crosses one, so the segments are cut at the spans' boundaries, a
+    run that crosses one scored in two parts with its one turn; they are
+    cut once per layout of spans, on the first layer's call, and kept for
+    the others.
     """
 
     turns: np.ndarray  # runs x h/2 complex: cos + i sin of a rotary_table over one distance per run
-    segments: tuple    # (first run, end run, run length, first key) each
+    segments: tuple  # (first run, end run, run length, first key) each, over the joined keys
+    cut: dict = field(default_factory=dict, compare=False, repr=False)  # span lengths -> their layout
 
-    def scores(self, q: np.ndarray, k: np.ndarray) -> np.ndarray:
+    def layout(self, lengths: tuple[int, ...]) -> tuple:
+        """(first run, end run, run length, span, first key in the span,
+        first key) of each part of the segments over spans of these
+        lengths: whole runs of a segment that lie in one span, or the part
+        of one run that does."""
+        if lengths not in self.cut:
+            parts, s0 = [], 0
+            for j, n in enumerate(lengths):
+                s1 = s0 + n
+                for r0, r1, length, a in self.segments:
+                    x, x1 = max(a, s0), min(a + (r1 - r0) * length, s1)
+                    r = r0 + (x - a) // length  # the run that holds key x
+                    while x < x1:
+                        head = a + (r - r0) * length  # run r's first key
+                        runs = 1 if x > head else max((x1 - x) // length, 1)
+                        size = min(head + runs * length, x1) - x
+                        parts.append((r, r + runs, length if size == runs * length else size, j, x - s0, x))
+                        x, r = x + size, r + runs
+                s0 = s1
+            self.cut[lengths] = tuple(parts)
+        return self.cut[lengths]
+
+    def scores(self, q: np.ndarray, ks: tuple[np.ndarray, ...]) -> np.ndarray:
         """Scores ([heads x] 1 x n) of each head's query q ([heads x] h x 1)
-        against its keys k ([heads x] h x n)."""
+        against its keys: the spans ks ([heads x] h x length each), joined."""
         pairs = np.ascontiguousarray(q[..., 0]).view(np.complex128)
         rows = (pairs[..., None, :] * self.turns).view(np.float64)[..., None, :]  # [heads x] runs x 1 x h
-        s = np.empty(q.shape[:-2] + (1, k.shape[-1]))
-        for r0, r1, length, a in self.segments:
-            b = a + (r1 - r0) * length
-            keys = np.swapaxes(k[..., a:b].reshape(k.shape[:-1] + (r1 - r0, length)), -3, -2)  # runs x h x length
-            s[..., 0, a:b] = (rows[..., r0:r1, :, :] @ keys).reshape(s.shape[:-2] + (b - a,))
+        lengths = tuple([k.shape[-1] for k in ks])
+        s = np.empty(q.shape[:-2] + (1, sum(lengths)))
+        for r0, r1, length, j, a, c in self.layout(lengths):
+            k, b = ks[j], a + (r1 - r0) * length
+            if length == 1:  # one key per run: products summed over the dims, the keys read row by row
+                part = np.einsum("...rj,...jr->...r", rows[..., r0:r1, 0, :], k[..., a:b])
+            else:
+                keys = np.swapaxes(k[..., a:b].reshape(k.shape[:-1] + (r1 - r0, length)), -3, -2)  # runs x h x length
+                part = (rows[..., r0:r1, :, :] @ keys).reshape(s.shape[:-2] + (b - a,))
+            s[..., 0, c : c + b - a] = part
         return s
 
 
@@ -244,33 +287,26 @@ class _Distances:
     theta_base: float | None  # the rotary family's; None for the additive family
     table: np.ndarray | None = None  # the weave table whose windows the tiles are, if they are
 
-    def scores(self, qt: np.ndarray, k: np.ndarray, lo: int, c0: int, slope: float | np.ndarray) -> np.ndarray:
-        """Scores of the query rows qt ([heads x] rows x h), the first being
-        key lo, against the keys k ([heads x] h x cols), the first being key
-        c0; slope, one per head, broadcasts against the scores."""
-        dist, kt = self.tile(lo, lo + qt.shape[-2], c0, c0 + k.shape[-1]), np.swapaxes(k, -1, -2)
-        if self.theta_base is None:
-            return scores_additive(qt, kt, dist, slope)
-        return scores_rotary(qt, kt, dist, self.theta_base)
+    def scores(self, qt: np.ndarray, k: np.ndarray, lo: int, c0: int) -> np.ndarray:
+        """Rotary scores of the query rows qt ([heads x] rows x h), the first
+        being key lo, against the keys k ([heads x] h x cols), the first
+        being key c0."""
+        dist = self.tile(lo, lo + qt.shape[-2], c0, c0 + k.shape[-1])
+        return scores_rotary(qt, np.swapaxes(k, -1, -2), dist, self.theta_base)
 
-    def scorer(self, slope: float | np.ndarray) -> Callable[[np.ndarray, np.ndarray, int, int], np.ndarray]:
-        """scores with slope bound, built once per _attend call.
+    def penalty(self, slope: float | np.ndarray) -> Callable[[int, int, int, int], np.ndarray]:
+        """The additive family's slope x distance of each tile, by the same
+        (lo, hi, c0, c1) as tile; built once per _attend call, and slope,
+        one per head, broadcasts against the scores.
 
-        The additive family over a weave table scales that table by each
-        head's slope here, once; a tile's scores then subtract a window of
-        it (toeplitz_tiles) in place, so a tile holds one score array, and
-        each slope * W(d) is the product slope * dist would have taken.
+        Over a weave table, the table is scaled by each head's slope here,
+        once, and a tile is a window onto it (toeplitz_tiles), so a tile
+        holds one score array; each slope * W(d) is the product slope *
+        dist would have taken.
         """
-        if self.theta_base is not None or self.table is None:
-            return functools.partial(self.scores, slope=slope)
-        penalty = toeplitz_tiles((slope * self.table).reshape(np.shape(slope)[:-2] + self.table.shape))
-
-        def scores(qt: np.ndarray, k: np.ndarray, lo: int, c0: int) -> np.ndarray:
-            s = qt @ k
-            s -= penalty(lo, lo + qt.shape[-2], c0, c0 + k.shape[-1])
-            return s
-
-        return scores
+        if self.table is None:
+            return lambda lo, hi, c0, c1: slope * self.tile(lo, hi, c0, c1)
+        return toeplitz_tiles((slope * self.table).reshape(np.shape(slope)[:-2] + self.table.shape))
 
 
 def _positions(weights: ModelWeights, coords: np.ndarray | None, m: int, weave: WeaveParams | None = None):
@@ -289,7 +325,10 @@ def _positions(weights: ModelWeights, coords: np.ndarray | None, m: int, weave: 
     differences, since the last chunk's anchored coordinates are not
     evenly spaced.  The rotary family gets one rotary table over coords,
     but one query (a decode step, or a one-token chunk) a _Woven, which
-    rotates the query by each key's distance coords[-1] - coords.
+    rotates the query by each key's distance coords[-1] - coords, its turns
+    rows of one shared table (_turns_upto) when the runs take every
+    distance from the largest down to 0.  Only forward, whose keys are one
+    span, scores rotary _Distances.
     """
     fam = weights.pe_family
     if fam == "dot":
@@ -306,20 +345,79 @@ def _positions(weights: ModelWeights, coords: np.ndarray | None, m: int, weave: 
         return _Distances(lambda lo, hi, c0, c1: coords[lo:hi, None] - coords[None, c0:c1], None)
     if m > 1:
         return rotary_table(coords, weights.head_dim, base)
-    starts = np.flatnonzero(np.r_[True, coords[1:] != coords[:-1]])  # first key of each run
-    runs = np.diff(np.r_[starts, coords.size])
-    first = np.flatnonzero(np.r_[True, runs[1:] != runs[:-1]])  # first run of each segment
+    starts = np.flatnonzero(np.concatenate(([True], coords[1:] != coords[:-1])))  # first key of each run
+    runs = np.diff(starts, append=coords.size)
+    first = np.flatnonzero(np.concatenate(([True], runs[1:] != runs[:-1])))  # first run of each segment
     segments = tuple(
-        (int(r0), int(r1), int(runs[r0]), int(starts[r0])) for r0, r1 in zip(first, np.r_[first[1:], runs.size])
+        (int(r0), int(r1), int(runs[r0]), int(starts[r0])) for r0, r1 in zip(first, [*first[1:], runs.size])
     )
-    cos, sin = rotary_table(coords[-1] - coords[starts], weights.head_dim, base)
-    return _Woven(np.ascontiguousarray((cos + 1j * sin).T), segments)
+    dist = coords[-1] - coords[starts]  # each run's distance, falling to 0
+    top = int(dist[0])
+    if np.array_equal(dist, np.arange(top, -1, -1)):  # every distance up to top, as under a stair
+        return _Woven(_turns_upto(1 << top.bit_length(), weights.head_dim, base)[top::-1], segments)
+    return _Woven(_turns(dist, weights.head_dim, base), segments)
+
+
+def _turns(dist: np.ndarray, head_dim: int, theta_base: float) -> np.ndarray:
+    """cos + i sin of rotary_table over the distances dist: distances x h/2
+    complex, built with no complex temporaries."""
+    cos, sin = rotary_table(dist, head_dim, theta_base)
+    turns = np.empty(cos.shape[::-1], dtype=np.complex128)
+    turns.real, turns.imag = cos.T, sin.T
+    return turns
+
+
+@functools.lru_cache(maxsize=4)
+def _turns_upto(n: int, head_dim: int, theta_base: float) -> np.ndarray:
+    """_turns over the distances 0..n-1, read-only and kept.
+
+    A staircase, capped or identity weave gives a decode step every
+    distance from its largest down to 0, so the steps share one table and
+    its trigonometry runs once, not once per step (about 5 % of a REF step
+    over 1k keys); _positions asks for a power of two, so a table lasts
+    until the distances double.  decode_step keeps every distance below the
+    trained window, so no table outgrows twice that.
+    """
+    turns = _turns(np.arange(n, dtype=np.float64), head_dim, theta_base)
+    turns.flags.writeable = False
+    return turns
+
+
+def _pieces(starts: list[int], c0: int, c1: int) -> list[tuple[int, int, int, int]]:
+    """(span, first key, end key, first column) of each span's share of the
+    joined keys c0..c1-1, keys counted within the span and columns from c0;
+    starts holds each span's first joined key, then their total."""
+    pieces, j, x = [], bisect.bisect_right(starts, c0) - 1, c0
+    while x < c1:
+        end = min(c1, starts[j + 1])
+        pieces.append((j, x - starts[j], end - starts[j], x - c0))
+        x, j = end, j + 1
+    return pieces
+
+
+def _product(qt: np.ndarray, ks: tuple[np.ndarray, ...], pieces, width: int) -> np.ndarray:
+    """qt @ a block of keys that pieces (_pieces) lays over the spans ks: one
+    matmul per piece, into one block buffer."""
+    s = np.empty(qt.shape[:-1] + (width,))
+    for j, a, b, x in pieces:
+        np.matmul(qt, ks[j][..., a:b], out=s[..., x : x + b - a])
+    return s
+
+
+def _values(s: np.ndarray, vts: list[np.ndarray], pieces) -> np.ndarray:
+    """s @ a block of values that pieces lays over the spans vts (each
+    [heads x] length x h): one product per piece, summed in span order."""
+    j, a, b, x = pieces[0]
+    pv = s[..., x : x + b - a] @ vts[j][..., a:b, :]
+    for j, a, b, x in pieces[1:]:
+        pv += s[..., x : x + b - a] @ vts[j][..., a:b, :]
+    return pv
 
 
 def _attend(
     q: np.ndarray,
-    k: np.ndarray,
-    v: np.ndarray,
+    ks: tuple[np.ndarray, ...],
+    vs: tuple[np.ndarray, ...],
     ctx_len: int,
     slope: float | np.ndarray,
     pos,
@@ -327,17 +425,24 @@ def _attend(
     alpha: np.ndarray | None = None,
 ) -> np.ndarray:
     """Causal attention of the m columns of q over ctx_len context keys, then
-    the m queries' own keys; k and v are h x (ctx_len + m).
+    the m queries' own keys.  The keys and values come as spans: ks and vs
+    are tuples of h x length arrays, views of the cache's pages, that joined
+    hold the ctx_len + m keys in order, and nothing joins them here.
 
-    Any leading axes are heads: q (heads x h x m), k and v (heads x h x
-    (ctx_len + m)) attend head by head in the same passes, and slope, one
-    per head (heads x 1 x 1), broadcasts against their scores; one head's
-    arrays may also come without the axis.  Query row r sees keys
-    [0, ctx_len + r].  Rows run in tiles of TILE_ROWS, and a tile ending at
-    row r1 sees keys [0, ctx_len + r1), scored in blocks of KEY_BLOCK
-    columns: the causal -inf goes on the cells of its rows x rows diagonal
-    tail that a block holds, and the softmax runs online over the blocks,
-    as in FlashAttention.  Each block is shifted by the running row max and
+    Any leading axes are heads: q (heads x h x m) and every span (heads x h
+    x length) attend head by head in the same passes, and slope, one per
+    head (heads x 1 x 1), broadcasts against their scores; one head's arrays
+    may also come without the axis.  Query row r sees keys [0, ctx_len +
+    r] of the joined index.  Rows run in tiles of TILE_ROWS, and a tile
+    ending at row r1 sees keys [0, ctx_len + r1), scored in blocks of
+    KEY_BLOCK columns (KEY_BLOCK / heads when heads are stacked, so a block
+    holds one head's cells): a block within one span is one matmul over a
+    view of it, and a block that crosses spans is one matmul per span piece
+    into one block buffer, its value product the sum of one product per
+    piece, so every other pass runs once per block.  The causal -inf goes
+    on the cells of the tile's rows x rows diagonal tail that a block
+    holds, and the softmax runs online over the blocks, as in
+    FlashAttention.  Each block is shifted by the running row max and
     exponentiated in place; the row sums and the value products, s @ v^T,
     accumulate, rescaled by exp(old max - new max) when a block raises the
     max, and the normalisation waits past the row's last block.  A tile of
@@ -345,33 +450,45 @@ def _attend(
     lowest finite float, not -inf, so a row that sees no key of a block
     adds zeros, not NaN.  pos is _positions over the ctx_len + m keys, and
     the queries, being the last m keys, take its tail from ctx_len on; a
-    _Woven (one query) scores its one row itself, as one block.  forward
-    passes its mask, which sets -inf on each block's cells outside it, and
-    alpha, zeros of the weights' shape ([heads x] m x (ctx_len + m)) into
-    which each block writes its weights, rescaled and normalised after the
-    row's last block.  Returns [heads x] h x m values.
+    rotary table rotates each span by its own columns, and a _Woven (one
+    query) scores its one row itself, as one block.  forward passes its
+    mask, which sets -inf on each block's cells outside it, and alpha,
+    zeros of the weights' shape ([heads x] m x (ctx_len + m)) into which
+    each block writes its weights, rescaled and normalised after the row's
+    last block.  Returns [heads x] h x m values.
     """
+    starts = [0]  # each span's first key in the joined index, then their total
+    for k in ks:
+        starts.append(starts[-1] + k.shape[-1])
     if isinstance(pos, tuple):  # a rotary table over the keys
-        q, k = apply_rotary(q, tuple(t[:, ctx_len:] for t in pos)), apply_rotary(k, pos)
-    qt, vt = np.swapaxes(q, -1, -2), np.swapaxes(v, -1, -2)
+        q = apply_rotary(q, tuple(t[:, ctx_len:] for t in pos))
+        ks = tuple(apply_rotary(k, tuple(t[:, a:b] for t in pos)) for k, a, b in zip(ks, starts, starts[1:]))
+    qt, vts = np.swapaxes(q, -1, -2), [np.swapaxes(v, -1, -2) for v in vs]
     m = qt.shape[-2]
-    out = np.empty(v.shape[:-1] + (m,))
-    if isinstance(pos, _Distances):
-        scores = pos.scorer(slope)
-    width = ctx_len + m if isinstance(pos, _Woven) else KEY_BLOCK  # a _Woven's one row is one block
+    out = np.empty(vs[0].shape[:-1] + (m,))
+    woven = isinstance(pos, _Woven)
+    cells = isinstance(pos, _Distances) and pos.theta_base is not None  # rotary scores per cell
+    penalty = pos.penalty(slope) if isinstance(pos, _Distances) and not cells else None
+    # a _Woven's one row is one block; stacked heads share one head's block budget
+    width = starts[-1] if woven else max(KEY_BLOCK // math.prod(q.shape[:-2]), 1)
+    one = len(ks) == 1
     for r0 in range(0, m, TILE_ROWS):
         r1 = min(r0 + TILE_ROWS, m)
         lo, nk = ctx_len + r0, ctx_len + r1  # the tile's first query is key lo; its rows see keys [0, nk)
+        qr = qt[..., r0:r1, :]
         top = _LOWEST  # running row max
         shifts = []  # (first key, end key, max subtracted) of each block kept in alpha
         for c0 in range(0, nk, width):
             c1 = min(c0 + width, nk)
-            if isinstance(pos, _Woven):
-                s = pos.scores(q, k)
-            elif isinstance(pos, _Distances):
-                s = scores(qt[..., r0:r1, :], k[..., c0:c1], lo, c0)
+            pieces = None if one else _pieces(starts, c0, c1)
+            if woven:
+                s = pos.scores(q, ks)
+            elif cells:  # forward's, whose keys are one span
+                s = pos.scores(qr, ks[0][..., c0:c1], lo, c0)
             else:
-                s = qt[..., r0:r1, :] @ k[..., c0:c1]
+                s = qr @ ks[0][..., c0:c1] if one else _product(qr, ks, pieces, c1 - c0)
+                if penalty is not None:
+                    s -= penalty(lo, nk, c0, c1)
             if c1 > lo:  # the block holds part of the diagonal tail
                 s[..., max(c0, lo) - c0 :] += _CAUSAL_TAIL[: r1 - r0, max(c0, lo) - lo : c1 - lo]
             if mask is not None:
@@ -381,14 +498,15 @@ def _attend(
                 np.maximum(new, top, out=new)
             s -= new
             np.exp(s, out=s)
+            pv = s @ vts[0][..., c0:c1, :] if one else _values(s, vts, pieces)
             if c0 == 0:
-                total, acc = s.sum(axis=-1, keepdims=True), s @ vt[..., :c1, :]
+                total, acc = s.sum(axis=-1, keepdims=True), pv
             else:
                 rescale = np.exp(top - new)
                 total *= rescale
                 total += s.sum(axis=-1, keepdims=True)
                 acc *= rescale
-                acc += s @ vt[..., c0:c1, :]
+                acc += pv
             top = new
             if alpha is not None:
                 alpha[..., r0:r1, c0:c1] = s
@@ -432,8 +550,8 @@ def _pool_map(fn: Callable, items) -> Iterator:
     pool threads when that is two or more, else on the calling thread, and
     always there when that is a pool thread: a task waiting on tasks queued
     behind it on the same workers would wait for ever."""
-    workers = min(_usable_cpus(), len(items))
-    if workers < 2 or _on_pool():
+    workers = 1 if len(items) < 2 or _on_pool() else min(_usable_cpus(), len(items))
+    if workers < 2:
         return map(fn, items)
     return _pool(workers).map(fn, items)
 
@@ -463,10 +581,14 @@ def _run_layers(
 
     Each layer first projects every head's new keys and values at once
     (_project) and writes them into those slots.  The queries see the first
-    ctx_len cached keys, then their own keys causally: a plain slice of the
-    cache when ctx_len is lo (the first and last chunk, a decode step,
-    forward), else (a middle chunk) those ctx_len columns joined to the new
-    ones.  pos is the _positions of exactly those keys.  forward passes its
+    ctx_len cached keys, then their own keys causally, as the spans that
+    KVCache.write returns: slots 0..lo+m-1 when ctx_len is lo (the first
+    and last chunk, a decode step, forward), else (a middle chunk) slots
+    0..ctx_len-1 and the chunk's own, never joined; a range that crosses a
+    page is one span per page.  pos is the _positions of exactly those keys,
+    in that order.  Once a layer's heads are summed, neither their outputs
+    nor the sum outlive it, so the next layer attends beside none of them.
+    forward passes its
     mask, applied per tile, and a trace that receives each layer's input and
     attention output, and its head weights if its alphas is a list (None
     asks for none).  Returns the final hidden state: all m columns, or the
@@ -496,20 +618,18 @@ def _run_layers(
     keep_alphas = trace is not None and trace.alphas is not None
     r0 = 0
     for li, layer in enumerate(weights.layers):
-        k, v = cache.write(li, lo, *_project(layer.heads, ("w_k", "w_v"), h))
+        ks, vs = cache.write(li, lo, *_project(layer.heads, ("w_k", "w_v"), h), ctx_len)
         if read is not None and li == len(weights.layers) - 1:
             r0 = m if read == 0 else (m - read) // TILE_ROWS * TILE_ROWS
             h = h[:, r0:]
             if r0 == m:
                 break
-        if ctx_len < lo:
-            k = np.concatenate([k[..., :ctx_len], k[..., lo:]], axis=-1)
-            v = np.concatenate([v[..., :ctx_len], v[..., lo:]], axis=-1)
 
         def attend(heads: slice) -> tuple[np.ndarray, np.ndarray | None]:
-            alpha = np.zeros((len(layer.heads[heads]), h.shape[1], k.shape[-1])) if keep_alphas else None
+            alpha = np.zeros((len(layer.heads[heads]), h.shape[1], ctx_len + m)) if keep_alphas else None
             q = _project(layer.heads[heads], ("w_q",), h)[0]
-            return _attend(q, k[heads], v[heads], ctx_len + r0, slopes[heads], pos, mask, alpha), alpha
+            spans = tuple(k[heads] for k in ks), tuple(v[heads] for v in vs)
+            return _attend(q, *spans, ctx_len + r0, slopes[heads], pos, mask, alpha), alpha
 
         a = np.zeros_like(h)
         alphas = []
@@ -518,6 +638,7 @@ def _run_layers(
                 a += head.w_o @ head_out
             if keep_alphas:
                 alphas.extend(alpha)
+        del out, alpha, head_out  # summed into a: nothing of them stays alive into the next layer
         if trace is not None:
             trace.hidden.append(h)
             trace.attn.append(a)
@@ -526,6 +647,7 @@ def _run_layers(
         # h alone holds the residual stream, so no earlier columns stay alive
         # while the next layer's heads hold their tiles
         h = a + h
+        del a
         h = layer.ff(layer_norm_cols(h) if layer.layer_norm == "standard" else h) + h
     return h if read is None else h[:, h.shape[1] - read :]
 
@@ -571,28 +693,30 @@ def _forward(
 class KVCache:
     """Append-only store of raw (pre-positional) keys and values per layer/head.
 
-    Layout: per layer, one (heads, h, capacity) array each for K and V; slot
-    i holds token i, so the first len(cache) slots are the appended tokens in
-    order and a span of positions is a span of slots.  view returns slices
-    of this storage, never copies.
+    Layout: per layer, a list of pages each for K and V, a page one (heads,
+    h, size) array; slot i holds token i, page after page, so the first
+    len(cache) slots are the appended tokens in order and a span of
+    positions is a span of slots.  Every layer has the same pages.  write
+    returns spans of slots as views of the pages, never copies.
 
     A step writes each head's new keys and values into its own tokens'
     slots (write), attends over them in place, and append then commits
     them, in token order; prefill's middle chunks write theirs past slots
-    other chunks are still writing.  Capacity starts at the constructor's
-    (prefill passes the prompt length, generate the prompt plus its new
-    tokens); a write at len(cache) that runs past it grows that layer's
-    arrays to the larger of the need and capacity + 1/8 — never by
-    doubling, so growing a full cache allocates at most one layer's K or V
-    again at a time.
+    other chunks are still writing.  The first page holds the constructor's
+    capacity (prefill passes the prompt length, generate the prompt plus
+    the tokens it decodes).  A write at len(cache) that runs past the
+    capacity adds a page of max(need, capacity // 8) slots, need being the
+    slots missing, to every layer as it writes: growth allocates that page
+    alone and never copies a filled slot, so the arrays a step has read
+    stay where they are.
     """
 
     def __init__(self, n_layers: int, n_heads: int, capacity: int = 0):
         self.n_layers = n_layers
         self.n_heads = n_heads
-        self._k: list[np.ndarray | None] = [None] * n_layers
-        self._v: list[np.ndarray | None] = [None] * n_layers
-        self._capacity = capacity
+        self._k: list[list[np.ndarray]] = [[] for _ in range(n_layers)]
+        self._v: list[list[np.ndarray]] = [[] for _ in range(n_layers)]
+        self._bounds = [0, capacity] if capacity else [0]  # first slot of each page, then the capacity
         self._len = 0
 
     def __len__(self) -> int:
@@ -600,55 +724,63 @@ class KVCache:
 
     @property
     def capacity(self) -> int:
-        return self._capacity
+        return self._bounds[-1]
 
     @property
     def indices(self) -> np.ndarray:
         return np.arange(self._len)
 
-    def _layer_storage(self, layer: int, head_dim: int, need: int) -> tuple[np.ndarray, np.ndarray]:
-        """This layer's K and V arrays, grown (K first, then V) to hold need slots."""
-        for store in (self._k, self._v):
-            old = store[layer]
-            size = self._capacity if old is None else old.shape[2]
-            if old is None or need > size:
-                grown = size if need <= size else max(need, size + size // 8)
-                new = np.empty((self.n_heads, head_dim, grown))
-                if old is not None:
-                    new[:, :, : self._len] = old[:, :, : self._len]
-                store[layer] = new
-                self._capacity = max(self._capacity, grown)
-        return self._k[layer], self._v[layer]
-
-    def write(self, layer: int, lo: int, k: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def write(
+        self, layer: int, lo: int, k: np.ndarray, v: np.ndarray, ctx_len: int | None = None
+    ) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
         """Store one layer's keys and values (heads x h x m) in slots
         lo..lo+m-1; append then commits them.  Returns the layer's keys and
-        values over slots 0..lo+m-1: heads x h x (lo + m) views of the
-        storage.  Only a write at len(self) may grow the storage: growth
-        keeps the filled slots alone, and the slots past them may be in
-        use by other threads."""
-        m, size = k.shape[-1], 0 if self._k[layer] is None else self._k[layer].shape[2]
-        if lo > self._len and size < lo + m:
-            raise ValueError(f"slots {lo}..{lo + m - 1} lie past the filled {self._len} and the storage")
-        ks, vs = self._layer_storage(layer, k.shape[-2], lo + m)
-        ks[:, :, lo : lo + m] = k
-        vs[:, :, lo : lo + m] = v
-        return ks[:, :, : lo + m], vs[:, :, : lo + m]
+        values over slots 0..ctx_len-1 then lo..lo+m-1 (ctx_len defaults to
+        lo: slots 0..lo+m-1) as spans: tuples of heads x h x length views of
+        the pages, one per page each range lies in, which _attend reads as
+        one joined index.  Only a write at len(self) may grow the storage,
+        by one page; a write past it must fit the pages this layer already
+        has, for other threads may be writing the slots between."""
+        bounds, ks, vs = self._bounds, self._k[layer], self._v[layer]
+        end = lo + k.shape[-1]
+        if end > bounds[len(ks)]:  # past this layer's pages
+            if lo > self._len:
+                raise ValueError(f"slots {lo}..{end - 1} lie past the filled {self._len} and the storage")
+            if end > bounds[-1]:
+                bounds.append(bounds[-1] + max(end - bounds[-1], bounds[-1] // 8))
+            while bounds[len(ks)] < end:
+                size = bounds[len(ks) + 1] - bounds[len(ks)]
+                ks.append(np.empty((self.n_heads, k.shape[-2], size)))
+                vs.append(np.empty((self.n_heads, k.shape[-2], size)))
+        for p, a, b, x in _pieces(bounds, lo, end):
+            ks[p][:, :, a:b] = k[..., x : x + b - a]
+            vs[p][:, :, a:b] = v[..., x : x + b - a]
+        ranges = [(0, end)] if ctx_len is None or ctx_len == lo else [(0, ctx_len), (lo, end)]
+        spans = [(p, a, b) for r in ranges for p, a, b, _ in _pieces(bounds, *r)]
+        return tuple(ks[p][:, :, a:b] for p, a, b in spans), tuple(vs[p][:, :, a:b] for p, a, b in spans)
 
     def append(self, m: int) -> None:
         """Commit the m slots past len(self); every layer's keys and values
         must already be in them (write)."""
         n = self._len + m
-        if any(ks is None or ks.shape[2] < n for ks in self._k):
+        if any(self._bounds[len(pages)] < n for pages in self._k):
             raise ValueError("no keys and values were written for the appended slots")
         self._len = n
 
     def view(self, layer: int, head: int) -> tuple[np.ndarray, np.ndarray]:
-        """Keys and values (h x n) for one layer/head: slices of the storage, not copies."""
-        ks = self._k[layer]
-        if ks is None:
+        """Keys and values (h x n) for one layer/head: slices of the storage
+        while the filled slots lie in one page; across pages, the pages'
+        slices joined into a new array, for reading (attention reads the
+        spans write returns)."""
+        spans = _pieces(self._bounds, 0, self._len)
+        if not spans:
             return np.zeros((0, 0)), np.zeros((0, 0))
-        return ks[head, :, : self._len], self._v[layer][head, :, : self._len]
+        return tuple(
+            np.concatenate([pages[p][head, :, a:b] for p, a, b, _ in spans], axis=-1)
+            if len(spans) > 1
+            else pages[0][head, :, : self._len]
+            for pages in (self._k[layer], self._v[layer])
+        )
 
 
 def random_model(

@@ -223,12 +223,21 @@ def rotary_table(coords, dim: int, theta_base: float) -> tuple[np.ndarray, np.nd
 
 
 def apply_rotary(x: np.ndarray, table: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """Rotate the columns of x ([heads x] dim x n) by a rotary_table built for them."""
+    """Rotate the columns of x ([heads x] dim x n) by a rotary_table built for them.
+
+    Each half of the result is written in place, xa c - xb s then xa s + xb
+    c, with one half-size scratch array, so no full-size temporary is made.
+    """
     c, s = table
     xa, xb = x[..., 0::2, :], x[..., 1::2, :]
     out = np.empty_like(x)
-    out[..., 0::2, :] = xa * c - xb * s
-    out[..., 1::2, :] = xa * s + xb * c
+    even, odd = out[..., 0::2, :], out[..., 1::2, :]
+    scratch = np.multiply(xb, s)
+    np.multiply(xa, c, out=even)
+    np.subtract(even, scratch, out=even)
+    np.multiply(xa, s, out=scratch)
+    np.multiply(xb, c, out=odd)
+    np.add(scratch, odd, out=odd)
     return out
 
 

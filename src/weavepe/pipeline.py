@@ -10,8 +10,9 @@ chunk at raw positions, the same computation as the first chunk.  A decode
 step is the last chunk of one token: the same weave, decode_distances,
 anchored at the new token, so every decode query sees exactly the woven
 distance to every key; a step whose distance to the first key would pass
-the trained window raises instead.  generate sizes the cache for its new
-tokens up front, so its steps never grow it.
+the trained window raises instead.  generate checks its last step against
+the window before any work, and sizes the cache for the tokens it decodes
+up front, so its steps never add a page.
 
 Every distance a chunk feeds the positional term is a difference of
 coordinates.  A chunk's keys are its context, always the tokens
@@ -23,9 +24,12 @@ itself by each key's distance instead (model._Woven), so no key is rotated
 and no per-key trigonometry runs; no per-cell trigonometry runs at all.
 
 Cache slot i holds token i.  Each chunk or step writes its raw keys and
-values into its own tokens' preallocated slots before attending, so the
-last chunk and a decode step attend over a plain slice of the cache; a
-middle chunk joins only the first chunk's columns to its own.  The layers
+values into its own tokens' preallocated slots before attending, and
+attends over spans of the cache's pages, views that no step copies: the
+last chunk and a decode step over slots 0..t, one span per page they lie
+in (prefill's one page, then a page each time decode runs past it); a
+middle chunk over the first chunk's slots and its own, two spans that are
+never joined, each rotary span rotated by its own table columns.  The layers
 and the row-tiled attention are model's (_run_layers, _attend), shared with
 model.forward; a chunk's cell count and largest distance are computed in
 closed form from its coordinates.  The single, first and last chunk run
@@ -277,8 +281,24 @@ def generate(
     stop_id: int | None = None,
 ) -> GenerationResult:
     """Greedy generation: prefill once, into a cache sized for the prompt and
-    max_new tokens, then decode one token at a time."""
-    pre = _prefill(tokens, weights, config, len(tokens) + 1 + max_new)
+    the max_new - 1 tokens decoded after it, then decode one token at a
+    time; the last token's logits are never read, so it is not decoded.
+
+    Raises before any work when the last of those steps would score a woven
+    distance past the trained window, naming the largest max_new that fits.
+    """
+    steps = max(max_new - 1, 0)
+    last = len(tokens) + steps  # position of the last step's token
+    if steps:
+        table = weave_table(config.weave, last + 1)  # W(d) for d = 0..last, non-decreasing
+        if table[last] > config.train_len - 1:
+            fits = max(int(np.searchsorted(table, config.train_len - 1, side="right")) - len(tokens), 1)
+            raise ValueError(
+                f"max_new={max_new} would decode position {last}, which scores woven distance {table[last]:g} "
+                f"to the first key, past the trained window of {config.train_len} positions; "
+                f"the largest max_new that fits is {fits}"
+            )
+    pre = _prefill(tokens, weights, config, last + 1)
     report = pre.report
     out: list[int] = []
     logits = pre.logits
@@ -287,7 +307,7 @@ def generate(
     for _ in range(max_new):
         nxt = int(np.argmax(logits))
         out.append(nxt)
-        if stop_id is not None and nxt == stop_id:
+        if len(out) == max_new or (stop_id is not None and nxt == stop_id):
             break
         logits, cache = decode_step(cache, nxt, weights, config)
         report.decode_steps += 1

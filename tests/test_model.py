@@ -301,7 +301,7 @@ def test_attend_holds_one_score_tile():
     for pos, held in [(rotary, (m + n) * h * 8), (additive, (2 * n - 1) * 8)]:  # rotated q and k; the table
         tracemalloc.start()
         try:
-            _attend(q, k, v, n - m, 0.5, pos)
+            _attend(q, (k,), (v,), n - m, 0.5, pos)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -323,12 +323,76 @@ def test_attend_over_the_last_chunk_of_16k_stays_under_5_mib():
     rotary = rotary_table(np.arange(n, dtype=np.float64), h, 10000.0)
     tracemalloc.start()
     try:
-        out = _attend(q, k, v, n - m, 0.0, rotary)
+        out = _attend(q, (k,), (v,), n - m, 0.0, rotary)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert out.shape == (h, m) and np.isfinite(out).all()
     assert peak < 5 << 20, peak
+
+
+@pytest.mark.parametrize("family", ["dot", "rotary"])
+def test_attend_peaked_rows_over_two_spans_match_the_dense_oracle(family):
+    # queries scaled x60 spread each row's scores over more than 708, where
+    # exp of the shifted scores reaches subnormals; the keys come as two
+    # spans split at 2,000, so the first 2,048-key block crosses them, and a
+    # sink mask hides cells, whose weights must stay exactly 0
+    from weavepe.model import KEY_BLOCK, _attend
+
+    rng = np.random.default_rng(5)
+    h, m, n, split = 16, 100, 2348, 2000
+    ctx = n - m
+    q, k, v = 60.0 * rng.normal(size=(h, m)), rng.normal(size=(h, n)), rng.normal(size=(h, n))
+    assert split < KEY_BLOCK < ctx
+    mask = sink_mask(n, 4, 1500)
+    pos, qr, kr = None, q, k
+    if family == "rotary":
+        pos = rotary_table(np.arange(n, dtype=np.float64), h, 10000.0)
+        qr, kr = apply_rotary(q, tuple(t[:, ctx:] for t in pos)), apply_rotary(k, pos)
+    alpha = np.zeros((m, n))
+    out = _attend(q, (k[:, :split], k[:, split:]), (v[:, :split], v[:, split:]), ctx, 0.0, pos, mask, alpha)
+    scores, visible = qr.T @ kr, mask.tile(ctx, n, 0, n)
+    spread = np.where(visible, scores, -np.inf).max(axis=1) - np.where(visible, scores, np.inf).min(axis=1)
+    assert spread.min() > 708
+    want = masked_softmax(scores, visible)
+    np.testing.assert_allclose(alpha, want, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(out, v @ want.T, rtol=0, atol=1e-12)
+    assert np.all(alpha[~visible] == 0.0)
+
+
+def test_woven_scores_over_spans_split_anywhere_match_one_span():
+    # a decode query under a staircase (runs of 4 keys far away, one key per
+    # distance near): its keys split into two or three spans at every point,
+    # inside runs too, score as they do joined
+    w = random_model(d=8, n_heads=2, n_layers=1, vocab=8, seed=6)
+    t, stair = 40, WeaveParams(scheme=Scheme.STAIR, cap=9, tread=4)
+    coords = t - woven_distances(stair, np.array([t]), np.arange(t + 1))[0]
+    pos = _positions(w, coords, 1)
+    rng = np.random.default_rng(7)
+    q, k = rng.normal(size=(2, 4, 1)), rng.normal(size=(2, 4, t + 1))
+    whole = pos.scores(q, (k,))
+    for a in range(1, t + 1):
+        for b in (a + 1, a + 5):
+            spans = tuple(x for x in (k[..., :a], k[..., a:b], k[..., b:]) if x.shape[-1])
+            np.testing.assert_allclose(pos.scores(q, spans), whole, rtol=0, atol=1e-14)
+
+
+def test_kv_cache_write_across_a_page_returns_spans_per_page():
+    # a write that runs past the capacity adds a page and straddles both;
+    # the spans it returns cover slots 0..ctx_len-1 then its own, split at
+    # the page boundary, as views of the pages
+    cache = KVCache(n_layers=1, n_heads=1, capacity=4)
+    cache.write(0, 0, np.full((1, 2, 3), 1.0), np.full((1, 2, 3), -1.0))
+    cache.append(3)
+    k = np.arange(8.0).reshape(1, 2, 4)
+    ks, vs = cache.write(0, 3, k, -k, ctx_len=2)
+    assert cache.capacity == 7 and len(cache._k[0]) == 2
+    assert [x.shape[-1] for x in ks] == [2, 1, 3] and [x.shape[-1] for x in vs] == [2, 1, 3]
+    assert all(np.shares_memory(x, cache._k[0][p]) for x, p in zip(ks, (0, 0, 1)))
+    assert np.array_equal(np.concatenate(ks, axis=-1), np.concatenate([np.ones((1, 2, 2)), k], axis=-1))
+    assert np.array_equal(np.concatenate(vs, axis=-1), np.concatenate([-np.ones((1, 2, 2)), -k], axis=-1))
+    cache.append(4)
+    assert np.array_equal(cache.view(0, 0)[0], np.concatenate([np.ones((2, 3)), k[0]], axis=-1))
 
 
 def test_kv_cache_round_trip():
@@ -337,6 +401,10 @@ def test_kv_cache_round_trip():
     ka = rng.normal(size=(3, 4))
     va = rng.normal(size=(3, 4))
     _commit(cache, [[ka], [ka * 2]], [[va], [va * 2]])
+    # a view within one page is a slice of it, not a copy
+    first_k, first_v = cache._k[1][0], cache._v[1][0]
+    k2, v2 = cache.view(1, 0)
+    assert np.shares_memory(k2, first_k) and np.shares_memory(v2, first_v)
     kb = rng.normal(size=(3, 2))
     vb = rng.normal(size=(3, 2))
     _commit(cache, [[kb], [kb * 2]], [[vb], [vb * 2]])
@@ -347,8 +415,8 @@ def test_kv_cache_round_trip():
     assert np.array_equal(k[:, :4], ka) and np.array_equal(v[:, 4:], vb)
     k2, v2 = cache.view(1, 0)
     assert np.array_equal(k2[:, 2], ka[:, 2] * 2)
-    # a view is a slice of the cache's storage, not a copy
-    assert np.shares_memory(k2, cache._k[1]) and np.shares_memory(v2, cache._v[1])
+    # the second write added a page and left the first where it was
+    assert cache._k[1][0] is first_k and cache._v[1][0] is first_v and len(cache._k[1]) == 2
 
 
 @pytest.mark.parametrize(
@@ -412,7 +480,7 @@ def test_kv_cache_write_past_filled_slots_never_grows():
     cache = KVCache(n_layers=1, n_heads=1, capacity=6)
     cache.write(0, 0, np.ones((1, 3, 2)), np.ones((1, 3, 2)))
     cache.append(2)
-    k, _ = cache.write(0, 4, np.full((1, 3, 2), 4.0), np.full((1, 3, 2), 4.0))
+    (k,), _ = cache.write(0, 4, np.full((1, 3, 2), 4.0), np.full((1, 3, 2), 4.0))
     assert k.shape == (1, 3, 6) and np.all(k[..., 4:] == 4.0)
     with pytest.raises(ValueError, match="past the filled 2"):
         cache.write(0, 5, np.ones((1, 3, 2)), np.ones((1, 3, 2)))

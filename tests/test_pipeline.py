@@ -218,16 +218,27 @@ def _count_rotations(monkeypatch):
 
 
 def test_decode_step_builds_each_rotation_once(monkeypatch):
+    # a step's runs take every distance from its largest down to 0, so the
+    # steps share one table over a power of two of distances (64 here, for
+    # the 36 distances 0..35), built by the first step and bit for bit the
+    # rows a per-step table would hold; the key distances are woven once
+    # per step, not once per layer x head
+    from weavepe import model
+
     w = random_model(d=8, n_heads=2, n_layers=3, vocab=16, seed=3)
     res = prefill(_tokens(40), w, TOY)
     n = len(res.cache)
-    distinct = np.unique(decode_distances(n, TOY)).size
+    dist = np.unique(decode_distances(n, TOY))[::-1]
+    assert np.array_equal(dist, np.arange(35, -1, -1))
+    per_step = model._turns(dist, w.head_dim, w.theta_base)
+    coords = n - decode_distances(n, TOY)
+    model._turns_upto.cache_clear()
     tables, stairs = _count_rotations(monkeypatch)
+    assert np.array_equal(model._positions(w, coords, 1).turns, per_step)
+    assert tables == [64]
     decode_step(res.cache, 3, w, TOY)
-    # one table over the step's distinct woven distances, none over the n + 1
-    # keys, and one weave of the key distances, not one per layer x head
-    assert tables == [distinct] and distinct < n + 1
-    assert len(stairs) == 1
+    decode_step(res.cache, 3, w, TOY)
+    assert tables == [64] and len(stairs) == 2
 
 
 def test_prefill_builds_each_rotation_once_per_chunk(monkeypatch):
@@ -306,25 +317,31 @@ def test_decode_step_attends_all_heads_in_one_call(monkeypatch):
     res = prefill(_tokens(150), w, TOY)
     calls, attend = [], model._attend
 
-    def spy(q, k, v, *args):
-        calls.append((q.shape, k.shape, v.shape, model._on_pool()))
-        return attend(q, k, v, *args)
+    def spy(q, ks, vs, *args):
+        calls.append((q.shape, tuple(k.shape for k in ks), tuple(v.shape for v in vs), model._on_pool()))
+        return attend(q, ks, vs, *args)
 
     monkeypatch.setattr(model, "_attend", spy)
     t = len(res.cache)
     decode_step(res.cache, 3, w, TOY)
-    assert calls == [((4, 4, 1), (4, 4, t + 1), (4, 4, t + 1), False)] * 3
+    # the step's key t opens a page past the prompt-sized first one: two spans
+    spans = ((4, 4, t), (4, 4, 1))
+    assert calls == [((4, 4, 1), spans, spans, False)] * 3
     calls.clear()
     pre = prefill(_tokens(150), w, TOY)
     want = Counter()
     for c in pre.report.chunks:
-        m, keys, middle = c.q_span[1] - c.q_span[0], c.ctx_len + c.q_span[1] - c.q_span[0], c.kind == "middle"
+        m, middle = c.q_span[1] - c.q_span[0], c.kind == "middle"
         heads = 4 if middle else 1
-        want[((heads, 4, m), (heads, 4, keys), (heads, 4, keys), True)] += 2 * (4 // heads)
+        # a middle chunk's keys are two spans, the first chunk's and its own,
+        # unless it follows the first chunk
+        apart = c.ctx_len < c.q_span[0]
+        spans = ((heads, 4, c.ctx_len), (heads, 4, m)) if apart else ((heads, 4, c.ctx_len + m),)
+        want[((heads, 4, m), spans, spans, True)] += 2 * (4 // heads)
         if c.kind == "last":
             rows = m - (m - 1) // 8 * 8
             assert rows < m
-            want[((1, 4, rows), (1, 4, keys), (1, 4, keys), True)] += 4
+            want[((1, 4, rows), spans, spans, True)] += 4
     assert sum(c.kind == "middle" for c in pre.report.chunks) == 3
     assert Counter(calls) == want
 
@@ -345,9 +362,9 @@ def _attend_calls(monkeypatch):
 
     calls, attend = [], model._attend
 
-    def spy(q, k, v, ctx_len, *args):
-        calls.append((q.shape[-1], k.shape[-1], ctx_len))
-        return attend(q, k, v, ctx_len, *args)
+    def spy(q, ks, vs, ctx_len, *args):
+        calls.append((q.shape[-1], sum(k.shape[-1] for k in ks), ctx_len))
+        return attend(q, ks, vs, ctx_len, *args)
 
     monkeypatch.setattr(model, "_attend", spy)
     return calls
@@ -548,30 +565,119 @@ def test_generate_deterministic_and_stops():
     assert c.token_ids == a.token_ids[:first_hit]
 
 
+def _greedy_loop(tokens, w, cfg, max_new):
+    """The ids of prefill then greedy decode_steps, max_new - 1 of them, and the cache."""
+    res = prefill(tokens, w, cfg)
+    logits, cache, ids = res.logits, res.cache, []
+    for _ in range(max_new):
+        ids.append(int(np.argmax(logits)))
+        if len(ids) < max_new:
+            logits, cache = decode_step(cache, ids[-1], w, cfg)
+    return ids, cache
+
+
 def test_generate_sizes_the_cache_once(monkeypatch):
-    # generate's cache holds the prompt and its max_new tokens from the
-    # start, so no decode step regrows it; the ids are the prefill and
-    # decode_step loop's
-    from weavepe import model
+    # generate's cache holds the prompt and the max_new - 1 tokens it
+    # decodes from the start, so no decode step adds a page, and it never
+    # decodes the last token, whose logits nobody reads; the ids are the
+    # prefill and decode_step loop's
+    from weavepe import pipeline
 
     w = random_model(d=8, n_heads=2, n_layers=2, vocab=16, seed=4)
     tokens, max_new = _tokens(100), 7
-    res = prefill(tokens, w, TOY)
-    logits, cache, want = res.logits, res.cache, []
-    for _ in range(max_new):
-        want.append(int(np.argmax(logits)))
-        logits, cache = decode_step(cache, want[-1], w, TOY)
-    assert cache.capacity == 101 + 101 // 8  # the loop's first step grew a prompt-sized cache
-    sizes, storage = [], model.KVCache._layer_storage
+    want, grown = _greedy_loop(tokens, w, TOY, max_new)
+    assert grown.capacity == 101 + 101 // 8  # the loop's first step added a page to a prompt-sized cache
+    caches, prefill_ = [], pipeline._prefill
 
-    def spy(cache, layer, head_dim, need):
-        ks, vs = storage(cache, layer, head_dim, need)
-        sizes.append((ks.shape[2], vs.shape[2]))
-        return ks, vs
+    def spy(*args):
+        res = prefill_(*args)
+        caches.append(res.cache)
+        return res
 
-    monkeypatch.setattr(model.KVCache, "_layer_storage", spy)
-    assert generate(tokens, w, TOY, max_new=max_new).token_ids == want
-    assert set(sizes) == {(101 + max_new, 101 + max_new)}
+    monkeypatch.setattr(pipeline, "_prefill", spy)
+    res = generate(tokens, w, TOY, max_new=max_new)
+    assert res.token_ids == want and res.report.decode_steps == max_new - 1
+    (cache,) = caches
+    assert len(cache) == cache.capacity == 101 + max_new - 1
+    assert all(len(pages) == 1 for pages in cache._k + cache._v)
+
+
+def test_generate_checks_the_window_before_any_work(monkeypatch):
+    # TOY's staircase takes positions up to 156 (W(156) = 63): with a
+    # 150-token prompt, max_new = 7 decodes positions 151..156 and fits,
+    # max_new = 8 would decode 157 and raises before prefill runs
+    from weavepe import pipeline
+
+    w = random_model(d=8, n_heads=2, n_layers=1, vocab=16, seed=3)
+    tokens = _tokens(150)
+    want, _ = _greedy_loop(tokens, w, TOY, 7)
+    assert generate(tokens, w, TOY, max_new=7).token_ids == want
+    calls = []
+    monkeypatch.setattr(pipeline, "_prefill", lambda *args: calls.append(args))
+    with pytest.raises(ValueError, match="max_new=8 would decode position 157, .* largest max_new that fits is 7"):
+        generate(tokens, w, TOY, max_new=8)
+    assert calls == []
+
+
+def test_decode_steps_keep_the_prompts_pages(monkeypatch):
+    # steps past a prompt-sized cache add pages and copy no filled slot: the
+    # prompt's K and V arrays stay the same objects, still holding its keys
+    w = random_model(d=8, n_heads=2, n_layers=2, vocab=16, seed=4)
+    res = prefill(_tokens(100), w, TOY)
+    cache = res.cache
+    pages = [(ks[0], vs[0]) for ks, vs in zip(cache._k, cache._v)]
+    before = [cache.view(li, mi) for li in range(2) for mi in range(2)]
+    logits = res.logits
+    for _ in range(15):  # 101 + 12 + 14 slots: the steps open two pages
+        logits, cache = decode_step(cache, int(np.argmax(logits)), w, TOY)
+    assert [len(ks) for ks in cache._k] == [3, 3] and cache.capacity == 101 + 12 + 14
+    for li, (k0, v0) in enumerate(pages):
+        assert cache._k[li][0] is k0 and cache._v[li][0] is v0
+        for mi in range(2):
+            k, v = cache.view(li, mi)
+            assert np.shares_memory(before[2 * li + mi][0], k0) and np.shares_memory(before[2 * li + mi][1], v0)
+            assert np.array_equal(k[:, :101], before[2 * li + mi][0]) and np.array_equal(v[:, :101], before[2 * li + mi][1])
+
+
+def test_first_step_past_the_prompt_allocates_less_than_a_layer():
+    # the first step after a prompt-sized prefill adds a page of 1/8 of the
+    # prompt to the layer's K and V; copying the layer into a larger array,
+    # as a contiguous cache must, would allocate more than its K alone
+    import tracemalloc
+
+    w = random_model(d=32, n_heads=2, n_layers=1, vocab=16, seed=4)
+    cfg = MesaConfig(train_len=1024, weave=WeaveParams(scheme=Scheme.STAIR, cap=512, tread=50))
+    res = prefill(_tokens(4000), w, cfg)
+    layer_k = res.cache._k[0][0].nbytes  # 2 heads x 16 dims x 4,001 slots: 1 MB
+    tracemalloc.start()
+    try:
+        decode_step(res.cache, int(np.argmax(res.logits)), w, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.cache.capacity == 4001 + 4001 // 8
+    assert peak < layer_k, (peak, layer_k)
+
+
+def test_decode_across_page_boundaries_matches_a_presized_cache():
+    # steps over a prompt-sized cache cross two page boundaries; a cache
+    # sized for the steps up front holds one page, so its keys are one span
+    from weavepe.pipeline import _prefill
+
+    w = random_model(d=8, n_heads=2, n_layers=2, vocab=16, seed=4)
+    tokens, steps = _tokens(100), 15
+    runs = []
+    for res in (prefill(tokens, w, TOY), _prefill(tokens, w, TOY, 101 + steps)):
+        logits, cache, ids, all_logits = res.logits, res.cache, [], []
+        for _ in range(steps):
+            ids.append(int(np.argmax(logits)))
+            logits, cache = decode_step(cache, ids[-1], w, TOY)
+            all_logits.append(logits)
+        runs.append((ids, all_logits, [len(ks) for ks in cache._k]))
+    (paged_ids, paged, paged_pages), (ids, sized, sized_pages) = runs
+    assert paged_pages == [3, 3] and sized_pages == [1, 1]
+    assert paged_ids == ids
+    assert max(np.max(np.abs(a - b)) for a, b in zip(paged, sized)) <= 1e-13
 
 
 @pytest.mark.parametrize("prompt", [63, 60])
