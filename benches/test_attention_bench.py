@@ -1,8 +1,9 @@
-"""Micro-benchmarks of the tiled attention (with normal and with peaked score
-rows), the last layer of the last chunk, the middle chunks, the in-window
-prefill and the decode path at the reference config's sizes, the first
-decode step past a prompt-sized cache among them, and of one 700-position
-threshold scan, its closed form and its forward pass apart.
+"""Micro-benchmarks of the tiled attention (with normal score rows, with
+rows just past the bound under which a tile skips the softmax's row-max
+shift, and with peaked rows), the last layer of the last chunk, the middle
+chunks, the in-window prefill and the decode path at the reference config's
+sizes, the first decode step past a prompt-sized cache among them, and of
+one 700-position threshold scan, its closed form and its forward pass apart.
 
 Not part of the test suite (pytest's testpaths is tests/); run with
 
@@ -17,8 +18,8 @@ queries over 16,385 keys.
 
 import numpy as np
 
-from weavepe.model import KVCache, _attend, _forward, _pool_map, _positions, _run_layers, random_model
-from weavepe.pe_core import Scheme, WeaveParams, rotary_table, weave_stair
+from weavepe.model import _SAFE, KVCache, _attend, _forward, _pool_map, _positions, _run_layers, random_model
+from weavepe.pe_core import Scheme, WeaveParams, apply_rotary, rotary_table, weave_stair
 from weavepe.pipeline import MesaConfig, decode_distances, decode_step, prefill
 from weavepe.splitter import chunk_spans, dynamic_split
 from weavepe.theory import MAX_SCAN, TheoryConfig, build_corollary, threshold_scan
@@ -49,6 +50,28 @@ def test_last_chunk_attention_peaked(benchmark):
     # subnormals, which this path does not yet avoid; compare its time
     # with test_last_chunk_attention's
     _last_chunk_attention(benchmark, 60.0)
+
+
+def test_last_chunk_attention_shifted(benchmark):
+    # every query's norm put at 1.05 x the bound on |score| (model._SAFE)
+    # over these keys, so every tile keeps the row-max shift that the tiles
+    # of test_last_chunk_attention skip, while each row still spreads by
+    # under 708 (507 at most), so no exp reaches subnormals: the two times
+    # differ by the max and shift passes alone
+    rng = np.random.default_rng(0)
+    q = rng.normal(size=(HEAD_DIM, LAST_ROWS))
+    k = rng.normal(size=(HEAD_DIM, KEYS))
+    v = rng.normal(size=(HEAD_DIM, KEYS))
+    q *= 1.05 * _SAFE / (np.linalg.norm(q, axis=0) * np.linalg.norm(k, axis=0).max())
+    pos = rotary_table(np.arange(KEYS, dtype=np.float64), HEAD_DIM, 10000.0)
+    qr, kr = apply_rotary(q, tuple(t[:, CTX:] for t in pos)), apply_rotary(k, pos)
+    for r in range(0, LAST_ROWS, 64):  # one 64-row tile of scores at a time
+        s = qr[:, r : r + 64].T @ kr
+        seen = np.arange(KEYS) <= CTX + r + np.arange(s.shape[0])[:, None]
+        assert np.all(np.where(seen, s, -np.inf).max(axis=1) - np.where(seen, s, np.inf).min(axis=1) < 708)
+    del s, seen, qr, kr
+    out = benchmark(_attend, q, (k,), (v,), CTX, 0.0, pos)
+    assert out.shape == (HEAD_DIM, LAST_ROWS) and np.isfinite(out).all()
 
 
 def test_last_chunk_layer(benchmark):

@@ -19,10 +19,15 @@ the diagonal tail cells it holds (and, under forward's mask, -inf on its
 cells outside it), and the softmax runs online over the blocks, in place,
 with its normalisation deferred past the value product, as in
 FlashAttention (Dao et al., arXiv 2205.14135; Rabe & Staats, arXiv
-2112.05682).  No score, distance or mask matrix larger than one block is
-held, and a block is freed before the next is scored, so a tile's working
-set does not grow with the context; only forward keeps each head's
-normalised n x n weights.  A block inside one span is one matmul over a
+2112.05682).  The running row max of that softmax (Milakov & Gimelshein,
+arXiv 1805.02867) is there only to keep exp from overflowing, which in
+float64 takes a score past 709; a tile whose scores Cauchy-Schwarz bounds
+by _SAFE before any is computed skips it, and makes four passes over each
+block (scores, exp, row sums, values), not six (the max and the shift
+too).  One query, a decode step, keeps it.  No score, distance or mask
+matrix larger than one block is held, and a block is freed before the next
+is scored, so a tile's working set does not grow with the context; only
+forward keeps each head's normalised n x n weights.  A block inside one span is one matmul over a
 view of it; a block that crosses spans is scored one span piece at a time
 into one block buffer, so the softmax passes still run once per block.  A
 caller that reads only the last columns (prefill) has the last layer attend
@@ -112,9 +117,26 @@ class HeadWeights:
 
 @dataclass
 class LayerWeights:
+    """One layer's heads and feed-forward.
+
+    The heads' query, key and value weights are stacked once, here, into qkv
+    (3 x heads x h x d), and each head's w_q, w_k and w_v become views of
+    it, so an in-place change to a head's weights reaches the stack; a
+    weight rebound to a new array does not.  A layer projects every head's
+    keys and values, or a group of heads' queries, by one batched matmul
+    over a slice of the stack, one (h x d) @ (d x m) product per head and
+    weight, each bit for bit the head's own w @ h.
+    """
+
     heads: list[HeadWeights]
     ff: FeedForward
     layer_norm: str = "identity"  # "identity" | "standard"
+    qkv: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.qkv = np.array([[getattr(head, name) for head in self.heads] for name in ("w_q", "w_k", "w_v")])
+        for i, head in enumerate(self.heads):
+            head.w_q, head.w_k, head.w_v = self.qkv[:, i]
 
 
 @dataclass
@@ -207,6 +229,14 @@ KEY_BLOCK = 2048
 #: where each tile's running row max starts: finite, so a block whose cells a
 #: row may not see (all -inf) shifts to -inf, not NaN
 _LOWEST = np.finfo(np.float64).min
+#: the largest score bound, |q_r| max_i |k_i|, under which a tile's softmax
+#: runs unshifted.  Its exps then lie within e^+-350 ~ 1e+-152 (an additive
+#: row's far keys aside, which only underflow), where exp itself stays finite
+#: and normal to about +-708.  A row's total and value sums, at most n
+#: e^350 max|v|, stay below DBL_MAX ~ 1.8e308 while n max|v| < 1e156, and a
+#: row total, at least one visible key's e^-350, stays 150 decades above the
+#: smallest normal float, 2.2e-308
+_SAFE = 350.0
 #: additive causal mask for a full tile's diagonal tail: -inf above the diagonal
 _CAUSAL_TAIL = np.triu(np.full((TILE_ROWS, TILE_ROWS), -np.inf), 1)
 
@@ -442,42 +472,72 @@ def _attend(
     piece, so every other pass runs once per block.  The causal -inf goes
     on the cells of the tile's rows x rows diagonal tail that a block
     holds, and the softmax runs online over the blocks, as in
-    FlashAttention.  Each block is shifted by the running row max and
-    exponentiated in place; the row sums and the value products, s @ v^T,
-    accumulate, rescaled by exp(old max - new max) when a block raises the
-    max, and the normalisation waits past the row's last block.  A tile of
-    one block is plain softmax arithmetic.  The running max starts at the
-    lowest finite float, not -inf, so a row that sees no key of a block
-    adds zeros, not NaN.  pos is _positions over the ctx_len + m keys, and
-    the queries, being the last m keys, take its tail from ctx_len on; a
-    rotary table rotates each span by its own columns, and a _Woven (one
-    query) scores its one row itself, as one block.  forward passes its
-    mask, which sets -inf on each block's cells outside it, and alpha,
-    zeros of the weights' shape ([heads x] m x (ctx_len + m)) into which
-    each block writes its weights, rescaled and normalised after the row's
-    last block.  Returns [heads x] h x m values.
+    FlashAttention: the row sums and the value products, s @ v^T,
+    accumulate, and the normalisation waits past the row's last block.
+
+    A tile runs unshifted when none of its scores can leave +-_SAFE.  By
+    Cauchy-Schwarz, |s| <= |q_r| max_i |k_i| for the dot and rotary families
+    (a rotation keeps norms), so the squared norms of the raw queries and
+    keys give every tile's bound at once, with one reduction over the
+    tiles.  The additive family's penalty, slope x W(d) with W >= 0, only
+    lowers a score when the slope is >= 0, and a row's own key (W(0) = 0,
+    which no AttentionMask hides) keeps its total above e^-_SAFE.  Such a
+    tile's blocks are exponentiated as they are: four passes each (scores,
+    exp, sum, values).  Any other tile shifts each block by the running row
+    max, which takes two more passes (the max and the shift), and rescales
+    the sums by exp(old max - new max) when a block raises the max; the
+    max starts at the lowest finite float, not -inf, so a row that sees no
+    key of a block adds zeros, not NaN.  With heads stacked, a tile whose
+    heads differ shifts every head, a bounded one by 0, so each head's
+    result is bit for bit the one it gives alone.  A call with one query
+    (every decode step) always shifts: its bound would add a third read of
+    the cached keys to a step close to memory bound, to save one max over
+    one row.  A tile of one block is plain softmax arithmetic.
+
+    pos is _positions over the ctx_len + m keys, and the queries, being
+    the last m keys, take its tail from ctx_len on; a rotary table rotates
+    each span by its own columns, and a _Woven (one query) scores its one
+    row itself, as one block.  forward passes its mask, which sets -inf on
+    each block's cells outside it, and alpha, zeros of the weights' shape
+    ([heads x] m x (ctx_len + m)) into which each block writes its weights,
+    rescaled and normalised after the row's last block.  Returns [heads x]
+    h x m values.
     """
     starts = [0]  # each span's first key in the joined index, then their total
     for k in ks:
         starts.append(starts[-1] + k.shape[-1])
+    m = q.shape[-1]
+    woven = isinstance(pos, _Woven)
+    cells = isinstance(pos, _Distances) and pos.theta_base is not None  # rotary scores per cell
+    additive = isinstance(pos, _Distances) and not cells
+    tiles = range(0, m, TILE_ROWS)
+    # per tile, the heads whose scores cannot pass +-_SAFE, which run unshifted:
+    # True for every head, False for none, else a heads x 1 x 1 mask of them
+    free = [False] * len(tiles)
+    if m > 1:
+        kk = np.max([np.einsum("...ij,...ij->...j", k, k).max(axis=-1, initial=0.0) for k in ks], axis=0)
+        qq = np.einsum("...ij,...ij->...j", q, q).reshape(-1, m)
+        fits = np.maximum.reduceat(qq, tiles, axis=-1) * kk.reshape(-1, 1) <= _SAFE * _SAFE  # heads x tiles
+        del qq  # no norm array stays alive beside the blocks
+        if additive:  # the penalty, slope x W(d) with W >= 0, only lowers a score when slope >= 0
+            fits &= np.reshape(slope, (-1, 1)) >= 0
+        every, some = fits.all(axis=0).tolist(), fits.any(axis=0).tolist()
+        free = [True if a else fits[:, i, None, None] if b else False for i, (a, b) in enumerate(zip(every, some))]
     if isinstance(pos, tuple):  # a rotary table over the keys
         q = apply_rotary(q, tuple(t[:, ctx_len:] for t in pos))
         ks = tuple(apply_rotary(k, tuple(t[:, a:b] for t in pos)) for k, a, b in zip(ks, starts, starts[1:]))
     qt, vts = np.swapaxes(q, -1, -2), [np.swapaxes(v, -1, -2) for v in vs]
-    m = qt.shape[-2]
     out = np.empty(vs[0].shape[:-1] + (m,))
-    woven = isinstance(pos, _Woven)
-    cells = isinstance(pos, _Distances) and pos.theta_base is not None  # rotary scores per cell
-    penalty = pos.penalty(slope) if isinstance(pos, _Distances) and not cells else None
+    penalty = pos.penalty(slope) if additive else None
     # a _Woven's one row is one block; stacked heads share one head's block budget
     width = starts[-1] if woven else max(KEY_BLOCK // math.prod(q.shape[:-2]), 1)
     one = len(ks) == 1
-    for r0 in range(0, m, TILE_ROWS):
+    for r0, bounded in zip(tiles, free):
         r1 = min(r0 + TILE_ROWS, m)
         lo, nk = ctx_len + r0, ctx_len + r1  # the tile's first query is key lo; its rows see keys [0, nk)
         qr = qt[..., r0:r1, :]
         top = _LOWEST  # running row max
-        shifts = []  # (first key, end key, max subtracted) of each block kept in alpha
+        shifts = []  # (first key, end key, max subtracted or None) of each block kept in alpha
         for c0 in range(0, nk, width):
             c1 = min(c0 + width, nk)
             pieces = None if one else _pieces(starts, c0, c1)
@@ -493,29 +553,34 @@ def _attend(
                 s[..., max(c0, lo) - c0 :] += _CAUSAL_TAIL[: r1 - r0, max(c0, lo) - lo : c1 - lo]
             if mask is not None:
                 s[..., ~mask.tile(lo, nk, c0, c1)] = -np.inf
-            new = s.max(axis=-1, keepdims=True)
-            if c0 or mask is not None:  # every row sees key 0 of the first block, unless a mask hides it
-                np.maximum(new, top, out=new)
-            s -= new
+            if bounded is not True:  # shift by the running row max, and rescale the sums to it
+                new = s.max(axis=-1, keepdims=True)
+                if c0 or mask is not None:  # every row sees key 0 of the first block, unless a mask hides it
+                    np.maximum(new, top, out=new)
+                if bounded is not False:  # bounded heads among stacked ones shift by 0, as alone
+                    np.copyto(new, 0.0, where=bounded)
+                s -= new
+                if c0:
+                    rescale = np.exp(top - new)
+                    total *= rescale
+                    acc *= rescale
+                top = new
             np.exp(s, out=s)
             pv = s @ vts[0][..., c0:c1, :] if one else _values(s, vts, pieces)
             if c0 == 0:
                 total, acc = s.sum(axis=-1, keepdims=True), pv
             else:
-                rescale = np.exp(top - new)
-                total *= rescale
                 total += s.sum(axis=-1, keepdims=True)
-                acc *= rescale
                 acc += pv
-            top = new
             if alpha is not None:
                 alpha[..., r0:r1, c0:c1] = s
-                shifts.append((c0, c1, new))
+                shifts.append((c0, c1, None if bounded is True else top))
             del s  # free this block before the next is scored: one block alive, not two
         out[..., r0:r1] = np.swapaxes(acc / total, -1, -2)
         for c0, c1, shift in shifts:
             kept = alpha[..., r0:r1, c0:c1]
-            kept *= np.exp(shift - top)
+            if shift is not None:
+                kept *= np.exp(shift - top)
             kept /= total
     return out
 
@@ -556,14 +621,6 @@ def _pool_map(fn: Callable, items) -> Iterator:
     return _pool(workers).map(fn, items)
 
 
-def _project(heads: list[HeadWeights], names: tuple[str, ...], h: np.ndarray) -> np.ndarray:
-    """The columns of h through each named weight of every head: names x heads
-    x h x m, by one (h x d) @ (d x m) matmul per weight and head, so each
-    head's result is bit for bit its own product."""
-    w = np.concatenate([getattr(head, name) for name in names for head in heads])
-    return w.reshape(len(names), len(heads), -1, h.shape[0]) @ h
-
-
 def _run_layers(
     h: np.ndarray,
     weights: ModelWeights,
@@ -579,8 +636,9 @@ def _run_layers(
     their raw K/V into cache slots lo..lo+m-1, which the caller commits
     (KVCache.append).
 
-    Each layer first projects every head's new keys and values at once
-    (_project) and writes them into those slots.  The queries see the first
+    Each layer first projects every head's new keys and values at once,
+    over its stacked weights (LayerWeights.qkv), and writes them into those
+    slots.  The queries see the first
     ctx_len cached keys, then their own keys causally, as the spans that
     KVCache.write returns: slots 0..lo+m-1 when ctx_len is lo (the first
     and last chunk, a decode step, forward), else (a middle chunk) slots
@@ -618,7 +676,7 @@ def _run_layers(
     keep_alphas = trace is not None and trace.alphas is not None
     r0 = 0
     for li, layer in enumerate(weights.layers):
-        ks, vs = cache.write(li, lo, *_project(layer.heads, ("w_k", "w_v"), h), ctx_len)
+        ks, vs = cache.write(li, lo, *(layer.qkv[1:] @ h), ctx_len)
         if read is not None and li == len(weights.layers) - 1:
             r0 = m if read == 0 else (m - read) // TILE_ROWS * TILE_ROWS
             h = h[:, r0:]
@@ -627,7 +685,7 @@ def _run_layers(
 
         def attend(heads: slice) -> tuple[np.ndarray, np.ndarray | None]:
             alpha = np.zeros((len(layer.heads[heads]), h.shape[1], ctx_len + m)) if keep_alphas else None
-            q = _project(layer.heads[heads], ("w_q",), h)[0]
+            q = layer.qkv[0, heads] @ h
             spans = tuple(k[heads] for k in ks), tuple(v[heads] for v in vs)
             return _attend(q, *spans, ctx_len + r0, slopes[heads], pos, mask, alpha), alpha
 

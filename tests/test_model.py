@@ -360,6 +360,151 @@ def test_attend_peaked_rows_over_two_spans_match_the_dense_oracle(family):
     assert np.all(alpha[~visible] == 0.0)
 
 
+class _RowMaxSpy(np.ndarray):
+    """Queries whose score blocks record the rows of every row-max reduction
+    made on them: _attend scores q @ k, and the block keeps this type."""
+
+    calls: list = []
+
+    def max(self, *args, **kwargs):
+        if kwargs.get("keepdims"):
+            _RowMaxSpy.calls.append(self.shape[-2])
+        return super().max(*args, **kwargs)
+
+
+def _at_bound(family, factors, n, seed=8, slope=0.5):
+    """_attend's inputs for queries at the last len(factors) of n keys, and
+    the dense oracle's scores: the query of row r has the norm that puts
+    its score bound, |q_r| max_i |k_i|, at factors[r] x _SAFE, and every
+    second query points along the longest key, key 0, so that its score
+    with it is near the bound; the additive family subtracts slope x
+    distance."""
+    from weavepe.model import _SAFE
+
+    rng = np.random.default_rng(seed)
+    m, h = len(factors), 16
+    k, v = rng.normal(size=(h, n)), rng.normal(size=(h, n))
+    k[:, 0] *= 1.5 * np.linalg.norm(k, axis=0).max() / np.linalg.norm(k[:, 0])
+    q = rng.normal(size=(h, m))
+    q[:, ::2] = k[:, [0]]
+    q *= np.asarray(factors) * _SAFE / (np.linalg.norm(q, axis=0) * np.linalg.norm(k[:, 0]))
+    ctx, pos, qr, kr, penalty = n - m, None, q, k, 0.0
+    if family == "rotary":
+        pos = rotary_table(np.arange(n, dtype=np.float64), h, 10000.0)
+        qr, kr = apply_rotary(q, tuple(t[:, ctx:] for t in pos)), apply_rotary(k, pos)
+    elif family == "additive":
+        coords = np.arange(n, dtype=np.float64)
+        pos = _positions(random_model(d=h, n_heads=1, n_layers=1, pe_family="additive"), coords, m)
+        penalty = slope * (coords[ctx:, None] - coords[None, :])
+    return q, k, v, pos, qr.T @ kr - penalty
+
+
+@pytest.mark.parametrize("mask", [False, True])
+@pytest.mark.parametrize("family", ["dot", "rotary", "additive"])
+def test_attend_tiles_either_side_of_the_score_bound_match_the_dense_oracle(family, mask):
+    # the first tile's rows lie 1 % under the bound, so it runs unshifted,
+    # the second's 1 % over it, so it keeps the row-max shift; both match
+    # the oracle, and under a sink mask hidden cells keep weight exactly 0
+    from weavepe.model import _attend
+
+    m, n = TILE_ROWS + 36, 400
+    q, k, v, pos, scores = _at_bound(family, [0.99] * TILE_ROWS + [1.01] * 36, n)
+    amask = sink_mask(n, 4, 150) if mask else None
+    visible = (amask or causal_mask(n)).tile(n - m, n, 0, n)
+    alpha = np.zeros((m, n))
+    _RowMaxSpy.calls = []
+    out = _attend(q.view(_RowMaxSpy), (k,), (v,), n - m, 0.5, pos, amask, alpha)
+    if family != "rotary":  # the rotation makes the queries plain arrays again
+        assert _RowMaxSpy.calls == [36]
+    want = masked_softmax(scores, visible)
+    np.testing.assert_allclose(alpha, want, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(out, v @ want.T, rtol=0, atol=1e-12)
+    assert np.all(alpha[~visible] == 0.0)
+
+
+def test_attend_keeps_the_shift_for_a_negative_slope():
+    # a negative slope raises far keys' scores past any bound from |q| |k|
+    from weavepe.model import _attend
+
+    m, n = 20, 200
+    q, k, v, pos, scores = _at_bound("additive", [0.5] * m, n, slope=-0.5)
+    _RowMaxSpy.calls = []
+    out = _attend(q.view(_RowMaxSpy), (k,), (v,), n - m, -0.5, pos)
+    assert _RowMaxSpy.calls == [m]
+    want = masked_softmax(scores, causal_mask(n).tile(n - m, n, 0, n))
+    np.testing.assert_allclose(out, v @ want.T, rtol=0, atol=1e-12)
+
+
+def test_attend_16k_keys_at_the_score_bound_stay_finite():
+    # one tile over 16,385 keys across two spans, every key along the
+    # queries' direction: each score lies within 0.1 % of the bound, so
+    # every exp is about e^350 and the row total about 16k e^350, far from
+    # overflow; the tile runs unshifted and matches the oracle
+    from weavepe.model import _SAFE, _attend
+
+    rng = np.random.default_rng(9)
+    h, m, n = 16, TILE_ROWS, 16_385
+    u = rng.normal(size=(h, 1))
+    k = u * rng.uniform(0.999, 1.0, size=n)
+    q = np.repeat(u, m, axis=1) * (0.999 * _SAFE / np.linalg.norm(u) / np.linalg.norm(k, axis=0).max())
+    v = rng.normal(size=(h, n))
+    _RowMaxSpy.calls = []
+    out = _attend(q.view(_RowMaxSpy), (k[:, :9000], k[:, 9000:]), (v[:, :9000], v[:, 9000:]), n - m, 0.0, None)
+    assert _RowMaxSpy.calls == []
+    assert np.isfinite(out).all()
+    scores = q.T @ k
+    assert scores.max() > 0.998 * _SAFE
+    want = masked_softmax(scores, causal_mask(n).tile(n - m, n, 0, n))
+    np.testing.assert_allclose(out, v @ want.T, rtol=0, atol=1e-12)
+
+
+def test_attend_additive_row_whose_far_keys_underflow():
+    # keys 1,000 apart and a unit slope: every key but a row's own scores
+    # below -700 and the far ones below -1,700, where exp underflows to 0,
+    # while its own key, at distance 0 and about -0.85 x _SAFE, holds the
+    # unshifted row total clear of underflow
+    from weavepe.model import _SAFE, _attend
+
+    rng = np.random.default_rng(10)
+    h, m, n = 16, 10, 30
+    k, v = rng.normal(size=(h, n)), rng.normal(size=(h, n))
+    k /= np.linalg.norm(k, axis=0)  # unit keys
+    q = -0.85 * _SAFE * k[:, n - m :]
+    coords = 1000.0 * np.arange(n)
+    pos = _positions(random_model(d=h, n_heads=1, n_layers=1, pe_family="additive"), coords, m)
+    alpha = np.zeros((m, n))
+    _RowMaxSpy.calls = []
+    out = _attend(q.view(_RowMaxSpy), (k,), (v,), n - m, 1.0, pos, None, alpha)
+    assert _RowMaxSpy.calls == []
+    visible = causal_mask(n).tile(n - m, n, 0, n)
+    scores = np.where(visible, q.T @ k - (coords[n - m :, None] - coords[None, :]), -np.inf)
+    np.testing.assert_allclose(np.diag(scores[:, n - m :]), -0.85 * _SAFE, rtol=1e-12)
+    assert np.all(scores[:, : n - m - 1] < -1700)
+    want = masked_softmax(scores, visible)
+    np.testing.assert_allclose(alpha, want, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(out, v @ want.T, rtol=0, atol=1e-12)
+
+
+def test_layer_projects_every_head_from_one_stack():
+    # the stacked weights are the heads' own arrays, so the cached keys and
+    # values are bit for bit each head's w_k @ h and w_v @ h, and an
+    # in-place change to a head's weights reaches the stack
+    from weavepe.model import _run_layers
+
+    w = random_model(d=16, n_heads=4, n_layers=1, vocab=16, seed=11)
+    layer = w.layers[0]
+    h = np.random.default_rng(12).normal(size=(16, 30))
+    cache = KVCache(1, 4, capacity=30)
+    _run_layers(h, w, cache, 0, 0, _positions(w, None, 30))
+    cache.append(30)
+    for mi, head in enumerate(layer.heads):
+        assert all(np.shares_memory(x, layer.qkv) for x in (head.w_q, head.w_k, head.w_v))
+        k, v = cache.view(0, mi)
+        assert np.array_equal(k, head.w_k @ h) and np.array_equal(v, head.w_v @ h)
+    layer.heads[2].w_k *= 3.0
+    assert np.array_equal(layer.qkv[1, 2], layer.heads[2].w_k)
+
+
 def test_woven_scores_over_spans_split_anywhere_match_one_span():
     # a decode query under a staircase (runs of 4 keys far away, one key per
     # distance near): its keys split into two or three spans at every point,

@@ -257,10 +257,11 @@ def test_identity_forward_builds_one_rotation(monkeypatch):
     assert tables == [41]
 
 
-def _heads_on(monkeypatch, cpus):
+def _heads_on(monkeypatch, cpus, q_scale=1.0, pe_family="rotary", head_slopes=None):
     """Chunked prefill, 3 decode steps, the single pass and a woven, masked
-    forward of a 4-head model with _run_layers seeing cpus usable CPUs; the
-    outputs, every cached K/V, and the threads _attend ran on."""
+    forward of a 4-head model, its first head's queries scaled by q_scale,
+    with _run_layers seeing cpus usable CPUs; the outputs, every cached
+    K/V, and the threads _attend ran on."""
     from weavepe import model
 
     monkeypatch.setattr(model, "_usable_cpus", lambda: cpus)
@@ -272,7 +273,10 @@ def _heads_on(monkeypatch, cpus):
         return attend(*args)
 
     monkeypatch.setattr(model, "_attend", spy)
-    w = random_model(d=16, n_heads=4, n_layers=2, vocab=16, seed=3)
+    w = random_model(d=16, n_heads=4, n_layers=2, vocab=16, seed=3, pe_family=pe_family)
+    w.head_slopes = head_slopes
+    for layer in w.layers:
+        layer.heads[0].w_q *= q_scale
     res = prefill(_tokens(150), w, TOY)
     assert {c.kind for c in res.report.chunks} == {"first", "middle", "last"}
     out = [res.logits]
@@ -296,6 +300,33 @@ def test_head_pool_changes_no_bit(monkeypatch):
     pooled, pooled_threads = _heads_on(monkeypatch, 2)
     serial, serial_threads = _heads_on(monkeypatch, 1)
     assert serial_threads == {threading.get_ident()}
+    assert pooled_threads - serial_threads
+    assert len(pooled) == len(serial)
+    assert all(np.array_equal(a, b) for a, b in zip(pooled, serial))
+
+
+@pytest.mark.parametrize("pe_family, head_slopes", [("rotary", None), ("additive", [0.5, -0.5, 0.25, 0.125])])
+def test_head_pool_changes_no_bit_over_shifted_and_unshifted_tiles(monkeypatch, pe_family, head_slopes):
+    # the first head's queries x700 put some of its 8-row tiles past the
+    # score bound |q_r| max|k_i| <= _SAFE and leave others under it, while
+    # the other heads' tiles all stay under it, the additive family's
+    # second head aside, which a negative slope keeps shifted: shifted and
+    # unshifted tiles share calls, stacked and one head per call, and the
+    # pool changes no bit
+    from weavepe import model
+
+    w = random_model(d=16, n_heads=4, n_layers=2, vocab=16, seed=3, pe_family=pe_family)
+    w.layers[0].heads[0].w_q *= 700.0
+    h = forward(_tokens(150), w).hidden[0]
+    bounds = [
+        np.maximum.reduceat(np.linalg.norm(head.w_q @ h, axis=0), range(0, 151, 8))
+        * np.linalg.norm(head.w_k @ h, axis=0).max()
+        for head in w.layers[0].heads
+    ]
+    assert bounds[0].min() < model._SAFE < bounds[0].max()
+    assert max(b.max() for b in bounds[1:]) < model._SAFE
+    pooled, pooled_threads = _heads_on(monkeypatch, 2, 700.0, pe_family, head_slopes)
+    serial, serial_threads = _heads_on(monkeypatch, 1, 700.0, pe_family, head_slopes)
     assert pooled_threads - serial_threads
     assert len(pooled) == len(serial)
     assert all(np.array_equal(a, b) for a, b in zip(pooled, serial))
