@@ -20,7 +20,7 @@ import numpy as np
 from weavepe.masks import lambda_mask, sink_mask
 from weavepe.model import _forward, random_model
 from weavepe.pe_core import Scheme, WeaveParams
-from weavepe.pipeline import MesaConfig, generate
+from weavepe.pipeline import MesaConfig, _fits_window, generate
 from weavepe.splitter import dynamic_split
 
 TASK_DESCRIPT = (
@@ -129,7 +129,7 @@ def count_cells(method: str, n: int, params: dict | None = None) -> int:
 
     vanilla: full causal triangle.  rerope_dual: two attention matrices, so
     twice vanilla.  lambda/sink: the masked cell count.  mesa: the sum over
-    chunks of each chunk's context cells (vanilla when no chunking applies).
+    chunks of each chunk's context cells (vanilla for the single pass).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -144,12 +144,9 @@ def count_cells(method: str, n: int, params: dict | None = None) -> int:
         return sink_mask(n, p.get("x_sinks", 4), p.get("y_recent", p.get("train_len", 4096) - 4)).count()
     if method == "mesa":
         train_len = p.get("train_len", 4096)
-        first_len = p.get("first_len", 100)
-        min_last = p.get("min_last", 512)
-        rest_max = p.get("rest_max", 200)
-        if n <= train_len or n <= min_last + first_len:
+        if _fits_window(n - 1, train_len):  # the pipeline's single pass
             return _tri(n)
-        plan = dynamic_split(n, train_len, first_len, min_last, rest_max)
+        plan = dynamic_split(n, train_len, p.get("first_len", 100), p.get("min_last", 512), p.get("rest_max", 200))
         cells = _tri(plan.first_len)
         c = plan.chunk_width
         cells += plan.num_middle * (_tri(c) + c * plan.first_len)

@@ -5,14 +5,14 @@ against the first chunk only (both at local coordinates, so no positional
 distance ever exceeds the trained window), and the last chunk against the
 full cache with coordinates woven by MesaConfig.weave (the staircase by
 default; capped and leaky weaves too) anchored at the final token.  A
-prompt that fits the trained window (or the first+last budget) is one
-chunk at raw positions, the same computation as the first chunk.  A decode
-step is the last chunk of one token: the same weave, decode_distances,
-anchored at the new token, so every decode query sees exactly the woven
-distance to every key; a step whose distance to the first key would pass
-the trained window raises instead.  generate checks its last step against
-the window before any work, and sizes the cache for the tokens it decodes
-up front, so its steps never add a page.
+prompt of at most train_len positions is one chunk at raw positions, the
+same computation as the first chunk.  A decode step is the last chunk of
+one token: the same weave, decode_distances, anchored at the new token, so
+every decode query sees exactly the woven distance to every key.  One rule,
+_fits_window, keeps each W(p) <= train_len - 1, p's largest woven distance
+(to <bos>): prefill checks its anchor, decode_step its token and generate
+its last step before any work.  generate sizes the cache for the tokens it
+decodes up front, so its steps never add a page.
 
 Every distance a chunk feeds the positional term is a difference of
 coordinates.  A chunk's keys are its context, always the tokens
@@ -79,9 +79,7 @@ from weavepe.splitter import ChunkPlan, chunk_spans, dynamic_split
 class MesaConfig:
     """Weave and split parameters for the pipeline.
 
-    A weave's weave point must sit inside the trained window; inputs that fit
-    the window (or the first+last budget) are processed in a single vanilla
-    pass, the only pass an identity weave (no weave point) is given.
+    A weave's weave point must sit inside the trained window (an identity weave has none).
     """
 
     train_len: int
@@ -167,10 +165,9 @@ def prefill(tokens, weights: ModelWeights, config: MesaConfig) -> PrefillResult:
     """Chunked prefill of the whole prompt; returns last-position logits and
     the cache, sized to the prompt.
 
-    Inputs that fit the trained window (or the first+last budget) fall back to
-    a single vanilla pass: one chunk at raw positions with no context.  A
-    longer input under an identity weave is rejected: its last chunk would
-    feed raw distances past the trained window.
+    A prompt of at most train_len positions (<bos> included) is one pass at
+    raw positions; a longer one is chunked, and raises before any work past
+    the trained window or at first_len + min_last positions or fewer.
     """
     return _prefill(tokens, weights, config, len(tokens) + 1)
 
@@ -183,21 +180,17 @@ def _prefill(tokens, weights: ModelWeights, config: MesaConfig, slots: int) -> P
     total = len(seq_ids)
     t0 = time.perf_counter()
 
-    single_max = max(config.train_len, config.min_last + config.first_len)
-    fallback = total <= single_max
-    if not fallback and config.weave.scheme in IDENTITY_SCHEMES:
-        raise ValueError(
-            f"the {config.weave.scheme.value} weave is the identity, so chunking would feed raw distances "
-            f"past the trained window: the longest prompt it takes is {single_max - 1} tokens"
-        )
+    anchor = total - 1
+    fallback = _fits_window(anchor, config.train_len)
     if fallback:
         plan, spans = None, [(0, total)]
     else:
+        dist = decode_distances(anchor, config)
+        _fits_window(anchor, config.train_len, dist)
         plan = dynamic_split(total, config.train_len, config.first_len, config.min_last, config.rest_max)
         spans = chunk_spans(plan)
     cache = KVCache(len(weights.layers), len(weights.layers[0].heads), capacity=slots)
     report = RunReport(plan=plan, fallback=fallback)
-    anchor = total - 1
 
     def run(ci: int) -> tuple[np.ndarray | None, ChunkTrace]:
         """Chunk ci through the layers, its keys and values written to its
@@ -215,7 +208,7 @@ def _prefill(tokens, weights: ModelWeights, config: MesaConfig, slots: int) -> P
             coords = np.arange(ctx_len + m, dtype=np.float64)
         else:
             kind, ctx_len = "last", lo
-            coords = anchor - decode_distances(anchor, config)
+            coords = anchor - dist
         h = weights.w_e[:, seq_ids[lo:hi]].astype(np.float64)
         # the logits read the final chunk's last column alone; the other chunks feed only the cache
         read = int(ci == len(spans) - 1)
@@ -252,14 +245,10 @@ def decode_step(
     query anchored at itself and every cached raw key at its woven distance.
 
     Raises, before writing the cache, when the token's woven distance to the
-    first key, the largest it would score, lies past the trained window."""
+    first key, the largest it would score, passes train_len - 1."""
     t = len(cache)
     dist = decode_distances(t, config)
-    if dist[0] > config.train_len - 1:
-        raise ValueError(
-            f"decoding position {t} would score woven distance {dist[0]:g} to the first key, "
-            f"past the trained window of {config.train_len} positions (distances up to {config.train_len - 1})"
-        )
+    _fits_window(t, config.train_len, dist)
     h = weights.w_e[:, token_ids([next_token], weights)].astype(np.float64)
     h = _run_layers(h, weights, cache, t, t, _positions(weights, t - dist, 1))
     cache.append(1)
@@ -285,19 +274,12 @@ def generate(
     time; the last token's logits are never read, so it is not decoded.
 
     Raises before any work when the last of those steps would score a woven
-    distance past the trained window, naming the largest max_new that fits.
+    distance past train_len - 1, naming the largest max_new that fits.
     """
     steps = max(max_new - 1, 0)
     last = len(tokens) + steps  # position of the last step's token
     if steps:
-        table = weave_table(config.weave, last + 1)  # W(d) for d = 0..last, non-decreasing
-        if table[last] > config.train_len - 1:
-            fits = max(int(np.searchsorted(table, config.train_len - 1, side="right")) - len(tokens), 1)
-            raise ValueError(
-                f"max_new={max_new} would decode position {last}, which scores woven distance {table[last]:g} "
-                f"to the first key, past the trained window of {config.train_len} positions; "
-                f"the largest max_new that fits is {fits}"
-            )
+        _fits_window(last, config.train_len, decode_distances(last, config), max_new)
     pre = _prefill(tokens, weights, config, last + 1)
     report = pre.report
     out: list[int] = []
@@ -313,6 +295,27 @@ def generate(
         report.decode_steps += 1
     report.decode_seconds = time.perf_counter() - t0
     return GenerationResult(token_ids=out, report=report)
+
+
+def _fits_window(p: int, train_len: int, dist: np.ndarray | None = None, max_new: int | None = None) -> bool:
+    """The trained-window rule: the token at position p fits when its distance
+    to <bos>, its largest, is at most train_len - 1: p at raw positions (no
+    dist), W(p) = dist[0] woven (dist = decode_distances(p, ·)).  A woven misfit
+    raises, naming p, W(p), the window, the longest prompt and largest max_new."""
+    top = train_len - 1
+    if dist is None:
+        return p <= top
+    if dist[0] <= top:
+        return True
+    # W(0..p) never decreases, so the positions that fit are 0..fits-1
+    fits = int(np.searchsorted(dist[::-1], top, side="right"))
+    new = 0 if max_new is None else fits - 1 - p + max_new  # generate's largest max_new that fits, if any
+    tail = f"; max_new={max_new} would decode position {p}, and the largest max_new that fits is {new}"
+    raise ValueError(
+        f"position {p} would score woven distance {dist[0]:g} to the first key, past the trained window "
+        f"of {train_len} positions (distances up to {top}): the longest prompt it takes is {fits - 1} tokens"
+        + (tail if new > 0 else "")
+    )
 
 
 def decode_distances(anchor: int, config: MesaConfig) -> np.ndarray:

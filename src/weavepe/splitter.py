@@ -73,8 +73,8 @@ def dynamic_split(
     N = x // (T - F) and remainder M = x mod (T - F) decide the shape: a small
     remainder (M < rest_max) keeps full-width middles and is absorbed into the
     last chunk, otherwise the middle region is re-divided into N + 1 equal
-    chunks.  The caller handles inputs that fit the window; they are rejected
-    here.
+    chunks.  An input of at most F + L tokens cannot be chunked and is
+    rejected.
     """
     if train_len <= first_len:
         raise ValueError(f"train_len must exceed first_len ({train_len} <= {first_len})")
@@ -82,8 +82,8 @@ def dynamic_split(
         raise ValueError("first_len, min_last and rest_max must be positive")
     if total <= min_last + first_len:
         raise ValueError(
-            f"input of {total} tokens fits the first+last budget "
-            f"({first_len}+{min_last}); no chunking needed"
+            f"input of {total} tokens is too short to chunk: chunking needs more than the "
+            f"first+last budget ({first_len}+{min_last})"
         )
 
     x = total - min_last - first_len

@@ -40,6 +40,17 @@ def test_run_rejects_zero_flag(tmp_path, capsys, flags, message):
     assert message in json.loads(capsys.readouterr().err)["error"]
 
 
+def test_run_rejects_a_prompt_past_the_window(tmp_path, capsys):
+    # T 256, stair N 64 E 8 takes 64 + 191 * 8 + 1 = 1,593 positions: a
+    # 4,096-token prompt fails before any work, even with no step to decode
+    flags = ["--T", 256, "--N", 64, "--E", 8, "--F", 16, "--L", 32, "--M-max", 16, "--d", 8, "--max-new", 1]
+    assert run_cli(["run", "--random-tokens", 4096, "--out", tmp_path] + flags) == 1
+    doc = json.loads(capsys.readouterr().err)
+    assert doc["exit_code"] == 1
+    assert "longest prompt it takes is 1592 tokens" in doc["error"]
+    assert not (tmp_path / "run_report.json").exists()
+
+
 def test_plan_rejects_zero_first_len(capsys):
     assert run_cli(["plan", "--I", 9000, "--T", 4096, "--F", 0]) != 0
     assert "first_len, min_last and rest_max must be positive" in json.loads(capsys.readouterr().err)["error"]

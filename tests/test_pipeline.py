@@ -26,6 +26,9 @@ TOY = MesaConfig(
     min_last=16,
     rest_max=8,
 )
+# TOY's split under a tread of 12, which takes N + (T - 1 - N) E + 1 = 405
+# positions, for the tests that prefill past TOY's 157
+TOY_E12 = replace(TOY, weave=WeaveParams(scheme=Scheme.STAIR, cap=32, tread=12))
 
 
 def _tokens(n, vocab=16, seed=0):
@@ -48,14 +51,14 @@ def test_fallback_cache_covers_sequence():
 
 def test_chunked_cache_completeness():
     w = random_model(d=8, n_heads=2, n_layers=2, vocab=16, seed=3)
-    res = prefill(_tokens(199), w, TOY)  # I = 200 > train_len
+    res = prefill(_tokens(199), w, TOY_E12)  # I = 200 > train_len
     assert not res.report.fallback
     assert np.array_equal(res.cache.indices, np.arange(200))
 
 
 def test_middle_chunks_stay_inside_window():
     w = random_model(d=8, n_heads=2, n_layers=1, vocab=16, seed=3)
-    res = prefill(_tokens(399), w, TOY)
+    res = prefill(_tokens(399), w, TOY_E12)
     for trace in res.report.chunks:
         if trace.kind in ("first", "middle"):
             assert trace.max_pe_distance <= TOY.train_len
@@ -63,7 +66,7 @@ def test_middle_chunks_stay_inside_window():
 
 def test_middle_chunks_see_first_chunk_only():
     w = random_model(d=8, n_heads=1, n_layers=1, vocab=16, seed=3)
-    res = prefill(_tokens(199), w, TOY)
+    res = prefill(_tokens(199), w, TOY_E12)
     for trace in res.report.chunks:
         if trace.kind == "middle":
             assert trace.ctx_len == TOY.first_len
@@ -76,7 +79,7 @@ def test_triangular_pattern_13_tokens():
     # first chunk plus themselves, the last chunk attends everything
     cfg = MesaConfig(
         train_len=7,
-        weave=WeaveParams(scheme=Scheme.STAIR, cap=4, tread=2),
+        weave=WeaveParams(scheme=Scheme.STAIR, cap=4, tread=4),
         first_len=3,
         min_last=4,
         rest_max=2,
@@ -106,7 +109,7 @@ def test_last_chunk_final_query_exact_stair_additive():
     w = random_model(d=8, n_heads=1, n_layers=1, vocab=16, seed=5, pe_family="additive")
     w.head_slopes = [1.0]
     tokens = _tokens(199, seed=2)
-    res = prefill(tokens, w, TOY)
+    res = prefill(tokens, w, TOY_E12)
     seq = np.asarray([0] + tokens)
     h0 = w.w_e[:, seq]
     head = w.layers[0].heads[0]
@@ -114,7 +117,7 @@ def test_last_chunk_final_query_exact_stair_additive():
     k = head.w_k @ h0
     v = head.w_v @ h0
     t_star = len(seq) - 1
-    dist = weave_stair(t_star - np.arange(len(seq)), TOY.weave.cap, TOY.weave.tread)
+    dist = weave_stair(t_star - np.arange(len(seq)), TOY_E12.weave.cap, TOY_E12.weave.tread)
     scores = q @ k - dist
     alpha = masked_softmax(scores[None, :], True)[0]
     h_final = w.layers[0].ff(h0[:, -1] + head.w_o @ (v @ alpha)) + h0[:, -1] + head.w_o @ (v @ alpha)
@@ -127,7 +130,7 @@ def test_last_chunk_final_query_exact_stair_rotary():
     # factorized coordinate path the pipeline uses
     w = random_model(d=4, n_heads=1, n_layers=1, vocab=16, seed=6)
     tokens = _tokens(199, seed=3)
-    res = prefill(tokens, w, TOY)
+    res = prefill(tokens, w, TOY_E12)
     seq = np.asarray([0] + tokens)
     h0 = w.w_e[:, seq]
     head = w.layers[0].heads[0]
@@ -135,7 +138,7 @@ def test_last_chunk_final_query_exact_stair_rotary():
     k = head.w_k @ h0
     v = head.w_v @ h0
     t_star = len(seq) - 1
-    dist = weave_stair(t_star - np.arange(len(seq)), TOY.weave.cap, TOY.weave.tread)
+    dist = weave_stair(t_star - np.arange(len(seq)), TOY_E12.weave.cap, TOY_E12.weave.tread)
     scores = np.array([rope_score(q, k[:, i], dist[i], w.theta_base) for i in range(len(seq))])
     alpha = masked_softmax(scores[None, :], True)[0]
     a = head.w_o @ (v @ alpha)
@@ -244,7 +247,7 @@ def test_decode_step_builds_each_rotation_once(monkeypatch):
 def test_prefill_builds_each_rotation_once_per_chunk(monkeypatch):
     w = random_model(d=8, n_heads=2, n_layers=3, vocab=16, seed=3)
     tables, _ = _count_rotations(monkeypatch)
-    res = prefill(_tokens(199), w, TOY)
+    res = prefill(_tokens(199), w, TOY_E12)
     assert not res.report.fallback
     # one table over each chunk's key coordinates; the queries take its tail
     assert len(tables) == len(res.report.chunks)
@@ -513,16 +516,14 @@ def _chunked_run(monkeypatch, cpus, n, family, pool_calls=None):
 
         monkeypatch.setattr(model, "_pool", spy)
     w = random_model(d=16, n_heads=4, n_layers=2, vocab=16, seed=5, pe_family=family)
-    # TOY's split with a tread of 12, so 400 positions and 4 steps stay
-    # inside the trained window: W(403) = 32 + ceil(371 / 12) = 63
-    cfg = replace(TOY, weave=WeaveParams(scheme=Scheme.STAIR, cap=32, tread=12))
+    # 400 positions and 4 steps stay inside TOY_E12's window: W(403) = 32 + ceil(371 / 12) = 63
     done = []
 
     def run():
-        res = prefill(_tokens(n - 1), w, cfg)
+        res = prefill(_tokens(n - 1), w, TOY_E12)
         logits, cache = [res.logits], res.cache
         for _ in range(4):
-            step, cache = decode_step(cache, int(np.argmax(logits[-1])), w, cfg)
+            step, cache = decode_step(cache, int(np.argmax(logits[-1])), w, TOY_E12)
             logits.append(step)
         done.append((res.report, logits, cache))
 
@@ -578,7 +579,7 @@ def test_prefill_commits_each_chunk_once_in_order(monkeypatch):
 
     monkeypatch.setattr(model.KVCache, "append", spy)
     w = random_model(d=16, n_heads=4, n_layers=2, vocab=16, seed=3)
-    res = prefill(_tokens(299), w, TOY)
+    res = prefill(_tokens(299), w, TOY_E12)
     spans = [c.q_span for c in res.report.chunks]
     assert [c.kind for c in res.report.chunks].count("middle") == 5
     assert appends == [(lo, hi - lo, threading.get_ident()) for lo, hi in spans]
@@ -748,7 +749,7 @@ def test_prefill_cells_match_closed_form():
         "rest_max": TOY.rest_max,
     }
     for n in (150, 200, 377):
-        res = prefill(_tokens(n - 1, vocab=8), w, TOY)
+        res = prefill(_tokens(n - 1, vocab=8), w, TOY_E12)
         assert res.report.total_cells == count_cells("mesa", n, params)
 
 
@@ -809,9 +810,18 @@ def test_identity_weave_needs_no_weave_point():
     MesaConfig(train_len=256, weave=WeaveParams(scheme=Scheme.ROPE))
 
 
-def test_identity_weave_rejects_a_chunked_prompt(monkeypatch):
+def _forbid_work(monkeypatch):
+    """Make planning the split and running any layer fail the test."""
     from weavepe import pipeline
 
+    def no_work(*args, **kwargs):
+        raise AssertionError("prefill started work before rejecting the prompt")
+
+    monkeypatch.setattr(pipeline, "dynamic_split", no_work)
+    monkeypatch.setattr(pipeline, "_run_layers", no_work)
+
+
+def test_identity_weave_rejects_a_chunked_prompt(monkeypatch):
     cfg = MesaConfig(
         train_len=256,
         weave=WeaveParams(scheme=Scheme.ROPE, cap=64),
@@ -820,18 +830,95 @@ def test_identity_weave_rejects_a_chunked_prompt(monkeypatch):
         rest_max=16,
     )
     w = random_model(d=8, n_heads=2, n_layers=1, vocab=16, seed=3)
-
-    def no_work(*args, **kwargs):
-        raise AssertionError("prefill started work before rejecting the prompt")
-
-    monkeypatch.setattr(pipeline, "dynamic_split", no_work)
-    monkeypatch.setattr(pipeline, "_run_layers", no_work)
+    _forbid_work(monkeypatch)
     # the last chunk would feed raw distances up to 2047 against T - 1 = 255
     with pytest.raises(ValueError, match="longest prompt it takes is 255 tokens"):
         prefill(_tokens(2047), w, cfg)
     monkeypatch.undo()
     # 255 tokens plus <bos> still take the single pass
     assert prefill(_tokens(255), w, cfg).report.fallback
+
+
+def test_prefill_stops_at_the_stairs_closed_form_length(monkeypatch):
+    # TOY's staircase takes N + (T - 1 - N) E + 1 = 157 positions: a 156-token
+    # prompt is chunked and its last chunk scores W(156) = 63, the window's
+    # last distance; one more token raises before the split or any layer
+    w = random_model(d=8, n_heads=2, n_layers=1, vocab=16, seed=3)
+    res = prefill(_tokens(156), w, TOY)
+    assert not res.report.fallback
+    assert res.report.chunks[-1].max_pe_distance == 63
+    _forbid_work(monkeypatch)
+    with pytest.raises(ValueError, match="position 157 would score woven distance 64 .* longest prompt it takes is 156 tokens"):
+        prefill(_tokens(157), w, TOY)
+
+
+def test_reference_config_names_its_longest_prompt(monkeypatch):
+    # T 1024, stair N 512 E 50: 512 + 511 * 50 + 1 = 26,063 positions fit
+    cfg = MesaConfig(train_len=1024, weave=WeaveParams(scheme=Scheme.STAIR, cap=512, tread=50))
+    w = random_model(d=4, n_heads=1, n_layers=1, vocab=16, seed=3)
+    _forbid_work(monkeypatch)
+    with pytest.raises(ValueError, match="position 26063 would score woven distance 1024 .* it takes is 26062 tokens$"):
+        prefill(_tokens(26063), w, cfg)
+
+
+def test_single_pass_stops_at_the_trained_window(monkeypatch):
+    from weavepe import pipeline
+
+    # first_len + min_last = 612 passes T = 256, but the single pass still
+    # takes at most 256 positions: 597 would feed raw distances up to 596
+    cfg = MesaConfig(
+        train_len=256, weave=WeaveParams(scheme=Scheme.STAIR, cap=64, tread=8), first_len=100, min_last=512
+    )
+    w = random_model(d=8, n_heads=2, n_layers=1, vocab=16, seed=3)
+    assert prefill(_tokens(255), w, cfg).report.fallback
+    monkeypatch.setattr(pipeline, "_run_layers", lambda *args, **kwargs: pytest.fail("a layer ran"))
+    with pytest.raises(ValueError, match="too short to chunk") as err:
+        prefill(_tokens(596), w, cfg)
+    assert "fits" not in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "weave, longest",
+    [
+        (WeaveParams(scheme=Scheme.STAIR, cap=32, tread=1), 32 + 31 * 1),
+        (WeaveParams(scheme=Scheme.STAIR, cap=32, tread=4), 32 + 31 * 4),
+        (WeaveParams(scheme=Scheme.STAIR, cap=10, tread=7), 10 + 53 * 7),
+        (WeaveParams(scheme=Scheme.LEAKY_REROPE, cap=32, leak=0.25), int(32 + 31 / 0.25)),
+        (WeaveParams(scheme=Scheme.LEAKY_REROPE, cap=32, leak=0.3), int(32 + 31 / 0.3)),
+        (WeaveParams(scheme=Scheme.LEAKY_REROPE, cap=20, leak=2.0), int(20 + 43 / 2.0)),
+        (WeaveParams(scheme=Scheme.ROPE), 63),
+        (WeaveParams(scheme=Scheme.NOPE), 63),
+    ],
+    ids=["stair-32-1", "stair-32-4", "stair-10-7", "leaky-0.25", "leaky-0.3", "leaky-2", "rope", "nope"],
+)
+def test_longest_prompt_follows_the_closed_form(monkeypatch, weave, longest):
+    # T = 64: stair N + (T - 1 - N) E, leaky floor(N + (T - 1 - N) / leak),
+    # identity T - 1 tokens
+    cfg = replace(TOY, weave=weave)
+    w = random_model(d=4, n_heads=1, n_layers=1, vocab=16, seed=3)
+    _forbid_work(monkeypatch)
+    with pytest.raises(ValueError, match=f"the longest prompt it takes is {longest} tokens$"):
+        prefill(_tokens(999), w, cfg)
+    table = decode_distances(longest + 1, cfg)[::-1]
+    assert table[longest] <= 63 < table[longest + 1]
+
+
+def test_generate_names_no_max_new_for_a_prompt_past_the_window(monkeypatch):
+    # a 200-token prompt is past TOY's 156 already, so no max_new fits
+    w = random_model(d=4, n_heads=1, n_layers=1, vocab=16, seed=3)
+    _forbid_work(monkeypatch)
+    with pytest.raises(ValueError, match="^position 203 would score woven distance 75 .* it takes is 156 tokens$"):
+        generate(_tokens(200), w, TOY, max_new=4)
+
+
+def test_capped_weave_never_raises():
+    from weavepe import pipeline
+
+    cfg = replace(TOY, weave=WeaveParams(scheme=Scheme.REROPE, cap=32))
+    w = random_model(d=4, n_heads=1, n_layers=1, vocab=16, seed=3)
+    res = generate(_tokens(1999), w, cfg, max_new=3)
+    assert res.report.decode_steps == 2 and res.report.chunks[-1].max_pe_distance == 32
+    assert pipeline._fits_window(10**6, 64, decode_distances(10**6, cfg))
 
 
 def test_rerope_weave_pipeline_runs():
