@@ -18,7 +18,18 @@ queries over 16,385 keys.
 
 import numpy as np
 
-from weavepe.model import _SAFE, KVCache, _attend, _forward, _pool_map, _positions, _run_layers, random_model
+from weavepe.model import (
+    _SAFE,
+    TILE_ROWS,
+    KVCache,
+    _Rotation,
+    _attend,
+    _forward,
+    _pool_map,
+    _positions,
+    _run_layers,
+    random_model,
+)
 from weavepe.pe_core import Scheme, WeaveParams, apply_rotary, rotary_table, weave_stair
 from weavepe.pipeline import MesaConfig, decode_distances, decode_step, prefill
 from weavepe.splitter import chunk_spans, dynamic_split
@@ -34,7 +45,7 @@ def _last_chunk_attention(benchmark, scale):
     q = scale * rng.normal(size=(HEAD_DIM, LAST_ROWS))
     k = rng.normal(size=(HEAD_DIM, KEYS))
     v = rng.normal(size=(HEAD_DIM, KEYS))
-    pos = rotary_table(np.arange(KEYS, dtype=np.float64), HEAD_DIM, 10000.0)
+    pos = _Rotation(*rotary_table(np.arange(KEYS, dtype=np.float64), HEAD_DIM, 10000.0), np.arange(KEYS))
     out = benchmark(_attend, q, (k,), (v,), CTX, 0.0, pos)
     assert out.shape == (HEAD_DIM, LAST_ROWS) and np.isfinite(out).all()
 
@@ -63,14 +74,14 @@ def test_last_chunk_attention_shifted(benchmark):
     k = rng.normal(size=(HEAD_DIM, KEYS))
     v = rng.normal(size=(HEAD_DIM, KEYS))
     q *= 1.05 * _SAFE / (np.linalg.norm(q, axis=0) * np.linalg.norm(k, axis=0).max())
-    pos = rotary_table(np.arange(KEYS, dtype=np.float64), HEAD_DIM, 10000.0)
-    qr, kr = apply_rotary(q, tuple(t[:, CTX:] for t in pos)), apply_rotary(k, pos)
+    table = rotary_table(np.arange(KEYS, dtype=np.float64), HEAD_DIM, 10000.0)
+    qr, kr = apply_rotary(q, tuple(t[:, CTX:] for t in table)), apply_rotary(k, table)
     for r in range(0, LAST_ROWS, 64):  # one 64-row tile of scores at a time
         s = qr[:, r : r + 64].T @ kr
         seen = np.arange(KEYS) <= CTX + r + np.arange(s.shape[0])[:, None]
         assert np.all(np.where(seen, s, -np.inf).max(axis=1) - np.where(seen, s, np.inf).min(axis=1) < 708)
     del s, seen, qr, kr
-    out = benchmark(_attend, q, (k,), (v,), CTX, 0.0, pos)
+    out = benchmark(_attend, q, (k,), (v,), CTX, 0.0, _Rotation(*table, np.arange(KEYS)))
     assert out.shape == (HEAD_DIM, LAST_ROWS) and np.isfinite(out).all()
 
 
@@ -173,7 +184,7 @@ def test_first_decode_step_16k_keys(benchmark):
         return (cache, 3, weights, config), {}
 
     logits, cache = benchmark.pedantic(decode_step, setup=fresh_cache, rounds=3)
-    assert np.isfinite(logits).all() and len(cache) == KEYS + 1 and cache.capacity == KEYS + KEYS // 8
+    assert np.isfinite(logits).all() and len(cache) == KEYS + 1 and cache.capacity == KEYS + TILE_ROWS
 
 
 def test_decode_step_1k_keys(benchmark):

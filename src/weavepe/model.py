@@ -7,31 +7,38 @@ equivalent to concatenate-then-project for block-structured output weights.
 Keys and values are cached before any rotation, token i in slot i, so the
 same cached key can be assigned different woven positions later.  The cache
 grows by pages and never moves a key, so attention reads its keys as spans,
-views of the pages that joined give one key index, and nothing joins them.
+views of the pages that joined give one key index, and nothing joins them
+beyond one block.
 
 forward, each prefill chunk and each decode step run the same layers
 (_run_layers) and the same attention (_attend); _positions alone turns their
 keys' coordinates (and forward's weave) into the positional input.  Rows
-run in tiles of TILE_ROWS queries, and a tile scores only the keys its rows
-may see, in blocks of KEY_BLOCK keys (of KEY_BLOCK / heads when heads are
-stacked in one call).  Each block gets the causal -inf on
-the diagonal tail cells it holds (and, under forward's mask, -inf on its
-cells outside it), and the softmax runs online over the blocks, in place,
-with its normalisation deferred past the value product, as in
-FlashAttention (Dao et al., arXiv 2205.14135; Rabe & Staats, arXiv
-2112.05682).  The running row max of that softmax (Milakov & Gimelshein,
-arXiv 1805.02867) is there only to keep exp from overflowing, which in
-float64 takes a score past 709; a tile whose scores Cauchy-Schwarz bounds
-by _SAFE before any is computed skips it, and makes four passes over each
-block (scores, exp, row sums, values), not six (the max and the shift
-too).  One query, a decode step, keeps it.  No score, distance or mask
-matrix larger than one block is held, and a block is freed before the next
-is scored, so a tile's working set does not grow with the context; only
-forward keeps each head's normalised n x n weights.  A block inside one span is one matmul over a
-view of it; a block that crosses spans is scored one span piece at a time
-into one block buffer, so the softmax passes still run once per block.  A
-caller that reads only the last columns (prefill) has the last layer attend
-only the tiles holding them.
+run in tiles of TILE_ROWS queries, and the keys in blocks of KEY_BLOCK
+(KEY_BLOCK / heads when heads are stacked in one call), the blocks
+outermost, as in FlashAttention's loop order (Dao et al., arXiv
+2205.14135): each block is taken once per call, rotated once for the
+rotary family, and scored against every row tile that sees any of it,
+while each tile keeps its softmax state from block to block.  Each block
+gets the causal -inf on the diagonal tail cells it holds (and, under
+forward's mask, -inf on its cells outside it), and the softmax runs online
+over the blocks, in place, with its normalisation deferred past the value
+product (FlashAttention; Rabe & Staats, arXiv 2112.05682).  The running row max of
+that softmax (Milakov & Gimelshein, arXiv 1805.02867) is there only to keep
+exp from overflowing, which in float64 takes a score past 709; a tile whose
+scores Cauchy-Schwarz bounds by _SAFE before any is computed skips it, and
+makes four passes over each block (scores, exp, row sums, values), not six
+(the max and the shift too).  One query, a decode step, keeps it.  No
+score, distance or mask matrix larger than one block is held, and a block
+is freed before the next is scored, so the working set is the queries,
+their value sums and one block, however long the context; only forward
+keeps each head's normalised n x n weights.  Rotary keys are rotated by
+their offsets from the last key's coordinate, from a table of one row per
+offset (_Rotation), so no rotated span and no table over every key is
+held.  A block inside one span is one matmul over a view of it; a block
+that crosses spans is scored one span piece at a time into one block
+buffer (or joined, when it is rotated), so the softmax passes still run
+once per block.  A caller that reads only the last columns (prefill) has
+the last layer attend only the tiles holding them.
 
 Every array of _attend may carry a leading heads axis.  A step with one
 query (every decode step) attends with all of a layer's heads in one call
@@ -309,6 +316,30 @@ class _Woven:
 
 
 @dataclass(frozen=True)
+class _Rotation:
+    """Rotary positional input of many queries: each key's rotation, by its
+    offset from the last key's coordinate, from one table row per offset.
+
+    A score depends on the difference of two coordinates alone, so
+    rotating every key and query by its offset o = c_last - c, not by -c,
+    scores the same pairs.  A chunk's offsets under a staircase, capped or
+    identity weave are its woven distances from the anchor, integers of at
+    most train_len - 1, so the table holds at most train_len rows however
+    many keys there are.  A rotary_table over the keys, one column per key,
+    is a _Rotation whose key i is row i.
+    """
+
+    cos: np.ndarray  # h/2 x rows: cos and sin of each row's rotation
+    sin: np.ndarray
+    row: np.ndarray  # each key's row
+
+    def rotate(self, x: np.ndarray, a: int) -> None:
+        """Rotate the columns of x ([heads x] h x n), keys a..a+n-1, in place."""
+        row = self.row[a : a + x.shape[-1]]
+        apply_rotary(x, (self.cos[:, row], self.sin[:, row]), out=x)
+
+
+@dataclass(frozen=True)
 class _Distances:
     """Positional input scored per tile from each pair's distance: forward's
     distances, or the pipeline's additive coordinate differences."""
@@ -353,8 +384,11 @@ def _positions(weights: ModelWeights, coords: np.ndarray | None, m: int, weave: 
     not a function of t - i, gets _Distances of woven_distances per tile.
     The pipeline's additive chunks get _Distances of coordinate
     differences, since the last chunk's anchored coordinates are not
-    evenly spaced.  The rotary family gets one rotary table over coords,
-    but one query (a decode step, or a one-token chunk) a _Woven, which
+    evenly spaced.  The rotary family gets a _Rotation: each key's offset
+    coords[-1] - coords and one table row per distinct offset, which in the
+    pipeline are its woven distances from the anchor, so at most train_len
+    rows however long the context.  One query (a decode step, or a
+    one-token chunk) gets a _Woven instead, which
     rotates the query by each key's distance coords[-1] - coords, its turns
     rows of one shared table (_turns_upto) when the runs take every
     distance from the largest down to 0.  Only forward, whose keys are one
@@ -374,7 +408,8 @@ def _positions(weights: ModelWeights, coords: np.ndarray | None, m: int, weave: 
     if fam == "additive":
         return _Distances(lambda lo, hi, c0, c1: coords[lo:hi, None] - coords[None, c0:c1], None)
     if m > 1:
-        return rotary_table(coords, weights.head_dim, base)
+        offsets, row = np.unique(coords[-1] - coords, return_inverse=True)
+        return _Rotation(*rotary_table(-offsets, weights.head_dim, base), row)
     starts = np.flatnonzero(np.concatenate(([True], coords[1:] != coords[:-1])))  # first key of each run
     runs = np.diff(starts, append=coords.size)
     first = np.flatnonzero(np.concatenate(([True], runs[1:] != runs[:-1])))  # first run of each segment
@@ -464,16 +499,19 @@ def _attend(
     head (heads x 1 x 1), broadcasts against their scores; one head's arrays
     may also come without the axis.  Query row r sees keys [0, ctx_len +
     r] of the joined index.  Rows run in tiles of TILE_ROWS, and a tile
-    ending at row r1 sees keys [0, ctx_len + r1), scored in blocks of
-    KEY_BLOCK columns (KEY_BLOCK / heads when heads are stacked, so a block
-    holds one head's cells): a block within one span is one matmul over a
-    view of it, and a block that crosses spans is one matmul per span piece
-    into one block buffer, its value product the sum of one product per
-    piece, so every other pass runs once per block.  The causal -inf goes
-    on the cells of the tile's rows x rows diagonal tail that a block
-    holds, and the softmax runs online over the blocks, as in
-    FlashAttention: the row sums and the value products, s @ v^T,
-    accumulate, and the normalisation waits past the row's last block.
+    ending at row r1 sees keys [0, ctx_len + r1).  The keys are walked
+    once, outermost, in blocks of KEY_BLOCK columns (KEY_BLOCK / heads when
+    heads are stacked, so a block holds one head's cells), and each block
+    is scored against every row tile that sees any of it, a tile's last
+    block cut at its own end.  A rotary block's keys are joined across
+    spans and rotated once, for all those tiles; any other block within
+    one span is one matmul over a view of it, and one that crosses spans
+    one matmul per span piece into one block buffer.  Each tile keeps its
+    running row max, row sums and value accumulators (s @ v^T, one product
+    per span piece, so no value is copied) from block to block, as in
+    FlashAttention, and the accumulators, normalised after the last block,
+    fill the result.  Per tile, the blocks run in key order, so a tile's
+    arithmetic is the one it would do alone.
 
     A tile runs unshifted when none of its scores can leave +-_SAFE.  By
     Cauchy-Schwarz, |s| <= |q_r| max_i |k_i| for the dot and rotary families
@@ -495,21 +533,34 @@ def _attend(
     one row.  A tile of one block is plain softmax arithmetic.
 
     pos is _positions over the ctx_len + m keys, and the queries, being
-    the last m keys, take its tail from ctx_len on; a rotary table rotates
-    each span by its own columns, and a _Woven (one query) scores its one
-    row itself, as one block.  forward passes its mask, which sets -inf on
-    each block's cells outside it, and alpha, zeros of the weights' shape
-    ([heads x] m x (ctx_len + m)) into which each block writes its weights,
-    rescaled and normalised after the row's last block.  Returns [heads x]
-    h x m values.
+    the last m keys, take its tail from ctx_len on.  A _Rotation rotates q
+    in place, and each key block as it is taken; a _Woven (one query)
+    scores its one row over the spans itself, as one block, which is every
+    decode step of the rotary family.  forward passes its mask, which sets
+    -inf on each block's cells outside it, and alpha, zeros of the weights'
+    shape ([heads x] m x (ctx_len + m)) into which each block writes its
+    weights, rescaled and normalised after the last block.  Returns [heads
+    x] h x m values.
     """
     starts = [0]  # each span's first key in the joined index, then their total
     for k in ks:
         starts.append(starts[-1] + k.shape[-1])
-    m = q.shape[-1]
-    woven = isinstance(pos, _Woven)
+    vts = [np.swapaxes(v, -1, -2) for v in vs]
+    if isinstance(pos, _Woven):  # one query, one block, always shifted
+        s = pos.scores(q, ks)
+        if mask is not None:
+            s[..., ~mask.tile(ctx_len, ctx_len + 1, 0, starts[-1])] = -np.inf
+        s -= s.max(axis=-1, keepdims=True)
+        np.exp(s, out=s)
+        total = s.sum(axis=-1, keepdims=True)
+        out = _values(s, vts, _pieces(starts, 0, starts[-1])) / total
+        if alpha is not None:
+            np.divide(s, total, out=alpha)
+        return np.swapaxes(out, -1, -2)
+    rotary = isinstance(pos, _Rotation)
     cells = isinstance(pos, _Distances) and pos.theta_base is not None  # rotary scores per cell
     additive = isinstance(pos, _Distances) and not cells
+    m = q.shape[-1]
     tiles = range(0, m, TILE_ROWS)
     # per tile, the heads whose scores cannot pass +-_SAFE, which run unshifted:
     # True for every head, False for none, else a heads x 1 x 1 mask of them
@@ -523,65 +574,74 @@ def _attend(
             fits &= np.reshape(slope, (-1, 1)) >= 0
         every, some = fits.all(axis=0).tolist(), fits.any(axis=0).tolist()
         free = [True if a else fits[:, i, None, None] if b else False for i, (a, b) in enumerate(zip(every, some))]
-    if isinstance(pos, tuple):  # a rotary table over the keys
-        q = apply_rotary(q, tuple(t[:, ctx_len:] for t in pos))
-        ks = tuple(apply_rotary(k, tuple(t[:, a:b] for t in pos)) for k, a, b in zip(ks, starts, starts[1:]))
-    qt, vts = np.swapaxes(q, -1, -2), [np.swapaxes(v, -1, -2) for v in vs]
-    out = np.empty(vs[0].shape[:-1] + (m,))
+    if rotary:
+        pos.rotate(q, ctx_len)
+    qt = np.swapaxes(q, -1, -2)
+    top = [_LOWEST] * len(tiles)  # each tile's running row max
+    total = [None] * len(tiles)  # each tile's row sums
+    acc = [None] * len(tiles)  # each tile's value sums, s @ v^T
+    shifts = [[] for _ in tiles]  # per tile, (first key, end key, max subtracted or None) of each block in alpha
     penalty = pos.penalty(slope) if additive else None
-    # a _Woven's one row is one block; stacked heads share one head's block budget
-    width = starts[-1] if woven else max(KEY_BLOCK // math.prod(q.shape[:-2]), 1)
+    width = max(KEY_BLOCK // math.prod(q.shape[:-2]), 1)  # stacked heads share one head's block budget
     one = len(ks) == 1
-    for r0, bounded in zip(tiles, free):
-        r1 = min(r0 + TILE_ROWS, m)
-        lo, nk = ctx_len + r0, ctx_len + r1  # the tile's first query is key lo; its rows see keys [0, nk)
-        qr = qt[..., r0:r1, :]
-        top = _LOWEST  # running row max
-        shifts = []  # (first key, end key, max subtracted or None) of each block kept in alpha
-        for c0 in range(0, nk, width):
-            c1 = min(c0 + width, nk)
-            pieces = None if one else _pieces(starts, c0, c1)
-            if woven:
-                s = pos.scores(q, ks)
+    for c0 in range(0, starts[-1], width):
+        c1 = min(c0 + width, starts[-1])
+        if rotary:  # the block's keys, joined across spans and rotated, once for every tile
+            kb = np.concatenate([ks[j][..., a:b] for j, a, b, _ in _pieces(starts, c0, c1)], axis=-1)
+            pos.rotate(kb, c0)
+        # the tiles that see the block: those whose rows reach past key c0
+        for i in range(max(c0 - ctx_len, 0) // TILE_ROWS, len(tiles)):
+            r0, bounded = tiles[i], free[i]
+            r1 = min(r0 + TILE_ROWS, m)
+            lo, nk = ctx_len + r0, ctx_len + r1  # the tile's first query is key lo; its rows see keys [0, nk)
+            e = min(c1, nk)  # the block's keys c0..e-1 that the tile sees
+            qr = qt[..., r0:r1, :]
+            pieces = None if one else _pieces(starts, c0, e)
+            if rotary:
+                s = qr @ kb[..., : e - c0]
             elif cells:  # forward's, whose keys are one span
-                s = pos.scores(qr, ks[0][..., c0:c1], lo, c0)
+                s = pos.scores(qr, ks[0][..., c0:e], lo, c0)
             else:
-                s = qr @ ks[0][..., c0:c1] if one else _product(qr, ks, pieces, c1 - c0)
+                s = qr @ ks[0][..., c0:e] if one else _product(qr, ks, pieces, e - c0)
                 if penalty is not None:
-                    s -= penalty(lo, nk, c0, c1)
-            if c1 > lo:  # the block holds part of the diagonal tail
-                s[..., max(c0, lo) - c0 :] += _CAUSAL_TAIL[: r1 - r0, max(c0, lo) - lo : c1 - lo]
+                    s -= penalty(lo, nk, c0, e)
+            if e > lo:  # the block holds part of the diagonal tail
+                s[..., max(c0, lo) - c0 :] += _CAUSAL_TAIL[: r1 - r0, max(c0, lo) - lo : e - lo]
             if mask is not None:
-                s[..., ~mask.tile(lo, nk, c0, c1)] = -np.inf
+                s[..., ~mask.tile(lo, nk, c0, e)] = -np.inf
             if bounded is not True:  # shift by the running row max, and rescale the sums to it
                 new = s.max(axis=-1, keepdims=True)
                 if c0 or mask is not None:  # every row sees key 0 of the first block, unless a mask hides it
-                    np.maximum(new, top, out=new)
+                    np.maximum(new, top[i], out=new)
                 if bounded is not False:  # bounded heads among stacked ones shift by 0, as alone
                     np.copyto(new, 0.0, where=bounded)
                 s -= new
                 if c0:
-                    rescale = np.exp(top - new)
-                    total *= rescale
-                    acc *= rescale
-                top = new
+                    rescale = np.exp(top[i] - new)
+                    total[i] *= rescale
+                    acc[i] *= rescale
+                top[i] = new
             np.exp(s, out=s)
-            pv = s @ vts[0][..., c0:c1, :] if one else _values(s, vts, pieces)
+            pv = s @ vts[0][..., c0:e, :] if one else _values(s, vts, pieces)
             if c0 == 0:
-                total, acc = s.sum(axis=-1, keepdims=True), pv
+                total[i], acc[i] = s.sum(axis=-1, keepdims=True), pv
             else:
-                total += s.sum(axis=-1, keepdims=True)
-                acc += pv
+                total[i] += s.sum(axis=-1, keepdims=True)
+                acc[i] += pv
             if alpha is not None:
-                alpha[..., r0:r1, c0:c1] = s
-                shifts.append((c0, c1, None if bounded is True else top))
-            del s  # free this block before the next is scored: one block alive, not two
-        out[..., r0:r1] = np.swapaxes(acc / total, -1, -2)
-        for c0, c1, shift in shifts:
+                alpha[..., r0:r1, c0:e] = s
+                shifts[i].append((c0, e, None if bounded is True else top[i]))
+            del s, pv  # free this block's scores before the next are made: one alive, not two
+    out = np.empty(vs[0].shape[:-1] + (m,))
+    for i, r0 in enumerate(tiles):
+        r1 = min(r0 + TILE_ROWS, m)
+        out[..., r0:r1] = np.swapaxes(acc[i] / total[i], -1, -2)
+        acc[i] = None  # each tile's sums are freed once copied into the result
+        for c0, c1, shift in shifts[i]:
             kept = alpha[..., r0:r1, c0:c1]
             if shift is not None:
-                kept *= np.exp(shift - top)
-            kept /= total
+                kept *= np.exp(shift - top[i])
+            kept /= total[i]
     return out
 
 
@@ -763,10 +823,14 @@ class KVCache:
     other chunks are still writing.  The first page holds the constructor's
     capacity (prefill passes the prompt length, generate the prompt plus
     the tokens it decodes).  A write at len(cache) that runs past the
-    capacity adds a page of max(need, capacity // 8) slots, need being the
-    slots missing, to every layer as it writes: growth allocates that page
-    alone and never copies a filled slot, so the arrays a step has read
-    stay where they are.
+    capacity adds a page to every layer as it writes: TILE_ROWS slots for
+    the first page past the first, twice as many for each page after, but
+    never more than an eighth of the slots before it, nor fewer than the
+    slots missing.  So a few decode steps past a prompt-sized cache add
+    TILE_ROWS slots, not an eighth of the prompt, while a long decode adds
+    pages of a fixed share of the cache, whose count grows with the log of
+    its length.  Growth allocates that page alone and never copies a
+    filled slot, so the arrays a step has read stay where they are.
     """
 
     def __init__(self, n_layers: int, n_heads: int, capacity: int = 0):
@@ -804,8 +868,9 @@ class KVCache:
         if end > bounds[len(ks)]:  # past this layer's pages
             if lo > self._len:
                 raise ValueError(f"slots {lo}..{end - 1} lie past the filled {self._len} and the storage")
-            if end > bounds[-1]:
-                bounds.append(bounds[-1] + max(end - bounds[-1], bounds[-1] // 8))
+            if end > bounds[-1]:  # pages of TILE_ROWS, 2 TILE_ROWS, ... slots past the first, up to 1/8 of the storage
+                grow = min(TILE_ROWS << max(len(bounds) - 2, 0), bounds[-1] // 8)
+                bounds.append(bounds[-1] + max(end - bounds[-1], grow))
             while bounds[len(ks)] < end:
                 size = bounds[len(ks) + 1] - bounds[len(ks)]
                 ks.append(np.empty((self.n_heads, k.shape[-2], size)))

@@ -222,22 +222,23 @@ def rotary_table(coords, dim: int, theta_base: float) -> tuple[np.ndarray, np.nd
     return np.cos(ang), np.sin(ang)
 
 
-def apply_rotary(x: np.ndarray, table: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """Rotate the columns of x ([heads x] dim x n) by a rotary_table built for them.
+def apply_rotary(x: np.ndarray, table: tuple[np.ndarray, np.ndarray], out: np.ndarray | None = None) -> np.ndarray:
+    """Rotate the columns of x ([heads x] dim x n) by a rotary_table built
+    for them, into out: a new array, or x itself to rotate it in place.
 
-    Each half of the result is written in place, xa c - xb s then xa s + xb
-    c, with one half-size scratch array, so no full-size temporary is made.
+    Each half of the result is written in place, xa c - xb s then xb c + xa
+    s, with two half-size scratch arrays, so no full-size temporary is made;
+    xa s is taken before the first half is written, which may overwrite xa.
     """
     c, s = table
     xa, xb = x[..., 0::2, :], x[..., 1::2, :]
-    out = np.empty_like(x)
+    out = np.empty_like(x) if out is None else out
     even, odd = out[..., 0::2, :], out[..., 1::2, :]
-    scratch = np.multiply(xb, s)
+    scratch = np.multiply(xa, s)
     np.multiply(xa, c, out=even)
-    np.subtract(even, scratch, out=even)
-    np.multiply(xa, s, out=scratch)
+    even -= xb * s
     np.multiply(xb, c, out=odd)
-    np.add(scratch, odd, out=odd)
+    odd += scratch
     return out
 
 

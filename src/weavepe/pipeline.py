@@ -17,11 +17,14 @@ decodes up front, so its steps never add a page.
 Every distance a chunk feeds the positional term is a difference of
 coordinates.  A chunk's keys are its context, always the tokens
 0..ctx_len-1, then its own tokens, which are also its queries; so each
-chunk builds one coordinate array over its keys, and for the rotary family
-one cos/sin table over it, before the layer loop, shared by every layer and
-head, with the queries taking its tail.  One query (a decode step) rotates
-itself by each key's distance instead (model._Woven), so no key is rotated
-and no per-key trigonometry runs; no per-cell trigonometry runs at all.
+chunk builds one coordinate array over its keys before the layer loop,
+shared by every layer and head, with the queries taking its tail, and for
+the rotary family one cos/sin table with a row per distinct offset from
+the chunk's last coordinate (model._Rotation): at most train_len rows,
+since the offsets are woven distances from the anchor.  One query (a
+decode step) rotates itself by each key's distance instead (model._Woven),
+so no key is rotated and no per-key trigonometry runs; no per-cell
+trigonometry runs at all.
 
 Cache slot i holds token i.  Each chunk or step writes its raw keys and
 values into its own tokens' preallocated slots before attending, and
@@ -29,12 +32,13 @@ attends over spans of the cache's pages, views that no step copies: the
 last chunk and a decode step over slots 0..t, one span per page they lie
 in (prefill's one page, then a page each time decode runs past it); a
 middle chunk over the first chunk's slots and its own, two spans that are
-never joined, each rotary span rotated by its own table columns.  The layers
-and the row-tiled attention are model's (_run_layers, _attend), shared with
-model.forward; a chunk's cell count and largest distance are computed in
-closed form from its coordinates.  The single, first and last chunk run
-their heads on a small thread pool (model._run_layers), since the time
-goes to the elementwise passes over the scores, which release the GIL.
+never joined beyond one key block, which a rotary chunk rotates as it takes
+it.  The layers and the row-tiled attention are model's (_run_layers,
+_attend), shared with model.forward; a chunk's cell count and largest
+distance are computed in closed form from its coordinates.  The single,
+first and last chunk run their heads on a small thread pool
+(model._run_layers), since the time goes to the elementwise passes over
+the scores, which release the GIL.
 The middle chunks need only the first chunk's keys and values, so they run
 at the same time on that pool, one chunk per task, each attending with all
 its heads in one stacked call, as a decode step does; their small tiles,
@@ -79,7 +83,10 @@ from weavepe.splitter import ChunkPlan, chunk_spans, dynamic_split
 class MesaConfig:
     """Weave and split parameters for the pipeline.
 
-    A weave's weave point must sit inside the trained window (an identity weave has none).
+    A weave's weave point must sit inside the trained window (an identity
+    weave has none), and a leaky weave's leak may not pass 1: above it, the
+    woven distances outgrow the raw ones, so a prompt the single pass takes
+    at raw positions would be past the window once woven.
     """
 
     train_len: int
@@ -97,6 +104,10 @@ class MesaConfig:
             raise ValueError("the grouped scheme is not a pure distance weave; use stair/rerope/leaky")
         if self.weave.scheme not in IDENTITY_SCHEMES and self.weave.cap >= self.train_len:
             raise ValueError("weave point must sit inside the trained window")
+        if self.weave.scheme is Scheme.LEAKY_REROPE and self.weave.leak > 1:
+            raise ValueError(
+                f"leak must be at most 1, got {self.weave.leak}: it would weave distances past the raw ones"
+            )
 
 
 @dataclass

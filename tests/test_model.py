@@ -16,6 +16,8 @@ from weavepe.model import (
     ModelWeights,
     WhitespaceVocab,
     _Distances,
+    _Rotation,
+    _Woven,
     _positions,
     embed,
     forward,
@@ -293,7 +295,7 @@ def test_attend_holds_one_score_tile():
     h, m, n = 16, 3 * TILE_ROWS, 4096
     q, k, v = rng.normal(size=(h, m)), rng.normal(size=(h, n)), rng.normal(size=(h, n))
     block = TILE_ROWS * KEY_BLOCK * 8
-    rotary = rotary_table(np.arange(n, dtype=np.float64), h, 10000.0)
+    rotary = _Rotation(*rotary_table(np.arange(n, dtype=np.float64), h, 10000.0), np.arange(n))
     # forward's table-backed additive tiles: one block, plus the slope-scaled
     # table reversed and padded to 2n - 1 values
     stair = WeaveParams(scheme=Scheme.STAIR, cap=512, tread=50)
@@ -320,7 +322,7 @@ def test_attend_over_the_last_chunk_of_16k_stays_under_5_mib():
     rng = np.random.default_rng(0)
     h, m, n = 16, 577, 16_385
     q, k, v = rng.normal(size=(h, m)), rng.normal(size=(h, n)), rng.normal(size=(h, n))
-    rotary = rotary_table(np.arange(n, dtype=np.float64), h, 10000.0)
+    rotary = _Rotation(*rotary_table(np.arange(n, dtype=np.float64), h, 10000.0), np.arange(n))
     tracemalloc.start()
     try:
         out = _attend(q, (k,), (v,), n - m, 0.0, rotary)
@@ -329,6 +331,58 @@ def test_attend_over_the_last_chunk_of_16k_stays_under_5_mib():
         tracemalloc.stop()
     assert out.shape == (h, m) and np.isfinite(out).all()
     assert peak < 5 << 20, peak
+
+
+def test_attend_over_the_last_chunk_holds_no_rotated_span():
+    # one head of REF's last chunk, rotary, its keys at the staircase's
+    # anchored coordinates: each key block is rotated as it is taken and
+    # the queries in place, so the call holds less than the keys' own 2 MiB
+    import tracemalloc
+
+    from weavepe.model import _attend
+    from weavepe.pipeline import MesaConfig, decode_distances
+
+    rng = np.random.default_rng(0)
+    h, m, n = 16, 577, 16_385
+    q, k, v = rng.normal(size=(h, m)), rng.normal(size=(h, n)), rng.normal(size=(h, n))
+    config = MesaConfig(train_len=1024, weave=WeaveParams(scheme=Scheme.STAIR, cap=512, tread=50))
+    pos = _positions(random_model(d=h, n_heads=1, n_layers=1), (n - 1) - decode_distances(n - 1, config), m)
+    tracemalloc.start()
+    try:
+        out = _attend(q, (k,), (v,), n - m, 0.0, pos)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (h, m) and np.isfinite(out).all()
+    assert peak < k.nbytes, (peak, k.nbytes)
+
+
+@pytest.mark.parametrize("family", ["dot", "rotary", "additive"])
+def test_attend_blocks_that_only_later_tiles_see_match_the_dense_oracle(monkeypatch, family):
+    # blocks of 64 keys over 200 context keys and 200 queries in four row
+    # tiles, unshifted and shifted in turn: the block of keys 320..383 is
+    # seen by the last three tiles alone, 384..399 by the last two, and the
+    # block of keys 256..319 crosses the two spans, split at 300.  The
+    # rotary queries and keys sit at a staircase's anchored coordinates.
+    from weavepe.model import _attend
+
+    monkeypatch.setattr(model_module, "KEY_BLOCK", 64)
+    m, n, split = 3 * TILE_ROWS + 8, 400, 300
+    ctx = n - m
+    factors = [0.99] * TILE_ROWS + [1.01] * TILE_ROWS + [0.99] * TILE_ROWS + [1.01] * 8
+    q, k, v, pos, scores = _at_bound(family, factors, n)
+    if family == "rotary":
+        stair = WeaveParams(scheme=Scheme.STAIR, cap=40, tread=3)
+        coords = (n - 1) - woven_distances(stair, np.array([n - 1]), np.arange(n))[0]
+        pos = _positions(random_model(d=16, n_heads=1, n_layers=1), coords, m)
+        table = rotary_table(coords, 16, 10000.0)
+        scores = apply_rotary(q, tuple(t[:, ctx:] for t in table)).T @ apply_rotary(k, table)
+    alpha = np.zeros((m, n))
+    out = _attend(q, (k[:, :split], k[:, split:]), (v[:, :split], v[:, split:]), ctx, 0.5, pos, None, alpha)
+    want = masked_softmax(scores, causal_mask(n).tile(ctx, n, 0, n))
+    np.testing.assert_allclose(alpha, want, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(out, v @ want.T, rtol=0, atol=1e-12)
+    assert np.all(np.triu(alpha[:, ctx:], 1) == 0.0)
 
 
 @pytest.mark.parametrize("family", ["dot", "rotary"])
@@ -347,8 +401,9 @@ def test_attend_peaked_rows_over_two_spans_match_the_dense_oracle(family):
     mask = sink_mask(n, 4, 1500)
     pos, qr, kr = None, q, k
     if family == "rotary":
-        pos = rotary_table(np.arange(n, dtype=np.float64), h, 10000.0)
-        qr, kr = apply_rotary(q, tuple(t[:, ctx:] for t in pos)), apply_rotary(k, pos)
+        table = rotary_table(np.arange(n, dtype=np.float64), h, 10000.0)
+        pos = _Rotation(*table, np.arange(n))
+        qr, kr = apply_rotary(q, tuple(t[:, ctx:] for t in table)), apply_rotary(k, table)
     alpha = np.zeros((m, n))
     out = _attend(q, (k[:, :split], k[:, split:]), (v[:, :split], v[:, split:]), ctx, 0.0, pos, mask, alpha)
     scores, visible = qr.T @ kr, mask.tile(ctx, n, 0, n)
@@ -390,8 +445,9 @@ def _at_bound(family, factors, n, seed=8, slope=0.5):
     q *= np.asarray(factors) * _SAFE / (np.linalg.norm(q, axis=0) * np.linalg.norm(k[:, 0]))
     ctx, pos, qr, kr, penalty = n - m, None, q, k, 0.0
     if family == "rotary":
-        pos = rotary_table(np.arange(n, dtype=np.float64), h, 10000.0)
-        qr, kr = apply_rotary(q, tuple(t[:, ctx:] for t in pos)), apply_rotary(k, pos)
+        table = rotary_table(np.arange(n, dtype=np.float64), h, 10000.0)
+        pos = _Rotation(*table, np.arange(n))
+        qr, kr = apply_rotary(q, tuple(t[:, ctx:] for t in table)), apply_rotary(k, table)
     elif family == "additive":
         coords = np.arange(n, dtype=np.float64)
         pos = _positions(random_model(d=h, n_heads=1, n_layers=1, pe_family="additive"), coords, m)
@@ -522,6 +578,31 @@ def test_woven_scores_over_spans_split_anywhere_match_one_span():
             np.testing.assert_allclose(pos.scores(q, spans), whole, rtol=0, atol=1e-14)
 
 
+def test_attend_one_woven_query_fills_alpha_under_a_mask():
+    # a decode-shaped call, one query under a staircase over two spans,
+    # given forward's mask and alpha: its weights are the dense oracle's and
+    # the cells the mask hides keep weight exactly 0
+    from weavepe.model import _attend
+
+    w = random_model(d=16, n_heads=1, n_layers=1, vocab=8, seed=6)
+    n, split, stair = 41, 17, WeaveParams(scheme=Scheme.STAIR, cap=9, tread=4)
+    coords = (n - 1) - woven_distances(stair, np.array([n - 1]), np.arange(n))[0]
+    pos = _positions(w, coords, 1)
+    assert isinstance(pos, _Woven)
+    rng = np.random.default_rng(8)
+    q, k, v = rng.normal(size=(16, 1)), rng.normal(size=(16, n)), rng.normal(size=(16, n))
+    mask = sink_mask(n, 2, 10)
+    table = rotary_table(coords, 16, w.theta_base)
+    scores = apply_rotary(q, tuple(t[:, n - 1 :] for t in table)).T @ apply_rotary(k, table)
+    visible = mask.tile(n - 1, n, 0, n)
+    alpha = np.zeros((1, n))
+    out = _attend(q, (k[:, :split], k[:, split:]), (v[:, :split], v[:, split:]), n - 1, 0.0, pos, mask, alpha)
+    want = masked_softmax(scores, visible)
+    np.testing.assert_allclose(alpha, want, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(out, v @ want.T, rtol=0, atol=1e-12)
+    assert np.all(alpha[~visible] == 0.0) and visible.sum() < n
+
+
 def test_kv_cache_write_across_a_page_returns_spans_per_page():
     # a write that runs past the capacity adds a page and straddles both;
     # the spans it returns cover slots 0..ctx_len-1 then its own, split at
@@ -594,7 +675,8 @@ def test_kv_cache_growth_keeps_earlier_columns():
     cache = KVCache(n_layers=2, n_heads=2, capacity=64)
     rng = np.random.default_rng(2)
     blocks, capacities = [], []
-    # fill, grow by 1/8 (64 -> 72), then past 72 + 9 straight to the need (85)
+    # fill, grow by min(TILE_ROWS, 1/8 of the slots) (64 -> 72), then past
+    # 72 + min(2 TILE_ROWS, 9) straight to the need (85)
     for m in (64, 1, 20):
         k = [[rng.normal(size=(3, m)) for _ in range(2)] for _ in range(2)]
         v = [[rng.normal(size=(3, m)) for _ in range(2)] for _ in range(2)]
@@ -607,6 +689,25 @@ def test_kv_cache_growth_keeps_earlier_columns():
             k, v = cache.view(layer, head)
             assert np.array_equal(k, np.concatenate([b[0][layer][head] for b in blocks], axis=1))
             assert np.array_equal(v, np.concatenate([b[1][layer][head] for b in blocks], axis=1))
+
+
+def test_kv_cache_growth_pages_double_from_a_tile_to_an_eighth():
+    # each write fills the storage and runs one slot past it: the pages
+    # added double from TILE_ROWS slots up to 1/8 of the slots before them
+    # (5,056 // 8 = 632, then 5,688 // 8 = 711, once TILE_ROWS doubled 4
+    # times passes them), and a write that needs more gets what it needs
+    cache = KVCache(n_layers=1, n_heads=1, capacity=4096)
+    sizes = []
+    for _ in range(6):
+        m = cache.capacity - len(cache) + 1
+        cache.write(0, len(cache), np.ones((1, 2, m)), np.ones((1, 2, m)))
+        cache.append(m)
+        sizes.append(cache._k[0][-1].shape[-1])
+    t = TILE_ROWS
+    assert sizes == [t, 2 * t, 4 * t, 8 * t, min(16 * t, 5056 // 8), min(32 * t, 5688 // 8)]
+    m = cache.capacity - len(cache) + 1000
+    cache.write(0, len(cache), np.ones((1, 2, m)), np.ones((1, 2, m)))
+    assert cache._k[0][-1].shape[-1] == 1000  # past min(64 TILE_ROWS, 6,399 // 8 = 799)
 
 
 def test_kv_cache_append_needs_written_slots():

@@ -9,7 +9,7 @@ import pytest
 from weavepe.evalkit import count_cells
 from dense_oracle import masked_softmax
 from weavepe.masks import sink_mask
-from weavepe.model import forward, random_model
+from weavepe.model import TILE_ROWS, forward, random_model
 from weavepe.pe_core import Scheme, WeaveParams, rope_score, weave_stair
 from weavepe.pipeline import (
     MesaConfig,
@@ -618,7 +618,8 @@ def test_generate_sizes_the_cache_once(monkeypatch):
     w = random_model(d=8, n_heads=2, n_layers=2, vocab=16, seed=4)
     tokens, max_new = _tokens(100), 7
     want, grown = _greedy_loop(tokens, w, TOY, max_new)
-    assert grown.capacity == 101 + 101 // 8  # the loop's first step added a page to a prompt-sized cache
+    # the loop's first step added a page to a prompt-sized cache: TILE_ROWS slots, at most 1/8 of it
+    assert grown.capacity == 101 + min(TILE_ROWS, 101 // 8)
     caches, prefill_ = [], pipeline._prefill
 
     def spy(*args):
@@ -653,7 +654,9 @@ def test_generate_checks_the_window_before_any_work(monkeypatch):
 
 def test_decode_steps_keep_the_prompts_pages(monkeypatch):
     # steps past a prompt-sized cache add pages and copy no filled slot: the
-    # prompt's K and V arrays stay the same objects, still holding its keys
+    # prompt's K and V arrays stay the same objects, still holding its keys.
+    # The pages double from TILE_ROWS slots, each at most 1/8 of the slots
+    # before it: 12 = 101 // 8, then 14 = 113 // 8
     w = random_model(d=8, n_heads=2, n_layers=2, vocab=16, seed=4)
     res = prefill(_tokens(100), w, TOY)
     cache = res.cache
@@ -672,8 +675,8 @@ def test_decode_steps_keep_the_prompts_pages(monkeypatch):
 
 
 def test_first_step_past_the_prompt_allocates_less_than_a_layer():
-    # the first step after a prompt-sized prefill adds a page of 1/8 of the
-    # prompt to the layer's K and V; copying the layer into a larger array,
+    # the first step after a prompt-sized prefill adds a page of TILE_ROWS
+    # slots to the layer's K and V; copying the layer into a larger array,
     # as a contiguous cache must, would allocate more than its K alone
     import tracemalloc
 
@@ -687,7 +690,7 @@ def test_first_step_past_the_prompt_allocates_less_than_a_layer():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert res.cache.capacity == 4001 + 4001 // 8
+    assert res.cache.capacity == 4001 + TILE_ROWS
     assert peak < layer_k, (peak, layer_k)
 
 
@@ -805,6 +808,15 @@ def test_mesa_config_validation():
         MesaConfig(train_len=64, weave=WeaveParams(scheme=Scheme.SELF_EXTEND))
 
 
+def test_mesa_config_rejects_a_leak_above_one():
+    # leak 2 weaves distance d past cap 20 to 20 + 2 (d - 20), past d itself:
+    # a 47-token prompt would prefill as one raw pass, yet generate would
+    # call 41 tokens the longest prompt the weave takes
+    with pytest.raises(ValueError, match="leak must be at most 1, got 2.0"):
+        replace(TOY, weave=WeaveParams(scheme=Scheme.LEAKY_REROPE, cap=20, leak=2.0))
+    replace(TOY, weave=WeaveParams(scheme=Scheme.LEAKY_REROPE, cap=20, leak=1.0))
+
+
 def test_identity_weave_needs_no_weave_point():
     # rope has no weave point, so its default cap of 512 is not held against the window
     MesaConfig(train_len=256, weave=WeaveParams(scheme=Scheme.ROPE))
@@ -885,11 +897,11 @@ def test_single_pass_stops_at_the_trained_window(monkeypatch):
         (WeaveParams(scheme=Scheme.STAIR, cap=10, tread=7), 10 + 53 * 7),
         (WeaveParams(scheme=Scheme.LEAKY_REROPE, cap=32, leak=0.25), int(32 + 31 / 0.25)),
         (WeaveParams(scheme=Scheme.LEAKY_REROPE, cap=32, leak=0.3), int(32 + 31 / 0.3)),
-        (WeaveParams(scheme=Scheme.LEAKY_REROPE, cap=20, leak=2.0), int(20 + 43 / 2.0)),
+        (WeaveParams(scheme=Scheme.LEAKY_REROPE, cap=20, leak=0.5), int(20 + 43 / 0.5)),
         (WeaveParams(scheme=Scheme.ROPE), 63),
         (WeaveParams(scheme=Scheme.NOPE), 63),
     ],
-    ids=["stair-32-1", "stair-32-4", "stair-10-7", "leaky-0.25", "leaky-0.3", "leaky-2", "rope", "nope"],
+    ids=["stair-32-1", "stair-32-4", "stair-10-7", "leaky-0.25", "leaky-0.3", "leaky-0.5", "rope", "nope"],
 )
 def test_longest_prompt_follows_the_closed_form(monkeypatch, weave, longest):
     # T = 64: stair N + (T - 1 - N) E, leaky floor(N + (T - 1 - N) / leak),
