@@ -101,6 +101,8 @@ def gen_passkey(
 
 def gen_corpus(lengths, per_length: int, seed: int = 0) -> list[PasskeySample]:
     """Deterministic corpus: per_length samples at each target length."""
+    if per_length < 0:
+        raise ValueError(f"per_length must be >= 0, got {per_length}")
     rng = np.random.default_rng(seed)
     samples = []
     for n in lengths:

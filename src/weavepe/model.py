@@ -22,22 +22,25 @@ while each tile keeps its softmax state from block to block.  Each block
 gets the causal -inf on the diagonal tail cells it holds (and, under
 forward's mask, -inf on its cells outside it), and the softmax runs online
 over the blocks, in place, with its normalisation deferred past the value
-product (FlashAttention; Rabe & Staats, arXiv 2112.05682).  The running row max of
-that softmax (Milakov & Gimelshein, arXiv 1805.02867) is there only to keep
-exp from overflowing, which in float64 takes a score past 709; a tile whose
-scores Cauchy-Schwarz bounds by _SAFE before any is computed skips it, and
-makes four passes over each block (scores, exp, row sums, values), not six
-(the max and the shift too).  One query, a decode step, keeps it.  No
-score, distance or mask matrix larger than one block is held, and a block
-is freed before the next is scored, so the working set is the queries,
-their value sums and one block, however long the context; only forward
-keeps each head's normalised n x n weights.  Rotary keys are rotated by
-their offsets from the last key's coordinate, from a table of one row per
-offset (_Rotation), so no rotated span and no table over every key is
-held.  A block inside one span is one matmul over a view of it; a block
-that crosses spans is scored one span piece at a time into one block
-buffer (or joined, when it is rotated), so the softmax passes still run
-once per block.  A caller that reads only the last columns (prefill) has
+product (FlashAttention; Rabe & Staats, arXiv 2112.05682).  The running
+row max of that softmax (Milakov & Gimelshein, arXiv 1805.02867) is there
+only to keep exp from overflowing, which in float64 takes a score past
+709; a tile whose scores Cauchy-Schwarz bounds by _SAFE before any is
+computed skips it, and makes four passes over each block (scores, exp, row
+sums, values), not six (the max and the shift too).  A decode step's one
+query always shifts, and its woven row (_Woven) is the same loop's one
+block, as wide as all the keys.  No score, distance or mask matrix larger
+than one block is held, and a block is freed before the next is scored, so
+the working set is the queries, their value sums and one block, however
+long the context; only forward keeps each head's normalised n x n weights.
+A block is read one way for every family, as PagedAttention reads its
+pages (Kwon et al., arXiv 2309.06180): a view when it lies inside one
+span, joined when it crosses spans, and its values one product per span
+piece, never copied.  Rotary keys are rotated by their offsets from the
+last key's coordinate, a view into a new block and a joined block in
+place, so no rotated span is held and the cached keys stay raw; whole
+offsets are rows of one kept table (_angles), so no table over every key
+is built either.  A caller that reads only the last columns (prefill) has
 the last layer attend only the tiles holding them.
 
 Every array of _attend may carry a leading heads axis.  A step with one
@@ -271,7 +274,7 @@ class _Woven:
     the others.
     """
 
-    turns: np.ndarray  # runs x h/2 complex: cos + i sin of a rotary_table over one distance per run
+    turns: np.ndarray  # runs x h/2 complex: e^(-i w theta) per run, the conjugate of its distance's _angles row
     segments: tuple  # (first run, end run, run length, first key) each, over the joined keys
     cut: dict = field(default_factory=dict, compare=False, repr=False)  # span lengths -> their layout
 
@@ -323,20 +326,21 @@ class _Rotation:
     A score depends on the difference of two coordinates alone, so
     rotating every key and query by its offset o = c_last - c, not by -c,
     scores the same pairs.  A chunk's offsets under a staircase, capped or
-    identity weave are its woven distances from the anchor, integers of at
-    most train_len - 1, so the table holds at most train_len rows however
-    many keys there are.  A rotary_table over the keys, one column per key,
-    is a _Rotation whose key i is row i.
+    identity weave are its woven distances from the anchor, whole numbers
+    of at most train_len - 1, so they are rows of one kept table (_angles)
+    however many keys there are.  A rotary_table over the keys, one column
+    per key, is a _Rotation whose key i is row i.
     """
 
     cos: np.ndarray  # h/2 x rows: cos and sin of each row's rotation
     sin: np.ndarray
     row: np.ndarray  # each key's row
 
-    def rotate(self, x: np.ndarray, a: int) -> None:
-        """Rotate the columns of x ([heads x] h x n), keys a..a+n-1, in place."""
+    def rotate(self, x: np.ndarray, a: int, out: np.ndarray | None = None) -> np.ndarray:
+        """Rotate the columns of x ([heads x] h x n), keys a..a+n-1, into
+        out: a new array, or x itself to rotate it in place."""
         row = self.row[a : a + x.shape[-1]]
-        apply_rotary(x, (self.cos[:, row], self.sin[:, row]), out=x)
+        return apply_rotary(x, (self.cos[:, row], self.sin[:, row]), out=out)
 
 
 @dataclass(frozen=True)
@@ -385,14 +389,12 @@ def _positions(weights: ModelWeights, coords: np.ndarray | None, m: int, weave: 
     The pipeline's additive chunks get _Distances of coordinate
     differences, since the last chunk's anchored coordinates are not
     evenly spaced.  The rotary family gets a _Rotation: each key's offset
-    coords[-1] - coords and one table row per distinct offset, which in the
-    pipeline are its woven distances from the anchor, so at most train_len
-    rows however long the context.  One query (a decode step, or a
-    one-token chunk) gets a _Woven instead, which
-    rotates the query by each key's distance coords[-1] - coords, its turns
-    rows of one shared table (_turns_upto) when the runs take every
-    distance from the largest down to 0.  Only forward, whose keys are one
-    span, scores rotary _Distances.
+    coords[-1] - coords, a row of _angles' table, which in the pipeline
+    are its woven distances from the anchor.  One query (a decode step, or
+    a one-token chunk) gets a _Woven instead, which rotates the query by
+    each run's distance coords[-1] - coords, its turns the conjugates of
+    the same table's rows.  Only forward, whose keys are one span, scores
+    rotary _Distances.
     """
     fam = weights.pe_family
     if fam == "dot":
@@ -408,44 +410,44 @@ def _positions(weights: ModelWeights, coords: np.ndarray | None, m: int, weave: 
     if fam == "additive":
         return _Distances(lambda lo, hi, c0, c1: coords[lo:hi, None] - coords[None, c0:c1], None)
     if m > 1:
-        offsets, row = np.unique(coords[-1] - coords, return_inverse=True)
-        return _Rotation(*rotary_table(-offsets, weights.head_dim, base), row)
+        return _Rotation(*_angles(coords[-1] - coords, weights.head_dim, base))
     starts = np.flatnonzero(np.concatenate(([True], coords[1:] != coords[:-1])))  # first key of each run
     runs = np.diff(starts, append=coords.size)
     first = np.flatnonzero(np.concatenate(([True], runs[1:] != runs[:-1])))  # first run of each segment
     segments = tuple(
         (int(r0), int(r1), int(runs[r0]), int(starts[r0])) for r0, r1 in zip(first, [*first[1:], runs.size])
     )
-    dist = coords[-1] - coords[starts]  # each run's distance, falling to 0
-    top = int(dist[0])
-    if np.array_equal(dist, np.arange(top, -1, -1)):  # every distance up to top, as under a stair
-        return _Woven(_turns_upto(1 << top.bit_length(), weights.head_dim, base)[top::-1], segments)
-    return _Woven(_turns(dist, weights.head_dim, base), segments)
+    cos, sin, row = _angles(coords[-1] - coords[starts], weights.head_dim, base)  # each run's distance
+    turns = np.empty((row.size, cos.shape[0]), dtype=np.complex128)
+    turns.real, turns.imag = cos[:, row].T, -sin[:, row].T
+    return _Woven(turns, segments)
 
 
-def _turns(dist: np.ndarray, head_dim: int, theta_base: float) -> np.ndarray:
-    """cos + i sin of rotary_table over the distances dist: distances x h/2
-    complex, built with no complex temporaries."""
-    cos, sin = rotary_table(dist, head_dim, theta_base)
-    turns = np.empty(cos.shape[::-1], dtype=np.complex128)
-    turns.real, turns.imag = cos.T, sin.T
-    return turns
+def _angles(offsets: np.ndarray, head_dim: int, theta_base: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """cos and sin (h/2 x rows each) of a rotary table holding every
+    rotation by one of offsets, and each offset's row in it.
+
+    Whole offsets >= 0 (the staircase, capped and identity weaves, and
+    forward) read the kept table over 0..2^k - 1, a power of two past the
+    largest, so every chunk, step and forward whose offsets share k share
+    one table and its trigonometry runs once.  The pipeline keeps every
+    offset below the trained window, so none of its tables outgrows twice
+    that.  Any other offsets (the leaky weave's) get a table over their
+    distinct values.
+    """
+    if offsets.min() >= 0 and np.array_equal(offsets, np.floor(offsets)):
+        return *_table(1 << int(offsets.max()).bit_length(), head_dim, theta_base), offsets.astype(np.intp)
+    distinct, row = np.unique(offsets, return_inverse=True)
+    return *rotary_table(-distinct, head_dim, theta_base), row
 
 
 @functools.lru_cache(maxsize=4)
-def _turns_upto(n: int, head_dim: int, theta_base: float) -> np.ndarray:
-    """_turns over the distances 0..n-1, read-only and kept.
-
-    A staircase, capped or identity weave gives a decode step every
-    distance from its largest down to 0, so the steps share one table and
-    its trigonometry runs once, not once per step (about 5 % of a REF step
-    over 1k keys); _positions asks for a power of two, so a table lasts
-    until the distances double.  decode_step keeps every distance below the
-    trained window, so no table outgrows twice that.
-    """
-    turns = _turns(np.arange(n, dtype=np.float64), head_dim, theta_base)
-    turns.flags.writeable = False
-    return turns
+def _table(n: int, head_dim: int, theta_base: float) -> tuple[np.ndarray, np.ndarray]:
+    """rotary_table over the offsets 0..n-1 (rotations by +o), read-only and kept."""
+    table = rotary_table(-np.arange(n, dtype=np.float64), head_dim, theta_base)
+    for t in table:
+        t.flags.writeable = False
+    return table
 
 
 def _pieces(starts: list[int], c0: int, c1: int) -> list[tuple[int, int, int, int]]:
@@ -458,15 +460,6 @@ def _pieces(starts: list[int], c0: int, c1: int) -> list[tuple[int, int, int, in
         pieces.append((j, x - starts[j], end - starts[j], x - c0))
         x, j = end, j + 1
     return pieces
-
-
-def _product(qt: np.ndarray, ks: tuple[np.ndarray, ...], pieces, width: int) -> np.ndarray:
-    """qt @ a block of keys that pieces (_pieces) lays over the spans ks: one
-    matmul per piece, into one block buffer."""
-    s = np.empty(qt.shape[:-1] + (width,))
-    for j, a, b, x in pieces:
-        np.matmul(qt, ks[j][..., a:b], out=s[..., x : x + b - a])
-    return s
 
 
 def _values(s: np.ndarray, vts: list[np.ndarray], pieces) -> np.ndarray:
@@ -503,15 +496,15 @@ def _attend(
     once, outermost, in blocks of KEY_BLOCK columns (KEY_BLOCK / heads when
     heads are stacked, so a block holds one head's cells), and each block
     is scored against every row tile that sees any of it, a tile's last
-    block cut at its own end.  A rotary block's keys are joined across
-    spans and rotated once, for all those tiles; any other block within
-    one span is one matmul over a view of it, and one that crosses spans
-    one matmul per span piece into one block buffer.  Each tile keeps its
-    running row max, row sums and value accumulators (s @ v^T, one product
-    per span piece, so no value is copied) from block to block, as in
-    FlashAttention, and the accumulators, normalised after the last block,
-    fill the result.  Per tile, the blocks run in key order, so a tile's
-    arithmetic is the one it would do alone.
+    block cut at its own end.  A block is a view of its keys when it lies
+    inside one span and joined when it crosses spans, for every family;
+    the rotary family rotates it once for all those tiles, a view into a
+    new array (the cached keys stay raw) and a joined block in place.
+    Each tile keeps its running row max, row sums and value accumulators
+    (s @ v^T, one product per span piece, so no value is copied) from
+    block to block, as in FlashAttention, and the accumulators, normalised
+    after the last block, fill the result.  Per tile, the blocks run in
+    key order, so a tile's arithmetic is the one it would do alone.
 
     A tile runs unshifted when none of its scores can leave +-_SAFE.  By
     Cauchy-Schwarz, |s| <= |q_r| max_i |k_i| for the dot and rotary families
@@ -534,9 +527,10 @@ def _attend(
 
     pos is _positions over the ctx_len + m keys, and the queries, being
     the last m keys, take its tail from ctx_len on.  A _Rotation rotates q
-    in place, and each key block as it is taken; a _Woven (one query)
-    scores its one row over the spans itself, as one block, which is every
-    decode step of the rotary family.  forward passes its mask, which sets
+    in place, and each key block as it is taken; a _Woven (one query,
+    every decode step of the rotary family) makes the loop's one block as
+    wide as all the keys and scores its row over the spans itself, with
+    no key rotated.  forward passes its mask, which sets
     -inf on each block's cells outside it, and alpha, zeros of the weights'
     shape ([heads x] m x (ctx_len + m)) into which each block writes its
     weights, rescaled and normalised after the last block.  Returns [heads
@@ -546,17 +540,7 @@ def _attend(
     for k in ks:
         starts.append(starts[-1] + k.shape[-1])
     vts = [np.swapaxes(v, -1, -2) for v in vs]
-    if isinstance(pos, _Woven):  # one query, one block, always shifted
-        s = pos.scores(q, ks)
-        if mask is not None:
-            s[..., ~mask.tile(ctx_len, ctx_len + 1, 0, starts[-1])] = -np.inf
-        s -= s.max(axis=-1, keepdims=True)
-        np.exp(s, out=s)
-        total = s.sum(axis=-1, keepdims=True)
-        out = _values(s, vts, _pieces(starts, 0, starts[-1])) / total
-        if alpha is not None:
-            np.divide(s, total, out=alpha)
-        return np.swapaxes(out, -1, -2)
+    woven = isinstance(pos, _Woven)
     rotary = isinstance(pos, _Rotation)
     cells = isinstance(pos, _Distances) and pos.theta_base is not None  # rotary scores per cell
     additive = isinstance(pos, _Distances) and not cells
@@ -575,20 +559,22 @@ def _attend(
         every, some = fits.all(axis=0).tolist(), fits.any(axis=0).tolist()
         free = [True if a else fits[:, i, None, None] if b else False for i, (a, b) in enumerate(zip(every, some))]
     if rotary:
-        pos.rotate(q, ctx_len)
+        pos.rotate(q, ctx_len, out=q)
     qt = np.swapaxes(q, -1, -2)
     top = [_LOWEST] * len(tiles)  # each tile's running row max
     total = [None] * len(tiles)  # each tile's row sums
     acc = [None] * len(tiles)  # each tile's value sums, s @ v^T
     shifts = [[] for _ in tiles]  # per tile, (first key, end key, max subtracted or None) of each block in alpha
     penalty = pos.penalty(slope) if additive else None
-    width = max(KEY_BLOCK // math.prod(q.shape[:-2]), 1)  # stacked heads share one head's block budget
-    one = len(ks) == 1
+    # a _Woven query's row is one block of every key; stacked heads share one head's block budget
+    width = starts[-1] if woven else max(KEY_BLOCK // math.prod(q.shape[:-2]), 1)
     for c0 in range(0, starts[-1], width):
         c1 = min(c0 + width, starts[-1])
-        if rotary:  # the block's keys, joined across spans and rotated, once for every tile
-            kb = np.concatenate([ks[j][..., a:b] for j, a, b, _ in _pieces(starts, c0, c1)], axis=-1)
-            pos.rotate(kb, c0)
+        if not woven:  # the block's keys, once for every tile: a view of one span, or joined across spans
+            parts = [ks[j][..., a:b] for j, a, b, _ in _pieces(starts, c0, c1)]
+            kb = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-1)
+            if rotary:  # a view into a new array, so the cached keys stay raw; a joined block in place
+                kb = pos.rotate(kb, c0, out=None if len(parts) == 1 else kb)
         # the tiles that see the block: those whose rows reach past key c0
         for i in range(max(c0 - ctx_len, 0) // TILE_ROWS, len(tiles)):
             r0, bounded = tiles[i], free[i]
@@ -596,13 +582,12 @@ def _attend(
             lo, nk = ctx_len + r0, ctx_len + r1  # the tile's first query is key lo; its rows see keys [0, nk)
             e = min(c1, nk)  # the block's keys c0..e-1 that the tile sees
             qr = qt[..., r0:r1, :]
-            pieces = None if one else _pieces(starts, c0, e)
-            if rotary:
-                s = qr @ kb[..., : e - c0]
-            elif cells:  # forward's, whose keys are one span
-                s = pos.scores(qr, ks[0][..., c0:e], lo, c0)
+            if woven:
+                s = pos.scores(q, ks)
+            elif cells:
+                s = pos.scores(qr, kb[..., : e - c0], lo, c0)
             else:
-                s = qr @ ks[0][..., c0:e] if one else _product(qr, ks, pieces, e - c0)
+                s = qr @ kb[..., : e - c0]
                 if penalty is not None:
                     s -= penalty(lo, nk, c0, e)
             if e > lo:  # the block holds part of the diagonal tail
@@ -622,7 +607,7 @@ def _attend(
                     acc[i] *= rescale
                 top[i] = new
             np.exp(s, out=s)
-            pv = s @ vts[0][..., c0:e, :] if one else _values(s, vts, pieces)
+            pv = _values(s, vts, _pieces(starts, c0, e))
             if c0 == 0:
                 total[i], acc[i] = s.sum(axis=-1, keepdims=True), pv
             else:

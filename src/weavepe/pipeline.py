@@ -18,13 +18,14 @@ Every distance a chunk feeds the positional term is a difference of
 coordinates.  A chunk's keys are its context, always the tokens
 0..ctx_len-1, then its own tokens, which are also its queries; so each
 chunk builds one coordinate array over its keys before the layer loop,
-shared by every layer and head, with the queries taking its tail, and for
-the rotary family one cos/sin table with a row per distinct offset from
-the chunk's last coordinate (model._Rotation): at most train_len rows,
-since the offsets are woven distances from the anchor.  One query (a
-decode step) rotates itself by each key's distance instead (model._Woven),
-so no key is rotated and no per-key trigonometry runs; no per-cell
-trigonometry runs at all.
+shared by every layer and head, with the queries taking its tail.  For
+the rotary family each key's offset from the chunk's last coordinate is a
+row of one kept cos/sin table over a power of two of offsets
+(model._angles), which every chunk and step whose offsets lie below the
+same power of two share: the offsets are woven distances from the anchor,
+all below train_len.  One query (a decode step) rotates itself by each
+key's distance instead (model._Woven), with the same table's rows, so no
+key is rotated; no per-key or per-cell trigonometry runs at all.
 
 Cache slot i holds token i.  Each chunk or step writes its raw keys and
 values into its own tokens' preallocated slots before attending, and
@@ -284,9 +285,12 @@ def generate(
     the max_new - 1 tokens decoded after it, then decode one token at a
     time; the last token's logits are never read, so it is not decoded.
 
-    Raises before any work when the last of those steps would score a woven
-    distance past train_len - 1, naming the largest max_new that fits.
+    Raises before any work when max_new is negative, or when the last of
+    those steps would score a woven distance past train_len - 1, naming the
+    largest max_new that fits.
     """
+    if max_new < 0:
+        raise ValueError(f"max_new must be >= 0, got {max_new}")
     steps = max(max_new - 1, 0)
     last = len(tokens) + steps  # position of the last step's token
     if steps:

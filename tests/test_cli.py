@@ -51,6 +51,25 @@ def test_run_rejects_a_prompt_past_the_window(tmp_path, capsys):
     assert not (tmp_path / "run_report.json").exists()
 
 
+def test_run_rejects_a_negative_max_new(tmp_path, capsys, monkeypatch):
+    # a negative max_new fails before the prefill, not after it with no token generated
+    from weavepe import pipeline
+
+    prefills = []
+    monkeypatch.setattr(pipeline, "_prefill", lambda *args: prefills.append(args))
+    flags = ["--T", 64, "--N", 16, "--E", 4, "--F", 8, "--L", 16, "--M-max", 8, "--max-new", -2]
+    assert run_cli(["run", "--random-tokens", 50, "--out", tmp_path] + flags) == 1
+    assert "max_new must be >= 0, got -2" in json.loads(capsys.readouterr().err)["error"]
+    assert not prefills and not (tmp_path / "run_report.json").exists()
+
+
+def test_passkey_rejects_a_negative_per_length(tmp_path, capsys):
+    out = tmp_path / "o"
+    assert run_cli(["passkey", "--lengths", 10, "--per-length", -1, "--out", out]) == 1
+    assert "per_length must be >= 0, got -1" in json.loads(capsys.readouterr().err)["error"]
+    assert not (out / "passkey_corpus.jsonl").exists()
+
+
 def test_plan_rejects_zero_first_len(capsys):
     assert run_cli(["plan", "--I", 9000, "--T", 4096, "--F", 0]) != 0
     assert "first_len, min_last and rest_max must be positive" in json.loads(capsys.readouterr().err)["error"]

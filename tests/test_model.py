@@ -415,6 +415,27 @@ def test_attend_peaked_rows_over_two_spans_match_the_dense_oracle(family):
     assert np.all(alpha[~visible] == 0.0)
 
 
+def test_rotary_attend_leaves_the_cached_keys_raw(monkeypatch):
+    # a key block is a view of one span unless it crosses two: the rotary
+    # family rotates a view into a new array and only a joined block in
+    # place, so over one page or two the cache's keys stay bit for bit raw
+    from weavepe.model import _attend
+
+    monkeypatch.setattr(model_module, "KEY_BLOCK", 64)  # blocks of 32 keys for 2 stacked heads
+    rng = np.random.default_rng(9)
+    h, m, n = 16, 40, 300
+    k, v, q = rng.normal(size=(2, h, n)), rng.normal(size=(2, h, n)), rng.normal(size=(2, h, m))
+    pos = _Rotation(*rotary_table(np.arange(n, dtype=np.float64), h, 10000.0), np.arange(n))
+    outs = []
+    for capacity in (n, 100):  # one page; two, split at key 100, inside the block of keys 96..127
+        cache = KVCache(n_layers=1, n_heads=2, capacity=capacity)
+        ks, vs = cache.write(0, 0, k, v)
+        assert len(ks) == (1 if capacity == n else 2)
+        outs.append(_attend(q.copy(), ks, vs, n - m, np.zeros((2, 1, 1)), pos))
+        assert np.array_equal(np.concatenate(ks, axis=-1), k) and np.array_equal(np.concatenate(vs, axis=-1), v)
+    np.testing.assert_allclose(outs[1], outs[0], rtol=0, atol=1e-12)
+
+
 class _RowMaxSpy(np.ndarray):
     """Queries whose score blocks record the rows of every row-max reduction
     made on them: _attend scores q @ k, and the block keeps this type."""

@@ -221,43 +221,61 @@ def _count_rotations(monkeypatch):
 
 
 def test_decode_step_builds_each_rotation_once(monkeypatch):
-    # a step's runs take every distance from its largest down to 0, so the
-    # steps share one table over a power of two of distances (64 here, for
-    # the 36 distances 0..35), built by the first step and bit for bit the
-    # rows a per-step table would hold; the key distances are woven once
-    # per step, not once per layer x head
-    from weavepe import model
+    # whole-number offsets read one kept table over a power of two of them
+    # (64 here, for the single chunk's offsets 0..40 and each step's
+    # distances 0..35), so a stair prefill and its decode steps build it
+    # once; a step's turns are bit for bit a per-step table's rows, and the
+    # key distances are woven once per step, not once per layer x head
+    from weavepe import model, pe_core
 
     w = random_model(d=8, n_heads=2, n_layers=3, vocab=16, seed=3)
+    model._table.cache_clear()
+    tables, stairs = _count_rotations(monkeypatch)
     res = prefill(_tokens(40), w, TOY)
+    assert res.report.fallback and tables == [64]
     n = len(res.cache)
     dist = np.unique(decode_distances(n, TOY))[::-1]
     assert np.array_equal(dist, np.arange(35, -1, -1))
-    per_step = model._turns(dist, w.head_dim, w.theta_base)
-    coords = n - decode_distances(n, TOY)
-    model._turns_upto.cache_clear()
-    tables, stairs = _count_rotations(monkeypatch)
-    assert np.array_equal(model._positions(w, coords, 1).turns, per_step)
-    assert tables == [64]
+    cos, sin = pe_core.rotary_table(dist, w.head_dim, w.theta_base)
+    turns = model._positions(w, n - decode_distances(n, TOY), 1).turns
+    assert np.array_equal(turns.real, cos.T) and np.array_equal(turns.imag, sin.T)
+    del stairs[:]
     decode_step(res.cache, 3, w, TOY)
     decode_step(res.cache, 3, w, TOY)
     assert tables == [64] and len(stairs) == 2
 
 
 def test_prefill_builds_each_rotation_once_per_chunk(monkeypatch):
+    # a leaky weave's offsets are not whole numbers, so its last chunk and
+    # each decode step build one table over their distinct offsets; the
+    # first and middle chunks, at whole local offsets, read kept tables
+    from weavepe import model
+
+    leaky = replace(TOY, weave=WeaveParams(scheme=Scheme.LEAKY_REROPE, cap=20, leak=0.5))
     w = random_model(d=8, n_heads=2, n_layers=3, vocab=16, seed=3)
+    model._table.cache_clear()
     tables, _ = _count_rotations(monkeypatch)
-    res = prefill(_tokens(199), w, TOY_E12)
-    assert not res.report.fallback
-    # one table over each chunk's key coordinates; the queries take its tail
-    assert len(tables) == len(res.report.chunks)
+    res = prefill(_tokens(90), w, leaky)
+    kinds = [c.kind for c in res.report.chunks]
+    assert kinds[0] == "first" and kinds[-1] == "last" and set(kinds[1:-1]) == {"middle"}
+    t = len(res.cache)
+    decode_step(res.cache, 3, w, leaky)
+    decode_step(res.cache, 3, w, leaky)
+    assert len(tables) == model._table.cache_info().misses + 3
+    assert tables[-3:] == [np.unique(decode_distances(p, leaky)).size for p in (t - 1, t, t + 1)]
 
 
 def test_identity_forward_builds_one_rotation(monkeypatch):
+    # forward's offsets 0..40 are rows of the kept table over 0..63, which a
+    # longer forward, at offsets 0..60, reads again
+    from weavepe import model
+
     w = random_model(d=8, n_heads=2, n_layers=3, vocab=16, seed=3)
+    model._table.cache_clear()
     tables, _ = _count_rotations(monkeypatch)
     forward(_tokens(40), w)
-    assert tables == [41]
+    forward(_tokens(60), w)
+    assert tables == [64]
 
 
 def _heads_on(monkeypatch, cpus, q_scale=1.0, pe_family="rotary", head_slopes=None):
