@@ -2,7 +2,8 @@
 rows just past the bound under which a tile skips the softmax's row-max
 shift, and with peaked rows), the last layer of the last chunk, the middle
 chunks, the in-window prefill and the decode path at the reference config's
-sizes, the first decode step past a prompt-sized cache among them, and of
+sizes, the first decode step past a prompt-sized cache among them and, at
+1k keys, a step under the capped and the leaky weave beside the staircase's, and of
 one 700-position threshold scan, its closed form and its forward pass apart.
 
 Not part of the test suite (pytest's testpaths is tests/); run with
@@ -160,8 +161,8 @@ def _ref_cache(n):
     return weights, cache
 
 
-def _decode_step(benchmark, weights, cache):
-    config = MesaConfig(train_len=1024, weave=WeaveParams(scheme=Scheme.STAIR, cap=512, tread=50))
+def _decode_step(benchmark, weights, cache, weave=WeaveParams(scheme=Scheme.STAIR, cap=512, tread=50)):
+    config = MesaConfig(train_len=1024, weave=weave)
     # each call appends one token, so the cache grows by one key per round
     logits, _ = benchmark(decode_step, cache, 3, weights, config)
     assert np.isfinite(logits).all()
@@ -190,6 +191,17 @@ def test_first_decode_step_16k_keys(benchmark):
 def test_decode_step_1k_keys(benchmark):
     # the in-window prompt's cache: 1,000 tokens plus <bos>
     _decode_step(benchmark, *_ref_cache(1001))
+
+
+def test_decode_step_1k_keys_capped(benchmark):
+    # the same cache under the capped weave: one-key runs up to 512, then one long run
+    _decode_step(benchmark, *_ref_cache(1001), WeaveParams(scheme=Scheme.REROPE, cap=512))
+
+
+def test_decode_step_1k_keys_leaky(benchmark):
+    # under a leaky weave every distance is its own run; a leak of 0.1 keeps
+    # W(t) inside the window up to t = 5,622, past any round count
+    _decode_step(benchmark, *_ref_cache(1001), WeaveParams(scheme=Scheme.LEAKY_REROPE, cap=512, leak=0.1))
 
 
 def test_kv_cache_append_and_view_16k(benchmark):

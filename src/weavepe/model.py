@@ -29,8 +29,10 @@ only to keep exp from overflowing, which in float64 takes a score past
 computed skips it, and makes four passes over each block (scores, exp, row
 sums, values), not six (the max and the shift too).  A decode step's one
 query always shifts, and its woven row (_Woven) is the same loop's one
-block, as wide as all the keys.  No score, distance or mask matrix larger
-than one block is held, and a block is freed before the next is scored, so
+block, as wide as all the keys; the row's runs of equal distance and their
+rotary turns are read from its weave's runs kept across steps
+(pe_core.weave_runs), so a step builds no array over its keys.  No score,
+distance or mask matrix larger than one block is held, and a block is freed before the next is scored, so
 the working set is the queries, their value sums and one block, however
 long the context; only forward keeps each head's normalised n x n weights.
 A block is read one way for every family, as PagedAttention reads its
@@ -76,12 +78,14 @@ from weavepe.pe_core import (
     IDENTITY_SCHEMES,
     Scheme,
     WeaveParams,
+    WeaveRuns,
     alibi_slopes,
     apply_rotary,
     position_matrix,  # noqa: F401  kept importable here: perfbench/layertrace.py wraps this name
     rotary_table,
     scores_rotary,
     toeplitz_tiles,
+    weave_runs,
     weave_table,
     woven_distances,
 )
@@ -253,16 +257,21 @@ _CAUSAL_TAIL = np.triu(np.full((TILE_ROWS, TILE_ROWS), -np.inf), 1)
 
 @dataclass(frozen=True)
 class _Woven:
-    """Rotary positional input of one query: its keys at woven distances.
+    """Rotary positional input of one query, key t: its keys 0..t at woven
+    distances W(t - i).
 
     Key i scores (R(-w_i theta) q) . k_i, the rotation moved off the key onto
     the query, so no key is rotated.  The distances never increase with the
     key index, so equal ones form runs, and consecutive runs of one length
     form segments: for the staircase, a possibly shorter run furthest away,
-    the runs of E keys, then one key per distance up to N.  Every head's
-    query is rotated once per run in one product: its dimension pairs, read
-    as complex numbers, times each run's turns e^(-i w theta), which is
-    apply_rotary's rotation.  Each segment is then scored by one batched
+    the runs of E keys, then one key per distance up to N.  W is a fixed
+    function of the distance, so the runs are read, not found: they are the
+    weave's kept runs (pe_core.weave_runs) up to distance t, in reverse, the
+    furthest cut at t, and their turns the tail of the turns kept beside
+    those runs, furthest first, built once per kept WeaveRuns (_woven).
+    Every head's query is rotated once per run in one product: its
+    dimension pairs, read as complex numbers, times each run's turns
+    e^(-i w theta), which is apply_rotary's rotation.  Each segment is then scored by one batched
     product of each run's rotated query with an h x length view of that
     run's keys, so no key is copied either; a segment of one-key runs by
     one einsum over the dims instead, which reads the keys row by row, not
@@ -274,7 +283,7 @@ class _Woven:
     the others.
     """
 
-    turns: np.ndarray  # runs x h/2 complex: e^(-i w theta) per run, the conjugate of its distance's _angles row
+    turns: np.ndarray  # runs x h/2 complex, contiguous: e^(-i w theta) per run, the conjugate of its distance's _angles row
     segments: tuple  # (first run, end run, run length, first key) each, over the joined keys
     cut: dict = field(default_factory=dict, compare=False, repr=False)  # span lengths -> their layout
 
@@ -304,7 +313,12 @@ class _Woven:
         """Scores ([heads x] 1 x n) of each head's query q ([heads x] h x 1)
         against its keys: the spans ks ([heads x] h x length each), joined."""
         pairs = np.ascontiguousarray(q[..., 0]).view(np.complex128)
-        rows = (pairs[..., None, :] * self.turns).view(np.float64)[..., None, :]  # [heads x] runs x 1 x h
+        # each head's query once per run, then times the runs' turns in place:
+        # against a query broadcast over the runs, numpy multiplies h/2 numbers
+        # per inner loop, about twice as slow (the operands keep their order,
+        # on which the product's rounding depends)
+        rows = np.repeat(pairs[..., None, :], len(self.turns), axis=-2)
+        rows = np.multiply(rows, self.turns, out=rows).view(np.float64)[..., None, :]  # [heads x] runs x 1 x h
         lengths = tuple([k.shape[-1] for k in ks])
         s = np.empty(q.shape[:-2] + (1, sum(lengths)))
         for r0, r1, length, j, a, c in self.layout(lengths):
@@ -374,7 +388,9 @@ class _Distances:
         return toeplitz_tiles((slope * self.table).reshape(np.shape(slope)[:-2] + self.table.shape))
 
 
-def _positions(weights: ModelWeights, coords: np.ndarray | None, m: int, weave: WeaveParams | None = None):
+def _positions(
+    weights: ModelWeights, coords: np.ndarray | int | None, m: int, weave: WeaveParams | None = None
+):
     """Positional input of _attend for m queries over keys at coords; the one
     place that picks a positional form.
 
@@ -390,16 +406,28 @@ def _positions(weights: ModelWeights, coords: np.ndarray | None, m: int, weave: 
     differences, since the last chunk's anchored coordinates are not
     evenly spaced.  The rotary family gets a _Rotation: each key's offset
     coords[-1] - coords, a row of _angles' table, which in the pipeline
-    are its woven distances from the anchor.  One query (a decode step, or
-    a one-token chunk) gets a _Woven instead, which rotates the query by
-    each run's distance coords[-1] - coords, its turns the conjugates of
-    the same table's rows.  Only forward, whose keys are one span, scores
-    rotary _Distances.
+    are its woven distances from the anchor.  Only forward, whose keys are
+    one span, scores rotary _Distances.
+
+    One query (m = 1: a decode step, or a one-token chunk) passes its own
+    key index t as coords, and weave: its keys 0..t sit at the woven
+    distances W(t - i) (raw without a weave), read from the weave's runs
+    kept across calls (pe_core.weave_runs), so nothing over the keys is
+    searched or gathered.  The rotary family gets a _Woven, which rotates
+    the query by each run's distance (_woven); the additive family gets
+    _Distances whose one row, block by block, is the runs' window over the
+    block's distances, reversed.
     """
     fam = weights.pe_family
     if fam == "dot":
         return None
     base = weights.theta_base if fam == "rotary" else None
+    if isinstance(coords, int):
+        t = coords
+        runs = weave_runs(weave, t)
+        if fam == "additive":
+            return _Distances(lambda lo, hi, c0, c1: runs.window(t + 1 - c1, t + 1 - c0)[None, ::-1], None)
+        return _woven(runs, t, weights.head_dim, base)
     if coords is None:
         if weave is not None and weave.scheme is Scheme.SELF_EXTEND:
             return _Distances(lambda lo, hi, c0, c1: woven_distances(weave, np.arange(lo, hi), np.arange(c0, c1)), base)
@@ -409,18 +437,38 @@ def _positions(weights: ModelWeights, coords: np.ndarray | None, m: int, weave: 
         coords = np.arange(m, dtype=np.float64)
     if fam == "additive":
         return _Distances(lambda lo, hi, c0, c1: coords[lo:hi, None] - coords[None, c0:c1], None)
-    if m > 1:
-        return _Rotation(*_angles(coords[-1] - coords, weights.head_dim, base))
-    starts = np.flatnonzero(np.concatenate(([True], coords[1:] != coords[:-1])))  # first key of each run
-    runs = np.diff(starts, append=coords.size)
-    first = np.flatnonzero(np.concatenate(([True], runs[1:] != runs[:-1])))  # first run of each segment
+    return _Rotation(*_angles(coords[-1] - coords, weights.head_dim, base))
+
+
+def _woven(runs: WeaveRuns, t: int, head_dim: int, theta_base: float) -> _Woven:
+    """The _Woven of the query at key t over keys 0..t, read from the kept
+    runs: runs 0..J-1 reach distance t, the last cut there, and in key
+    order they run J-1 down to 0, so their turns are the last J of the
+    runs' turns kept furthest first, a contiguous view, which the first
+    call over those runs builds and keeps beside them.  The segments are
+    the kept ones below run J-1, then that run, joined to the last of them
+    when as long as its runs; only those few tuples are built per call."""
+    turns = runs.turns.get((head_dim, theta_base))
+    if turns is None:  # each run's e^(-i W theta), the conjugate of its distance's _angles row
+        cos, sin, row = _angles(runs.values, head_dim, theta_base)
+        turns = np.empty((row.size, cos.shape[0]), dtype=np.complex128)
+        turns.real, turns.imag = cos[:, row[::-1]].T, -sin[:, row[::-1]].T  # furthest run first
+        turns.flags.writeable = False
+        runs.turns[head_dim, theta_base] = turns
+    last = runs.run(t)
+    cut = t + 1 - int(runs.starts[last])  # the distances of run `last` within t
+    parts = [[j0, min(j1, last), length] for j0, j1, length in runs.segments if j0 < last]
+    if parts and parts[-1][2] == cut:
+        parts[-1][1] = last + 1
+    else:
+        parts.append([last, last + 1, cut])
+    # distance run j is key-order run last - j, and a part's first key is
+    # the furthest of its furthest run, j1 - 1
     segments = tuple(
-        (int(r0), int(r1), int(runs[r0]), int(starts[r0])) for r0, r1 in zip(first, [*first[1:], runs.size])
+        (last + 1 - j1, last + 1 - j0, length, t + 1 - min(int(runs.starts[j1]), t + 1))
+        for j0, j1, length in reversed(parts)
     )
-    cos, sin, row = _angles(coords[-1] - coords[starts], weights.head_dim, base)  # each run's distance
-    turns = np.empty((row.size, cos.shape[0]), dtype=np.complex128)
-    turns.real, turns.imag = cos[:, row].T, -sin[:, row].T
-    return _Woven(turns, segments)
+    return _Woven(turns[len(turns) - 1 - last :], segments)
 
 
 def _angles(offsets: np.ndarray, head_dim: int, theta_base: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -464,11 +512,18 @@ def _pieces(starts: list[int], c0: int, c1: int) -> list[tuple[int, int, int, in
 
 def _values(s: np.ndarray, vts: list[np.ndarray], pieces) -> np.ndarray:
     """s @ a block of values that pieces lays over the spans vts (each
-    [heads x] length x h): one product per piece, summed in span order."""
-    j, a, b, x = pieces[0]
-    pv = s[..., x : x + b - a] @ vts[j][..., a:b, :]
-    for j, a, b, x in pieces[1:]:
-        pv += s[..., x : x + b - a] @ vts[j][..., a:b, :]
+    [heads x] length x h), cut at s's width, so a tile that sees part of a
+    block reads that block's pieces: one product per piece it reaches,
+    summed in span order."""
+    w, pv = s.shape[-1], None
+    for j, a, b, x in pieces:
+        if x >= w:
+            break
+        part = s[..., x : x + b - a] @ vts[j][..., a : a + min(b - a, w - x), :]
+        if pv is None:
+            pv = part
+        else:
+            pv += part
     return pv
 
 
@@ -570,8 +625,9 @@ def _attend(
     width = starts[-1] if woven else max(KEY_BLOCK // math.prod(q.shape[:-2]), 1)
     for c0 in range(0, starts[-1], width):
         c1 = min(c0 + width, starts[-1])
+        pieces = _pieces(starts, c0, c1)  # the block's share of each span, once for every tile
         if not woven:  # the block's keys, once for every tile: a view of one span, or joined across spans
-            parts = [ks[j][..., a:b] for j, a, b, _ in _pieces(starts, c0, c1)]
+            parts = [ks[j][..., a:b] for j, a, b, _ in pieces]
             kb = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-1)
             if rotary:  # a view into a new array, so the cached keys stay raw; a joined block in place
                 kb = pos.rotate(kb, c0, out=None if len(parts) == 1 else kb)
@@ -607,7 +663,7 @@ def _attend(
                     acc[i] *= rescale
                 top[i] = new
             np.exp(s, out=s)
-            pv = _values(s, vts, _pieces(starts, c0, e))
+            pv = _values(s, vts, pieces)
             if c0 == 0:
                 total[i], acc[i] = s.sum(axis=-1, keepdims=True), pv
             else:
@@ -734,11 +790,13 @@ def _run_layers(
             spans = tuple(k[heads] for k in ks), tuple(v[heads] for v in vs)
             return _attend(q, *spans, ctx_len + r0, slopes[heads], pos, mask, alpha), alpha
 
-        a = np.zeros_like(h)
-        alphas = []
+        a, alphas = None, []
         for heads, (out, alpha) in zip(groups, _pool_map(attend, groups)):  # summed in head order
             for head, head_out in zip(layer.heads[heads], out):
-                a += head.w_o @ head_out
+                if a is None:  # the sum starts as the first head's projection: no zeros beside the heads
+                    a = head.w_o @ head_out
+                else:
+                    a += head.w_o @ head_out
             if keep_alphas:
                 alphas.extend(alpha)
         del out, alpha, head_out  # summed into a: nothing of them stays alive into the next layer
@@ -747,11 +805,16 @@ def _run_layers(
             trace.attn.append(a)
             if keep_alphas:
                 trace.alphas.append(alphas)
-        # h alone holds the residual stream, so no earlier columns stay alive
-        # while the next layer's heads hold their tiles
-        h = a + h
+        # each sum is written into an array of this layer's own (a, unless
+        # the trace keeps it, then the feed-forward's output), never into the
+        # caller's h; h alone then holds the residual stream, so no earlier
+        # columns stay alive while the next layer's heads hold their tiles
+        h = a + h if trace is not None else np.add(a, h, out=a)
         del a
-        h = layer.ff(layer_norm_cols(h) if layer.layer_norm == "standard" else h) + h
+        x = layer.ff(layer_norm_cols(h) if layer.layer_norm == "standard" else h)
+        x += h
+        h = x
+        del x
     return h if read is None else h[:, h.shape[1] - read :]
 
 

@@ -7,12 +7,16 @@ full cache with coordinates woven by MesaConfig.weave (the staircase by
 default; capped and leaky weaves too) anchored at the final token.  A
 prompt of at most train_len positions is one chunk at raw positions, the
 same computation as the first chunk.  A decode step is the last chunk of
-one token: the same weave, decode_distances, anchored at the new token, so
-every decode query sees exactly the woven distance to every key.  One rule,
-_fits_window, keeps each W(p) <= train_len - 1, p's largest woven distance
-(to <bos>): prefill checks its anchor, decode_step its token and generate
-its last step before any work.  generate sizes the cache for the tokens it
-decodes up front, so its steps never add a page.
+one token: the same weave, anchored at the new token, so every decode
+query sees exactly the woven distance to every key.  W is a fixed function
+of the distance, so the weave is kept across steps as its runs of equal
+W(d) up to the next power of two (pe_core.weave_runs): the last chunk's
+distances (decode_distances) are read from them, and a step reads W(t) and
+its woven row's runs from them without building anything over its t keys.
+One rule, _fits_window, keeps each W(p) <= train_len - 1, p's largest
+woven distance (to <bos>): prefill checks its anchor, decode_step its token
+and generate its last step before any work.  generate sizes the cache for
+the tokens it decodes up front, so its steps never add a page.
 
 Every distance a chunk feeds the positional term is a difference of
 coordinates.  A chunk's keys are its context, always the tokens
@@ -23,9 +27,10 @@ the rotary family each key's offset from the chunk's last coordinate is a
 row of one kept cos/sin table over a power of two of offsets
 (model._angles), which every chunk and step whose offsets lie below the
 same power of two share: the offsets are woven distances from the anchor,
-all below train_len.  One query (a decode step) rotates itself by each
-key's distance instead (model._Woven), with the same table's rows, so no
-key is rotated; no per-key or per-cell trigonometry runs at all.
+all below train_len.  One query (a decode step, or a one-token chunk)
+rotates itself by each run's distance instead (model._Woven), with turns
+from the same table's rows kept beside the weave's runs, so no key is
+rotated; no per-key or per-cell trigonometry runs at all.
 
 Cache slot i holds token i.  Each chunk or step writes its raw keys and
 values into its own tokens' preallocated slots before attending, and
@@ -75,7 +80,7 @@ from weavepe.pe_core import (
     Scheme,
     WeaveParams,
     rotate_by_coords,  # noqa: F401  kept importable here: perfbench/layertrace.py wraps this name
-    weave_table,
+    weave_runs,
 )
 from weavepe.splitter import ChunkPlan, chunk_spans, dynamic_split
 
@@ -197,8 +202,7 @@ def _prefill(tokens, weights: ModelWeights, config: MesaConfig, slots: int) -> P
     if fallback:
         plan, spans = None, [(0, total)]
     else:
-        dist = decode_distances(anchor, config)
-        _fits_window(anchor, config.train_len, dist)
+        _fits_window(anchor, config.train_len, config.weave)
         plan = dynamic_split(total, config.train_len, config.first_len, config.min_last, config.rest_max)
         spans = chunk_spans(plan)
     cache = KVCache(len(weights.layers), len(weights.layers[0].heads), capacity=slots)
@@ -210,21 +214,25 @@ def _prefill(tokens, weights: ModelWeights, config: MesaConfig, slots: int) -> P
         column for the final chunk, None for any other."""
         lo, hi = spans[ci]
         m = hi - lo
-        # the chunk's keys are tokens 0..ctx_len-1 then its own m tokens
+        # the chunk's keys are tokens 0..ctx_len-1 then its own m tokens, at
+        # raw (local) coordinates, or woven from the anchor for the last chunk
         if ci == 0:
-            kind, ctx_len = ("single" if fallback else "first"), 0
-            coords = np.arange(m, dtype=np.float64)
+            kind, ctx_len, weave = ("single" if fallback else "first"), 0, None
         elif ci < len(spans) - 1:
             # the first chunk keeps local 0..F-1; the chunk's tokens shift to F..F+m-1
-            kind, ctx_len = "middle", plan.first_len
+            kind, ctx_len, weave = "middle", plan.first_len, None
+        else:
+            kind, ctx_len, weave = "last", lo, config.weave
+        if weave is None:
             coords = np.arange(ctx_len + m, dtype=np.float64)
         else:
-            kind, ctx_len = "last", lo
-            coords = anchor - dist
+            coords = anchor - decode_distances(anchor, config)
         h = weights.w_e[:, seq_ids[lo:hi]].astype(np.float64)
         # the logits read the final chunk's last column alone; the other chunks feed only the cache
         read = int(ci == len(spans) - 1)
-        h = _run_layers(h, weights, cache, lo, ctx_len, _positions(weights, coords, m), read=read)
+        # one query reads its woven row from the kept runs, as a decode step does
+        pos = _positions(weights, coords, m) if m > 1 else _positions(weights, ctx_len, 1, weave)
+        h = _run_layers(h, weights, cache, lo, ctx_len, pos, read=read)
         trace = ChunkTrace(
             kind=kind,
             q_span=(lo, hi),
@@ -256,13 +264,16 @@ def decode_step(
     """Append one token: the last chunk of a one-token prompt extension, its
     query anchored at itself and every cached raw key at its woven distance.
 
-    Raises, before writing the cache, when the token's woven distance to the
-    first key, the largest it would score, passes train_len - 1."""
+    The step builds nothing over its t keys: the window check reads W(t),
+    and the query's woven row its runs and their rotary turns, from the
+    weave's runs kept across steps (pe_core.weave_runs), rebuilt only when
+    t passes the next power of two.  Raises, before writing the cache, when
+    the token's woven distance to the first key, the largest it would
+    score, passes train_len - 1."""
     t = len(cache)
-    dist = decode_distances(t, config)
-    _fits_window(t, config.train_len, dist)
+    _fits_window(t, config.train_len, config.weave)
     h = weights.w_e[:, token_ids([next_token], weights)].astype(np.float64)
-    h = _run_layers(h, weights, cache, t, t, _positions(weights, t - dist, 1))
+    h = _run_layers(h, weights, cache, t, t, _positions(weights, t, 1, config.weave))
     cache.append(1)
     logits = weights.w_e.T @ h[:, -1]
     return logits, cache
@@ -294,7 +305,7 @@ def generate(
     steps = max(max_new - 1, 0)
     last = len(tokens) + steps  # position of the last step's token
     if steps:
-        _fits_window(last, config.train_len, decode_distances(last, config), max_new)
+        _fits_window(last, config.train_len, config.weave, max_new)
     pre = _prefill(tokens, weights, config, last + 1)
     report = pre.report
     out: list[int] = []
@@ -312,22 +323,25 @@ def generate(
     return GenerationResult(token_ids=out, report=report)
 
 
-def _fits_window(p: int, train_len: int, dist: np.ndarray | None = None, max_new: int | None = None) -> bool:
+def _fits_window(p: int, train_len: int, weave: WeaveParams | None = None, max_new: int | None = None) -> bool:
     """The trained-window rule: the token at position p fits when its distance
     to <bos>, its largest, is at most train_len - 1: p at raw positions (no
-    dist), W(p) = dist[0] woven (dist = decode_distances(p, ·)).  A woven misfit
-    raises, naming p, W(p), the window, the longest prompt and largest max_new."""
+    weave), W(p) under weave, read from its kept runs (weave_runs).  A woven
+    misfit raises, naming p, W(p), the window, the longest prompt and largest
+    max_new."""
     top = train_len - 1
-    if dist is None:
+    if weave is None:
         return p <= top
-    if dist[0] <= top:
+    runs = weave_runs(weave, p)
+    woven = runs.values[runs.run(p)]
+    if woven <= top:
         return True
-    # W(0..p) never decreases, so the positions that fit are 0..fits-1
-    fits = int(np.searchsorted(dist[::-1], top, side="right"))
+    # W never decreases, so the positions that fit are 0..fits-1, fits the first run past top
+    fits = int(runs.starts[np.searchsorted(runs.values, top, side="right")])
     new = 0 if max_new is None else fits - 1 - p + max_new  # generate's largest max_new that fits, if any
     tail = f"; max_new={max_new} would decode position {p}, and the largest max_new that fits is {new}"
     raise ValueError(
-        f"position {p} would score woven distance {dist[0]:g} to the first key, past the trained window "
+        f"position {p} would score woven distance {woven:g} to the first key, past the trained window "
         f"of {train_len} positions (distances up to {top}): the longest prompt it takes is {fits - 1} tokens"
         + (tail if new > 0 else "")
     )
@@ -335,7 +349,7 @@ def _fits_window(p: int, train_len: int, dist: np.ndarray | None = None, max_new
 
 def decode_distances(anchor: int, config: MesaConfig) -> np.ndarray:
     """Woven distance from the token at position anchor to each of the keys
-    0..anchor: config.weave's table reversed, which the last chunk and every
-    decode step apply, anchored at their final token; the pipeline's only
-    weave."""
-    return weave_table(config.weave, anchor + 1)[::-1]
+    0..anchor, read from config.weave's kept runs (weave_runs): the last
+    chunk applies it, anchored at its final token, and a decode step reads
+    the same runs without building it."""
+    return weave_runs(config.weave, anchor).window(0, anchor + 1)[::-1]

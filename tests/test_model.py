@@ -33,6 +33,7 @@ from weavepe.pe_core import (
     apply_rotary,
     position_matrix,
     rotary_table,
+    weave_table,
     woven_distances,
 )
 from weavepe.theory import TheoryConfig, build_corollary, build_theorem1, build_theorem2, build_theorem3
@@ -582,21 +583,93 @@ def test_layer_projects_every_head_from_one_stack():
     assert np.array_equal(layer.qkv[1, 2], layer.heads[2].w_k)
 
 
-def test_woven_scores_over_spans_split_anywhere_match_one_span():
-    # a decode query under a staircase (runs of 4 keys far away, one key per
-    # distance near): its keys split into two or three spans at every point,
-    # inside runs too, score as they do joined
+#: a weave of every kind MesaConfig accepts: staircase, capped, leaky, identity
+ONE_QUERY_WEAVES = [
+    WeaveParams(scheme=Scheme.STAIR, cap=9, tread=4),
+    WeaveParams(scheme=Scheme.REROPE, cap=9),
+    WeaveParams(scheme=Scheme.LEAKY_REROPE, cap=9, leak=0.3),
+    WeaveParams(scheme=Scheme.ROPE),
+]
+WEAVE_IDS = ["stair", "capped", "leaky", "identity"]
+
+
+def _found_row(weave, t, head_dim, theta_base):
+    """A one-query row found from weave_table(weave, t + 1): the woven
+    distance of each key 0..t, its runs of equal distance (first key of
+    each), their segments (first run, end run, run length, first key) and
+    each run's turn e^(-i W theta) from a table over the runs' distances."""
+    dist = weave_table(weave, t + 1)[::-1]
+    starts = np.flatnonzero(np.concatenate(([True], dist[1:] != dist[:-1])))
+    runs = np.diff(starts, append=t + 1)
+    first = np.flatnonzero(np.concatenate(([True], runs[1:] != runs[:-1])))
+    segments = tuple(
+        (int(r0), int(r1), int(runs[r0]), int(starts[r0])) for r0, r1 in zip(first, [*first[1:], runs.size])
+    )
+    cos, sin = rotary_table(-dist[starts], head_dim, theta_base)
+    turns = np.empty((starts.size, head_dim // 2), dtype=np.complex128)
+    turns.real, turns.imag = cos.T, -sin.T
+    return dist, segments, turns
+
+
+@pytest.mark.parametrize("weave", ONE_QUERY_WEAVES, ids=WEAVE_IDS)
+def test_kept_runs_row_matches_runs_found_from_the_weave_table(weave):
+    # t runs across the tread boundaries, the cap N = 9 and the kept
+    # runs' growth at every power of two up to 64: each step's runs,
+    # segments and turns are those found from its own weave table, its
+    # turns a view of the ones kept beside the runs, its scores the
+    # per-key rotation's, and the additive row is the reversed table
+    from weavepe import pe_core
+
     w = random_model(d=8, n_heads=2, n_layers=1, vocab=8, seed=6)
-    t, stair = 40, WeaveParams(scheme=Scheme.STAIR, cap=9, tread=4)
-    coords = t - woven_distances(stair, np.array([t]), np.arange(t + 1))[0]
-    pos = _positions(w, coords, 1)
+    additive = random_model(d=8, n_heads=2, n_layers=1, vocab=8, seed=6, pe_family="additive")
     rng = np.random.default_rng(7)
-    q, k = rng.normal(size=(2, 4, 1)), rng.normal(size=(2, 4, t + 1))
-    whole = pos.scores(q, (k,))
-    for a in range(1, t + 1):
-        for b in (a + 1, a + 5):
-            spans = tuple(x for x in (k[..., :a], k[..., a:b], k[..., b:]) if x.shape[-1])
-            np.testing.assert_allclose(pos.scores(q, spans), whole, rtol=0, atol=1e-14)
+    for t in range(70):
+        dist, segments, turns = _found_row(weave, t, 4, w.theta_base)
+        pos = _positions(w, t, 1, weave)
+        assert isinstance(pos, _Woven) and pos.segments == segments, t
+        assert np.array_equal(pos.turns, turns), t
+        assert np.shares_memory(pos.turns, pe_core.weave_runs(weave, t).turns[4, w.theta_base])
+        q, k = rng.normal(size=(2, 4, 1)), rng.normal(size=(2, 4, t + 1))
+        rotated = apply_rotary(np.repeat(q, t + 1, axis=-1), rotary_table(dist, 4, w.theta_base))
+        np.testing.assert_allclose(pos.scores(q, (k,))[:, 0], (rotated * k).sum(axis=-2), rtol=0, atol=1e-12)
+        row = _positions(additive, t, 1, weave)
+        for c0, c1 in ((0, t + 1), (0, (t + 1) // 2), ((t + 1) // 3, t + 1)):
+            assert np.array_equal(row.tile(t, t + 1, c0, c1), dist[None, c0:c1]), (t, c0, c1)
+
+
+def test_woven_scores_over_spans_split_anywhere_match_one_span():
+    # a decode query under each weave (the staircase: runs of 4 keys far
+    # away, one key per distance near): its keys split into two or three
+    # spans at every point, inside runs too, score as they do joined
+    w = random_model(d=8, n_heads=2, n_layers=1, vocab=8, seed=6)
+    t = 40
+    rng = np.random.default_rng(7)
+    for weave in ONE_QUERY_WEAVES:
+        pos = _positions(w, t, 1, weave)
+        q, k = rng.normal(size=(2, 4, 1)), rng.normal(size=(2, 4, t + 1))
+        whole = pos.scores(q, (k,))
+        for a in range(1, t + 1):
+            for b in (a + 1, a + 5):
+                spans = tuple(x for x in (k[..., :a], k[..., a:b], k[..., b:]) if x.shape[-1])
+                np.testing.assert_allclose(pos.scores(q, spans), whole, rtol=0, atol=1e-14)
+
+
+def test_run_layers_leaves_its_input_unchanged():
+    # the head sum and the residual adds write into arrays of the layer's
+    # own: the caller's h stays as it was, with or without a trace and a
+    # read, and each layer's kept attention output is the one its next
+    # input was summed from
+    from weavepe.model import ForwardTrace, _run_layers
+
+    w = random_model(d=16, n_heads=4, n_layers=2, vocab=16, seed=11)
+    h = np.random.default_rng(12).normal(size=(16, 30))
+    keep = h.copy()
+    for trace in (None, ForwardTrace(hidden=[], attn=[], alphas=None)):
+        for read in (None, 1):
+            _run_layers(h, w, KVCache(2, 4, capacity=30), 0, 0, _positions(w, None, 30), trace=trace, read=read)
+            assert np.array_equal(h, keep)
+    y = trace.hidden[0] + trace.attn[0]
+    assert trace.hidden[0] is h and np.array_equal(trace.hidden[1], w.layers[0].ff(y) + y)
 
 
 def test_attend_one_woven_query_fills_alpha_under_a_mask():
@@ -608,7 +681,7 @@ def test_attend_one_woven_query_fills_alpha_under_a_mask():
     w = random_model(d=16, n_heads=1, n_layers=1, vocab=8, seed=6)
     n, split, stair = 41, 17, WeaveParams(scheme=Scheme.STAIR, cap=9, tread=4)
     coords = (n - 1) - woven_distances(stair, np.array([n - 1]), np.arange(n))[0]
-    pos = _positions(w, coords, 1)
+    pos = _positions(w, n - 1, 1, stair)
     assert isinstance(pos, _Woven)
     rng = np.random.default_rng(8)
     q, k, v = rng.normal(size=(16, 1)), rng.normal(size=(16, n)), rng.normal(size=(16, n))

@@ -221,48 +221,94 @@ def _count_rotations(monkeypatch):
 
 
 def test_decode_step_builds_each_rotation_once(monkeypatch):
-    # whole-number offsets read one kept table over a power of two of them
-    # (64 here, for the single chunk's offsets 0..40 and each step's
-    # distances 0..35), so a stair prefill and its decode steps build it
-    # once; a step's turns are bit for bit a per-step table's rows, and the
-    # key distances are woven once per step, not once per layer x head
+    # a step reads its woven row from its weave's runs kept across steps:
+    # the first step weaves the table up to the next power of two, 64, and
+    # builds its runs' turns from the kept rotary table over 0..63 that the
+    # single pass built; the steps after it weave nothing and build no
+    # rotary table until one passes 63 and the kept runs grow to 128 distances
     from weavepe import model, pe_core
 
     w = random_model(d=8, n_heads=2, n_layers=3, vocab=16, seed=3)
     model._table.cache_clear()
+    pe_core._weave_runs.cache_clear()
     tables, stairs = _count_rotations(monkeypatch)
-    res = prefill(_tokens(40), w, TOY)
-    assert res.report.fallback and tables == [64]
-    n = len(res.cache)
-    dist = np.unique(decode_distances(n, TOY))[::-1]
-    assert np.array_equal(dist, np.arange(35, -1, -1))
-    cos, sin = pe_core.rotary_table(dist, w.head_dim, w.theta_base)
-    turns = model._positions(w, n - decode_distances(n, TOY), 1).turns
-    assert np.array_equal(turns.real, cos.T) and np.array_equal(turns.imag, sin.T)
-    del stairs[:]
-    decode_step(res.cache, 3, w, TOY)
-    decode_step(res.cache, 3, w, TOY)
-    assert tables == [64] and len(stairs) == 2
+    res = prefill(_tokens(58), w, TOY)
+    assert res.report.fallback and tables == [64] and stairs == []
+    logits, cache = res.logits, res.cache
+    woven = []
+    for t in range(59, 66):
+        logits, cache = decode_step(cache, int(np.argmax(logits)), w, TOY)
+        woven.append(len(stairs))
+    assert woven == [1, 1, 1, 1, 1, 2, 2] and tables == [64]
+    assert [args[0].size for args in stairs] == [64, 128]
 
 
 def test_prefill_builds_each_rotation_once_per_chunk(monkeypatch):
-    # a leaky weave's offsets are not whole numbers, so its last chunk and
-    # each decode step build one table over their distinct offsets; the
-    # first and middle chunks, at whole local offsets, read kept tables
-    from weavepe import model
+    # a leaky weave's offsets are not whole numbers, so its last chunk
+    # builds one table over its distinct offsets, and the first decode step
+    # one over the kept weave table's distinct distances, which every later
+    # step reads; the first and middle chunks, at whole local offsets, read
+    # kept tables
+    from weavepe import model, pe_core
 
     leaky = replace(TOY, weave=WeaveParams(scheme=Scheme.LEAKY_REROPE, cap=20, leak=0.5))
     w = random_model(d=8, n_heads=2, n_layers=3, vocab=16, seed=3)
     model._table.cache_clear()
+    pe_core._weave_runs.cache_clear()
     tables, _ = _count_rotations(monkeypatch)
     res = prefill(_tokens(90), w, leaky)
     kinds = [c.kind for c in res.report.chunks]
     assert kinds[0] == "first" and kinds[-1] == "last" and set(kinds[1:-1]) == {"middle"}
-    t = len(res.cache)
-    decode_step(res.cache, 3, w, leaky)
-    decode_step(res.cache, 3, w, leaky)
-    assert len(tables) == model._table.cache_info().misses + 3
-    assert tables[-3:] == [np.unique(decode_distances(p, leaky)).size for p in (t - 1, t, t + 1)]
+    assert len(tables) == model._table.cache_info().misses + 1
+    assert tables[-1] == np.unique(decode_distances(90, leaky)).size
+    built = len(tables)
+    for _ in range(3):
+        decode_step(res.cache, 3, w, leaky)
+    assert tables[built:] == [128]
+
+
+@pytest.mark.parametrize("family", ["rotary", "additive"])
+@pytest.mark.parametrize(
+    "config, prompt",
+    [
+        (replace(TOY, first_len=1, min_last=1), 127),
+        (replace(TOY, weave=WeaveParams(scheme=Scheme.LEAKY_REROPE, cap=20, leak=0.25), first_len=1, min_last=1), 127),
+        (MesaConfig(train_len=2, weave=WeaveParams(scheme=Scheme.REROPE, cap=1), first_len=1, min_last=1, rest_max=1), 7),
+    ],
+    ids=["stair", "leaky", "capped"],
+)
+def test_one_token_chunks_read_the_kept_runs(monkeypatch, family, config, prompt):
+    # a one-token first, middle or last chunk, like a decode step, reads
+    # its woven row from the kept runs; against the same keys at explicit
+    # coordinates, which rotate every key (_Rotation) or take coordinate
+    # differences, its logits, cached keys and decoded logits agree
+    from weavepe import model, pipeline
+    from weavepe.pe_core import weave_table
+
+    w = random_model(d=8, n_heads=2, n_layers=2, vocab=16, seed=3, pe_family=family)
+    tokens = _tokens(prompt)
+
+    def run():
+        res = prefill(tokens, w, config)
+        logits, cache, steps = res.logits, res.cache, [res.logits]
+        for _ in range(3):
+            logits, cache = decode_step(cache, int(np.argmax(logits)), w, config)
+            steps.append(logits)
+        return res.report, steps, [cache.view(li, hi) for li in range(2) for hi in range(2)]
+
+    report, kept, kept_kv = run()
+    sizes = [hi - lo for lo, hi in (c.q_span for c in report.chunks)]
+    assert sizes[0] == sizes[-1] == 1 and (config.train_len > 2 or set(sizes) == {1})  # capped: one-token middles too
+
+    def explicit(weights, coords, m, weave=None):
+        if isinstance(coords, int):  # the one-query form, as coordinates
+            coords = coords - weave_table(weave, coords + 1)[::-1]
+        return model._positions(weights, coords, m)
+
+    monkeypatch.setattr(pipeline, "_positions", explicit)
+    _, want, want_kv = run()
+    np.testing.assert_allclose(np.array(kept), np.array(want), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(np.array(kept_kv), np.array(want_kv), rtol=0, atol=1e-12)
 
 
 def test_identity_forward_builds_one_rotation(monkeypatch):
@@ -948,7 +994,7 @@ def test_capped_weave_never_raises():
     w = random_model(d=4, n_heads=1, n_layers=1, vocab=16, seed=3)
     res = generate(_tokens(1999), w, cfg, max_new=3)
     assert res.report.decode_steps == 2 and res.report.chunks[-1].max_pe_distance == 32
-    assert pipeline._fits_window(10**6, 64, decode_distances(10**6, cfg))
+    assert pipeline._fits_window(10**6, 64, cfg.weave)
 
 
 def test_rerope_weave_pipeline_runs():
