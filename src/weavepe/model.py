@@ -14,9 +14,9 @@ forward, each prefill chunk and each decode step run the same layers
 (_run_layers) and the same attention (_attend); _positions alone turns their
 keys' coordinates (and forward's weave) into the positional input.  Rows
 run in tiles of TILE_ROWS queries, and the keys in blocks of KEY_BLOCK
-(KEY_BLOCK / heads when heads are stacked in one call), the blocks
-outermost, as in FlashAttention's loop order (Dao et al., arXiv
-2205.14135): each block is taken once per call, rotated once for the
+(stacked heads share one head's block over the keys: min(KEY_BLOCK, keys)
+/ heads), the blocks outermost, as in FlashAttention's loop order (Dao et
+al., arXiv 2205.14135): each block is taken once per call, rotated once for the
 rotary family, and scored against every row tile that sees any of it,
 while each tile keeps its softmax state from block to block.  Each block
 gets the causal -inf on the diagonal tail cells it holds (and, under
@@ -45,19 +45,25 @@ offsets are rows of one kept table (_angles), so no table over every key
 is built either.  A caller that reads only the last columns (prefill) has
 the last layer attend only the tiles holding them.
 
-Every array of _attend may carry a leading heads axis.  A step with one
-query (every decode step) attends with all of a layer's heads in one call
-on the calling thread, so its per-head numpy calls become one batched call
-each; threads made such a step no faster.  More queries attend one head per
-call, on min(usable CPUs, heads) pool threads: numpy releases the GIL in
-the elementwise passes and matmuls that dominate a tile, so each thread
-holds one block.  A call already on a pool thread (a prefill's middle
-chunk, the chunks running at once) attends with all heads in one call on
-that thread instead, and never submits to the pool, which would deadlock.
-The thread that runs a layer projects and writes every head's keys and
-values and sums the heads' outputs in head order, so the result is
-bit-identical to running the heads one after another, which a one-head
-model and a one-CPU host still do.
+Every array of _attend may carry a leading heads axis, and every call
+stacks all of a layer's heads, so its per-head numpy calls become one
+batched call each.  A call with several queries that is not on a pool
+thread (forward, the single pass, the first and last chunk) splits its
+rows, not its heads, as FlashAttention-2 splits row blocks (Dao, arXiv
+2307.08691): min(usable CPUs, heads) groups of whole row tiles, balanced
+by estimated work, each run through the whole layer on a pool thread
+(query projection, attention, head sum in head order, residual and
+feed-forward), after the calling thread has projected and written the
+layer's keys and values.  numpy releases the GIL in the elementwise passes
+and matmuls that dominate a tile, and a stacked tile holds every head's
+cells, so each call does more work between the threads' GIL handoffs than
+one head's did.  Every group attends over all the keys, with the block
+edges and score bounds the whole call has, so the split changes no bit.  A step with one query
+(every decode step; threads made it no faster), a one-head model and a
+one-CPU host run each layer as one call on the calling thread, and a call
+already on a pool thread (a prefill's middle chunk, the chunks running at
+once) as one call on that thread: it never submits to the pool, which
+would deadlock.
 """
 
 from __future__ import annotations
@@ -540,19 +546,23 @@ def _attend(
     """Causal attention of the m columns of q over ctx_len context keys, then
     the m queries' own keys.  The keys and values come as spans: ks and vs
     are tuples of h x length arrays, views of the cache's pages, that joined
-    hold the ctx_len + m keys in order, and nothing joins them here.
+    hold the keys in order, and nothing joins them here.  The queries are
+    keys ctx_len..ctx_len+m-1; any keys past the last one (a row group's,
+    which is given all its chunk's keys) no query sees, and they only set
+    the block width and the score bound, so both are the whole chunk's.
 
     Any leading axes are heads: q (heads x h x m) and every span (heads x h
     x length) attend head by head in the same passes, and slope, one per
     head (heads x 1 x 1), broadcasts against their scores; one head's arrays
     may also come without the axis.  Query row r sees keys [0, ctx_len +
     r] of the joined index.  Rows run in tiles of TILE_ROWS, and a tile
-    ending at row r1 sees keys [0, ctx_len + r1).  The keys are walked
-    once, outermost, in blocks of KEY_BLOCK columns (KEY_BLOCK / heads when
-    heads are stacked, so a block holds one head's cells), and each block
-    is scored against every row tile that sees any of it, a tile's last
-    block cut at its own end.  A block is a view of its keys when it lies
-    inside one span and joined when it crosses spans, for every family;
+    ending at row r1 sees keys [0, ctx_len + r1).  The keys up to the last
+    query's are walked once, outermost, in blocks of min(KEY_BLOCK, n) /
+    heads columns, n all the keys given, so a stacked block holds at most
+    the cells of one head's block over them, and each block is scored
+    against every row tile that sees any of it, a tile's last block cut at
+    its own end.  A block is a view of its keys when it lies inside one
+    span and joined when it crosses spans, for every family;
     the rotary family rotates it once for all those tiles, a view into a
     new array (the cached keys stay raw) and a joined block in place.
     Each tile keeps its running row max, row sums and value accumulators
@@ -564,9 +574,9 @@ def _attend(
     A tile runs unshifted when none of its scores can leave +-_SAFE.  By
     Cauchy-Schwarz, |s| <= |q_r| max_i |k_i| for the dot and rotary families
     (a rotation keeps norms), so the squared norms of the raw queries and
-    keys give every tile's bound at once, with one reduction over the
-    tiles.  The additive family's penalty, slope x W(d) with W >= 0, only
-    lowers a score when the slope is >= 0, and a row's own key (W(0) = 0,
+    of all the keys given give every tile's bound at once, with one
+    reduction over the tiles.  The additive family's penalty, slope x W(d)
+    with W >= 0, only lowers a score when the slope is >= 0, and a row's own key (W(0) = 0,
     which no AttentionMask hides) keeps its total above e^-_SAFE.  Such a
     tile's blocks are exponentiated as they are: four passes each (scores,
     exp, sum, values).  Any other tile shifts each block by the running row
@@ -580,15 +590,15 @@ def _attend(
     the cached keys to a step close to memory bound, to save one max over
     one row.  A tile of one block is plain softmax arithmetic.
 
-    pos is _positions over the ctx_len + m keys, and the queries, being
-    the last m keys, take its tail from ctx_len on.  A _Rotation rotates q
-    in place, and each key block as it is taken; a _Woven (one query,
+    pos is _positions over the keys, and the queries, keys ctx_len on,
+    take its rows from there.  A _Rotation rotates q in place, and each key
+    block as it is taken; a _Woven (one query,
     every decode step of the rotary family) makes the loop's one block as
     wide as all the keys and scores its row over the spans itself, with
     no key rotated.  forward passes its mask, which sets
     -inf on each block's cells outside it, and alpha, zeros of the weights'
-    shape ([heads x] m x (ctx_len + m)) into which each block writes its
-    weights, rescaled and normalised after the last block.  Returns [heads
+    shape ([heads x] m x n) into which each block writes its weights,
+    rescaled and normalised after the last block.  Returns [heads
     x] h x m values.
     """
     starts = [0]  # each span's first key in the joined index, then their total
@@ -621,10 +631,13 @@ def _attend(
     acc = [None] * len(tiles)  # each tile's value sums, s @ v^T
     shifts = [[] for _ in tiles]  # per tile, (first key, end key, max subtracted or None) of each block in alpha
     penalty = pos.penalty(slope) if additive else None
-    # a _Woven query's row is one block of every key; stacked heads share one head's block budget
-    width = starts[-1] if woven else max(KEY_BLOCK // math.prod(q.shape[:-2]), 1)
-    for c0 in range(0, starts[-1], width):
-        c1 = min(c0 + width, starts[-1])
+    # a _Woven query's row is one block of every key; stacked heads share the
+    # cells of one head's block over all the keys, so the edges depend on the
+    # keys alone, not on the rows a call takes
+    width = starts[-1] if woven else max(min(KEY_BLOCK, starts[-1]) // math.prod(q.shape[:-2]), 1)
+    end = ctx_len + m  # no query sees a key past its own
+    for c0 in range(0, end, width):
+        c1 = min(c0 + width, end)
         pieces = _pieces(starts, c0, c1)  # the block's share of each span, once for every tile
         if not woven:  # the block's keys, once for every tile: a view of one span, or joined across spans
             parts = [ks[j][..., a:b] for j, a, b, _ in pieces]
@@ -700,7 +713,7 @@ _POOL_THREADS = "weavepe-pool"
 
 @functools.cache
 def _pool(workers: int):
-    """The threads that run one layer's heads or a prefill's middle chunks, made on first use."""
+    """The threads that run a call's row groups or a prefill's middle chunks, made on first use."""
     from concurrent.futures import ThreadPoolExecutor  # imported here: one-head models never pay for it
 
     return ThreadPoolExecutor(workers, thread_name_prefix=_POOL_THREADS)
@@ -712,14 +725,44 @@ def _on_pool() -> bool:
 
 
 def _pool_map(fn: Callable, items) -> Iterator:
-    """fn of each item, yielded in order: on min(usable CPUs, len(items))
-    pool threads when that is two or more, else on the calling thread, and
+    """fn of each item, yielded in order: on the pool of usable-CPU threads
+    when there are two or more of each, else on the calling thread, and
     always there when that is a pool thread: a task waiting on tasks queued
     behind it on the same workers would wait for ever."""
-    workers = 1 if len(items) < 2 or _on_pool() else min(_usable_cpus(), len(items))
+    workers = 1 if len(items) < 2 or _on_pool() else _usable_cpus()
     if workers < 2:
         return map(fn, items)
     return _pool(workers).map(fn, items)
+
+
+def _row_groups(rows: int, ctx_len: int, groups: int, dense: float) -> list[slice]:
+    """At most groups runs of whole TILE_ROWS tiles over rows query rows, the
+    first of which sees ctx_len + 1 keys, balanced by estimated work: each
+    row's visible keys, plus dense, its work outside attention counted in
+    visible keys.  Row r sees ctx_len + r + 1 keys, so rows 0..r-1 weigh
+    r (ctx_len + 1 + dense) + r (r - 1) / 2, and each cut is the tile edge
+    whose weight lies nearest a multiple of total / groups.  A last tile of
+    one row joins the group before it: _attend always shifts a call of one
+    query, so that row would shift where the whole call leaves it
+    unshifted."""
+
+    def weight(r: int) -> float:  # of rows 0..r-1
+        return r * (ctx_len + 1 + dense) + r * (r - 1) / 2
+
+    edges = range(TILE_ROWS, rows - 1, TILE_ROWS)  # no cut at rows - 1
+    targets = [k * weight(rows) / groups for k in range(1, groups)] if edges else []
+    bounds = [0, *sorted({min(edges, key=lambda e: abs(weight(e) - t)) for t in targets}), rows]
+    return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
+
+
+def _dense_work(layer: LayerWeights) -> float:
+    """A row's work outside attention, in visible keys: a visible key costs
+    its score and value products, 2 h multiply-adds per head, and a row its
+    query and output projections, 2 h d per head, and its feed-forward's
+    products, one per weight of a DenseFF (any other counted as none)."""
+    heads, h, d = layer.qkv.shape[1:]
+    ff = layer.ff.w1.size + layer.ff.w2.size if isinstance(layer.ff, DenseFF) else 0
+    return d + ff / (2 * heads * h)
 
 
 def _run_layers(
@@ -745,8 +788,9 @@ def _run_layers(
     and last chunk, a decode step, forward), else (a middle chunk) slots
     0..ctx_len-1 and the chunk's own, never joined; a range that crosses a
     page is one span per page.  pos is the _positions of exactly those keys,
-    in that order.  Once a layer's heads are summed, neither their outputs
-    nor the sum outlive it, so the next layer attends beside none of them.
+    in that order.  Every head's queries are projected, attended in one
+    stacked _attend call and summed in head order, then the residual and
+    the feed-forward run; none of the heads' outputs outlives its layer.
     forward passes its
     mask, applied per tile, and a trace that receives each layer's input and
     attention output, and its head weights if its alphas is a list (None
@@ -762,18 +806,22 @@ def _run_layers(
     Those rows attend as queries after ctx_len + r0 context keys, so they
     score exactly the tiles, keys and positions a full pass scores.
 
-    One query (every decode step), or a call on a pool thread (a middle
-    chunk), attends with all of a layer's heads in one _attend call, on its
-    own thread.  More queries attend one head per call, on min(usable CPUs,
-    heads) pool threads, each holding one block of one tile.  The cache
-    writes and the key and value views happen on the thread that called
-    this, and the heads' h x m outputs are projected and summed there in
-    head order, so the pool changes no bit.
+    A call with several queries and heads that is not on a pool thread
+    (forward, the single pass, the first and last chunk) splits each
+    layer's rows into min(usable CPUs, heads) groups of whole row tiles
+    (_row_groups), balanced by their estimated work, and each pool thread
+    runs its group through the whole layer, writing its columns of the
+    layer's result.  The cache writes happen on the thread that called
+    this, before the groups start.  Every group attends over the same
+    keys, so its tiles, key blocks and score bounds are the ones the whole
+    call would have, and the split changes no bit.  One query (every
+    decode step), a one-head model, a one-CPU host and a call on a pool
+    thread (a middle chunk) run each layer as one call on their own thread.
     """
     m = h.shape[1]
     n_heads = len(weights.layers[0].heads)
     slopes = np.array([weights.slope_for_head(mi) for mi in range(n_heads)])[:, None, None]
-    groups = [slice(None)] if m == 1 or _on_pool() else [slice(mi, mi + 1) for mi in range(n_heads)]
+    workers = 1 if m == 1 or _on_pool() else min(_usable_cpus(), n_heads)
     keep_alphas = trace is not None and trace.alphas is not None
     r0 = 0
     for li, layer in enumerate(weights.layers):
@@ -783,38 +831,55 @@ def _run_layers(
             h = h[:, r0:]
             if r0 == m:
                 break
+        rows = h.shape[1]
+        groups = _row_groups(rows, ctx_len + r0, workers, _dense_work(layer)) if workers > 1 else [slice(0, rows)]
+        alphas = np.zeros((n_heads, rows, ctx_len + m)) if keep_alphas else None
+        attn = out = None
+        if len(groups) > 1:
+            # each group writes its columns of the head sum (if traced) and of
+            # the layer's result into these, in C order as one call's products
+            # come: a product over the other order rounds differently.  A group
+            # reads only its own columns of h, so past the first layer, h being
+            # this call's own and untraced, the result overwrites it
+            attn = np.empty(h.shape) if trace is not None else None
+            out = h if li > 0 and trace is None else np.empty(h.shape)
 
-        def attend(heads: slice) -> tuple[np.ndarray, np.ndarray | None]:
-            alpha = np.zeros((len(layer.heads[heads]), h.shape[1], ctx_len + m)) if keep_alphas else None
-            q = layer.qkv[0, heads] @ h
-            spans = tuple(k[heads] for k in ks), tuple(v[heads] for v in vs)
-            return _attend(q, *spans, ctx_len + r0, slopes[heads], pos, mask, alpha), alpha
+        def run(g: slice) -> tuple[np.ndarray | None, np.ndarray]:
+            """Rows g of h through the layer; returns their head sum if traced,
+            and their result (a view of out when out is given)."""
+            x = h[:, g]
+            heads_out = _attend(
+                layer.qkv[0] @ x, ks, vs, ctx_len + r0 + g.start, slopes, pos, mask,
+                None if alphas is None else alphas[:, g],
+            )
+            # the sum starts as the first head's projection, no zeros beside
+            # the heads, and adds the others in head order
+            a = layer.heads[0].w_o @ heads_out[0]
+            for mi in range(1, n_heads):
+                a += layer.heads[mi].w_o @ heads_out[mi]
+            del heads_out  # summed into a: nothing of it stays alive into the feed-forward
+            if attn is not None:
+                attn[:, g] = a
+            # each sum goes into an array of this layer's own (a, unless the
+            # trace keeps it, then the feed-forward's output), never into the
+            # caller's h
+            z = a + x if trace is not None else np.add(a, x, out=a)
+            y = layer.ff(layer_norm_cols(z) if layer.layer_norm == "standard" else z)
+            return (a if trace is not None else None), np.add(y, z, out=y if out is None else out[:, g])
 
-        a, alphas = None, []
-        for heads, (out, alpha) in zip(groups, _pool_map(attend, groups)):  # summed in head order
-            for head, head_out in zip(layer.heads[heads], out):
-                if a is None:  # the sum starts as the first head's projection: no zeros beside the heads
-                    a = head.w_o @ head_out
-                else:
-                    a += head.w_o @ head_out
-            if keep_alphas:
-                alphas.extend(alpha)
-        del out, alpha, head_out  # summed into a: nothing of them stays alive into the next layer
+        if out is None:
+            a, h_next = run(groups[0])
+        else:
+            for _ in _pool_map(run, groups):
+                pass
+            a, h_next = attn, out
         if trace is not None:
             trace.hidden.append(h)
             trace.attn.append(a)
             if keep_alphas:
-                trace.alphas.append(alphas)
-        # each sum is written into an array of this layer's own (a, unless
-        # the trace keeps it, then the feed-forward's output), never into the
-        # caller's h; h alone then holds the residual stream, so no earlier
-        # columns stay alive while the next layer's heads hold their tiles
-        h = a + h if trace is not None else np.add(a, h, out=a)
-        del a
-        x = layer.ff(layer_norm_cols(h) if layer.layer_norm == "standard" else h)
-        x += h
-        h = x
-        del x
+                trace.alphas.append(list(alphas))
+        h = h_next
+        del a, h_next
     return h if read is None else h[:, h.shape[1] - read :]
 
 

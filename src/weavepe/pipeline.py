@@ -42,15 +42,16 @@ never joined beyond one key block, which a rotary chunk rotates as it takes
 it.  The layers and the row-tiled attention are model's (_run_layers,
 _attend), shared with model.forward; a chunk's cell count and largest
 distance are computed in closed form from its coordinates.  The single,
-first and last chunk run their heads on a small thread pool
-(model._run_layers), since the time goes to the elementwise passes over
-the scores, which release the GIL.
+first and last chunk split their rows over a small thread pool, each
+thread running its group of row tiles through the whole layer with every
+head stacked (model._run_layers), since the time goes to the elementwise
+passes over the scores, which release the GIL.
 The middle chunks need only the first chunk's keys and values, so they run
 at the same time on that pool, one chunk per task, each attending with all
-its heads in one stacked call, as a decode step does; their small tiles,
-split one head per thread, would hand the GIL back and forth every few
-tens of microseconds.  Each chunk is committed (KVCache.append) on the
-calling thread, in chunk order.
+its heads in one stacked call, as a decode step does.  Each chunk is
+committed (KVCache.append) on the calling thread, in chunk order, and is
+handed its embedding without the caller keeping it, so _run_layers drops
+it after the first layer.
 
 Only the last column's final hidden state feeds the logits, and a later
 chunk or step reads only the cached keys and values, so every chunk's last
@@ -62,6 +63,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
@@ -227,12 +229,12 @@ def _prefill(tokens, weights: ModelWeights, config: MesaConfig, slots: int) -> P
             coords = np.arange(ctx_len + m, dtype=np.float64)
         else:
             coords = anchor - decode_distances(anchor, config)
-        h = weights.w_e[:, seq_ids[lo:hi]].astype(np.float64)
         # the logits read the final chunk's last column alone; the other chunks feed only the cache
         read = int(ci == len(spans) - 1)
         # one query reads its woven row from the kept runs, as a decode step does
         pos = _positions(weights, coords, m) if m > 1 else _positions(weights, ctx_len, 1, weave)
-        h = _run_layers(h, weights, cache, lo, ctx_len, pos, read=read)
+        # the embedding is held by _run_layers alone, which drops it after the first layer
+        h = _run_layers(weights.w_e[:, seq_ids[lo:hi]].astype(np.float64), weights, cache, lo, ctx_len, pos, read=read)
         trace = ChunkTrace(
             kind=kind,
             q_span=(lo, hi),
@@ -327,8 +329,14 @@ def _fits_window(p: int, train_len: int, weave: WeaveParams | None = None, max_n
     """The trained-window rule: the token at position p fits when its distance
     to <bos>, its largest, is at most train_len - 1: p at raw positions (no
     weave), W(p) under weave, read from its kept runs (weave_runs).  A woven
-    misfit raises, naming p, W(p), the window, the longest prompt and largest
-    max_new."""
+    misfit raises, naming p, W(p), the window, the smallest stair tread or
+    largest leak that takes p, the longest prompt and largest max_new.
+
+    Past the weave point N, W(p) = N + ceil((p - N) / E) on the staircase and
+    N + leak (p - N) for the leaky weave, so p fits a tread of at least
+    ceil((p - N) / (T - 1 - N)), or a leak of at most (T - 1 - N) / (p - N),
+    named as that exact fraction: its nearest float may weave p a rounding
+    step past the window."""
     top = train_len - 1
     if weave is None:
         return p <= top
@@ -340,9 +348,15 @@ def _fits_window(p: int, train_len: int, weave: WeaveParams | None = None, max_n
     fits = int(runs.starts[np.searchsorted(runs.values, top, side="right")])
     new = 0 if max_new is None else fits - 1 - p + max_new  # generate's largest max_new that fits, if any
     tail = f"; max_new={max_new} would decode position {p}, and the largest max_new that fits is {new}"
+    room, over = top - weave.cap, p - weave.cap  # the window's woven room past the weave point, p's raw distance past it
+    fix = ""
+    if weave.scheme is Scheme.STAIR and room > 0:
+        fix = f"; a tread of at least {-(-over // room)} takes it"
+    elif weave.scheme is Scheme.LEAKY_REROPE and room > 0:
+        fix = f"; a leak of at most {Fraction(room, over)} takes it"
     raise ValueError(
         f"position {p} would score woven distance {woven:g} to the first key, past the trained window "
-        f"of {train_len} positions (distances up to {top}): the longest prompt it takes is {fits - 1} tokens"
+        f"of {train_len} positions (distances up to {top}{fix}): the longest prompt it takes is {fits - 1} tokens"
         + (tail if new > 0 else "")
     )
 

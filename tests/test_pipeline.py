@@ -1,6 +1,7 @@
 """Chunked prefill, woven decode, and fallback behavior."""
 
 import threading
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -400,48 +401,139 @@ def test_head_pool_changes_no_bit_over_shifted_and_unshifted_tiles(monkeypatch, 
 
 
 def test_decode_step_attends_all_heads_in_one_call(monkeypatch):
-    # a step with one query calls _attend once per layer, every head on the
-    # leading axis, on the calling thread; so does each middle chunk, on its
-    # pool thread, while the first and last chunk call it once per head
-    # there.  In the last layer only the last chunk attends, and only with
-    # its final tile's rows
-    from collections import Counter
-
+    # every _attend call stacks all of a layer's heads.  A step with one
+    # query calls it once per layer on the calling thread, and so does each
+    # middle chunk on its pool thread.  The last chunk's 17 rows split into
+    # two groups of whole 8-row tiles, 0..7 and 8..16 (2 CPUs, 4 heads), each
+    # on a pool thread over all the chunk's keys; the first chunk's 8 rows
+    # are one tile, one call on the calling thread.  In the last layer only
+    # the last chunk attends, and only with its final tile's one row, on the
+    # calling thread
     from weavepe import model
 
-    monkeypatch.setattr(model, "_usable_cpus", lambda: 2)  # middle chunks on the pool even on a one-CPU host
+    monkeypatch.setattr(model, "_usable_cpus", lambda: 2)  # the pool even on a one-CPU host
     monkeypatch.setattr(model, "TILE_ROWS", 8)  # the last chunk spans several tiles
     w = random_model(d=16, n_heads=4, n_layers=3, vocab=16, seed=3)
     res = prefill(_tokens(150), w, TOY)
     calls, attend = [], model._attend
 
-    def spy(q, ks, vs, *args):
-        calls.append((q.shape, tuple(k.shape for k in ks), tuple(v.shape for v in vs), model._on_pool()))
-        return attend(q, ks, vs, *args)
+    def spy(q, ks, vs, ctx_len, *args):
+        calls.append((q.shape, tuple(k.shape for k in ks), tuple(v.shape for v in vs), ctx_len, model._on_pool()))
+        return attend(q, ks, vs, ctx_len, *args)
 
     monkeypatch.setattr(model, "_attend", spy)
     t = len(res.cache)
     decode_step(res.cache, 3, w, TOY)
     # the step's key t opens a page past the prompt-sized first one: two spans
     spans = ((4, 4, t), (4, 4, 1))
-    assert calls == [((4, 4, 1), spans, spans, False)] * 3
+    assert calls == [((4, 4, 1), spans, spans, t, False)] * 3
     calls.clear()
     pre = prefill(_tokens(150), w, TOY)
     want = Counter()
     for c in pre.report.chunks:
         m, middle = c.q_span[1] - c.q_span[0], c.kind == "middle"
-        heads = 4 if middle else 1
         # a middle chunk's keys are two spans, the first chunk's and its own,
         # unless it follows the first chunk
         apart = c.ctx_len < c.q_span[0]
-        spans = ((heads, 4, c.ctx_len), (heads, 4, m)) if apart else ((heads, 4, c.ctx_len + m),)
-        want[((heads, 4, m), spans, spans, True)] += 2 * (4 // heads)
+        spans = ((4, 4, c.ctx_len), (4, 4, m)) if apart else ((4, 4, c.ctx_len + m),)
         if c.kind == "last":
-            rows = m - (m - 1) // 8 * 8
-            assert rows < m
-            want[((1, 4, rows), spans, spans, True)] += 4
-    assert sum(c.kind == "middle" for c in pre.report.chunks) == 3
+            assert m == 17
+            for rows, first in [(8, 0), (9, 8)]:  # no group of the last tile's one row alone
+                want[((4, 4, rows), spans, spans, c.ctx_len + first, True)] += 2
+            want[((4, 4, 1), spans, spans, c.ctx_len + 16, False)] += 1
+        else:
+            want[((4, 4, m), spans, spans, c.ctx_len, middle)] += 2
+    assert [c.kind for c in pre.report.chunks].count("middle") == 3
     assert Counter(calls) == want
+
+
+def test_one_head_model_never_submits_to_the_pool(monkeypatch):
+    # a one-head model stacks nothing and splits no rows: forward, the single
+    # pass, a chunked prefill with one middle chunk and decode steps all
+    # attend on the calling thread, 2 CPUs or not
+    from weavepe import model
+
+    monkeypatch.setattr(model, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(model, "TILE_ROWS", 8)  # several tiles per call
+    monkeypatch.setattr(model, "_pool", lambda workers: pytest.fail("submitted to the pool"))
+    threads, attend = set(), model._attend
+
+    def spy(*args):
+        threads.add(threading.get_ident())
+        return attend(*args)
+
+    monkeypatch.setattr(model, "_attend", spy)
+    w = random_model(d=8, n_heads=1, n_layers=2, vocab=16, seed=3)
+    forward(_tokens(50), w)
+    assert prefill(_tokens(40), w, TOY).report.fallback
+    res = prefill(_tokens(64), w, TOY)
+    assert [c.kind for c in res.report.chunks] == ["first", "middle", "last"]
+    logits, cache = res.logits, res.cache
+    for _ in range(3):
+        logits, cache = decode_step(cache, int(np.argmax(logits)), w, TOY)
+    assert threads == {threading.get_ident()}
+
+
+def test_stacked_blocks_hold_at_most_one_heads_block(monkeypatch):
+    # in blocks of 64 keys, 16-row tiles and 4 stacked heads: no score block
+    # of a call with several queries holds more than TILE_ROWS x min(KEY_BLOCK,
+    # keys) cells, one head's block over the chunk's keys, and the full ones
+    # hold exactly that
+    from weavepe import model
+
+    monkeypatch.setattr(model, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(model, "TILE_ROWS", 16)
+    monkeypatch.setattr(model, "KEY_BLOCK", 64)
+    blocks, values = [], model._values
+
+    def spy(s, vts, pieces):
+        blocks.append((s.size, 16 * min(64, sum(v.shape[-2] for v in vts))))
+        return values(s, vts, pieces)
+
+    monkeypatch.setattr(model, "_values", spy)
+    w = random_model(d=16, n_heads=4, n_layers=2, vocab=16, seed=5)
+    res = prefill(_tokens(299), w, TOY_E12)
+    assert {c.kind for c in res.report.chunks} == {"first", "middle", "last"}
+    forward(_tokens(150), w)
+    assert blocks and all(cells <= limit for cells, limit in blocks)
+    assert max(cells / limit for cells, limit in blocks) == 1.0
+
+
+def test_row_groups_form_no_one_row_group(monkeypatch):
+    # a 17-row last chunk in tiles of 16: its last tile, of one row, stays
+    # with the tile before it, since _attend always shifts a call of one
+    # query where the whole call's score bound leaves that row unshifted.
+    # 2 CPUs and 1 give the same report, logits and cached keys and values
+    from weavepe import model
+
+    def run(cpus):
+        monkeypatch.setattr(model, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(model, "TILE_ROWS", 16)
+        calls, attend = [], model._attend
+
+        def spy(q, *args):
+            calls.append(q.shape[-1])
+            return attend(q, *args)
+
+        monkeypatch.setattr(model, "_attend", spy)
+        w = random_model(d=16, n_heads=4, n_layers=3, vocab=16, seed=3)
+        res = prefill(_tokens(150), w, TOY)
+        logits, cache, out = res.logits, res.cache, [res.logits]
+        for _ in range(3):
+            logits, cache = decode_step(cache, int(np.argmax(logits)), w, TOY)
+            out.append(logits)
+        out += [kv for li in range(3) for mi in range(4) for kv in cache.view(li, mi)]
+        monkeypatch.undo()
+        return res.report, calls, out
+
+    report, calls, pooled = run(2)
+    last = report.chunks[-1]
+    assert last.kind == "last" and last.q_span[1] - last.q_span[0] == 17
+    assert calls.count(17) == 2  # the 17 rows attend in one call in each layer but the last
+    serial = run(1)
+    assert report.to_doc() == serial[0].to_doc() and calls == serial[1]
+    assert len(pooled) == len(serial[2]) == 4 + 24
+    assert all(np.array_equal(a, b) for a, b in zip(pooled, serial[2]))
 
 
 #: a window wide enough for a single pass of several tiles, and a last chunk of more than one
@@ -529,17 +621,23 @@ def test_last_layer_rows_change_no_cached_or_decoded_bit(monkeypatch, family, n)
 def test_single_pass_logits_beyond_one_tile_match_forward(monkeypatch):
     # within 1e-13, not bit for bit: the last layer's narrower query, output
     # and feed-forward products may round differently.  That layer attends
-    # its final tile's 23 rows alone, as queries after the first 128
-    from collections import Counter
-
+    # its final tile's 23 rows alone, as queries after the first 128.  With 2
+    # CPUs the others split the 151 rows into two groups of whole tiles,
+    # balanced by each row's visible keys plus its dense work, d + ff
+    # weights / (2 heads h) = 8 + 256 / 16 = 24 keys: rows 0..r-1 weigh
+    # r (1 + 24) + r (r - 1) / 2, and of the tile edges 64 (3,616) and 128
+    # (11,328), 128 lies nearer half of all 151 rows' 15,100
+    from weavepe import model
     from weavepe.model import TILE_ROWS
 
+    monkeypatch.setattr(model, "_usable_cpus", lambda: 2)
     w = random_model(d=8, n_heads=2, n_layers=3, vocab=16, seed=3)
     calls = _attend_calls(monkeypatch)
     res = prefill(_tokens(150), w, WIDE)
     assert res.report.fallback
     r0 = 150 // TILE_ROWS * TILE_ROWS
-    assert Counter(calls) == Counter({(151, 151, 0): 2 * 2, (151 - r0, 151, r0): 2})
+    assert r0 == 128
+    assert Counter(calls) == Counter({(128, 151, 0): 2, (151 - r0, 151, r0): 2 + 1})
     np.testing.assert_allclose(res.logits, forward(_tokens(150), w).logits(w), rtol=0, atol=1e-13)
 
 
@@ -557,7 +655,7 @@ def test_one_layer_non_final_chunks_do_not_attend(monkeypatch):
     m = last.q_span[1] - last.q_span[0]
     r0 = (m - 1) // TILE_ROWS * TILE_ROWS
     assert r0 > 0
-    assert calls == [(m - r0, last.ctx_len + m, last.ctx_len + r0)] * 2
+    assert calls == [(m - r0, last.ctx_len + m, last.ctx_len + r0)]  # both heads in one call
     assert len(res.cache) == 645
 
 
@@ -977,6 +1075,41 @@ def test_longest_prompt_follows_the_closed_form(monkeypatch, weave, longest):
         prefill(_tokens(999), w, cfg)
     table = decode_distances(longest + 1, cfg)[::-1]
     assert table[longest] <= 63 < table[longest + 1]
+
+
+@pytest.mark.parametrize("train_len, cap, tread, p", [(1024, 512, 50, 26063), (64, 32, 4, 400), (64, 10, 7, 2000)])
+def test_window_error_names_the_smallest_tread_that_fits(train_len, cap, tread, p):
+    # W(p) = N + ceil((p - N) / E) <= T - 1 from E = ceil((p - N) / (T - 1 - N)) on
+    import re
+
+    from weavepe.pipeline import _fits_window
+
+    weave = WeaveParams(scheme=Scheme.STAIR, cap=cap, tread=tread)
+    with pytest.raises(ValueError, match=r"; a tread of at least \d+ takes it\): .* tokens$") as err:
+        _fits_window(p, train_len, weave)
+    named = int(re.search(r"a tread of at least (\d+)", str(err.value)).group(1))
+    assert named == -(-(p - cap) // (train_len - 1 - cap)) > 1
+    assert _fits_window(p, train_len, replace(weave, tread=named))
+    with pytest.raises(ValueError, match=f"position {p} would score"):
+        _fits_window(p, train_len, replace(weave, tread=named - 1))
+
+
+@pytest.mark.parametrize("cap, leak, p", [(32, 0.25, 999), (20, 0.5, 200), (512, 1.0, 30000)])
+def test_window_error_names_the_largest_leak_that_fits(cap, leak, p):
+    # W(p) = N + leak (p - N) <= T - 1 up to leak = (T - 1 - N) / (p - N),
+    # named as that fraction: a hair below it fits, a hair above does not
+    from fractions import Fraction
+
+    from weavepe.pipeline import _fits_window
+
+    weave = WeaveParams(scheme=Scheme.LEAKY_REROPE, cap=cap, leak=leak)
+    train_len = 1024 if cap == 512 else 64
+    named = Fraction(train_len - 1 - cap, p - cap)
+    with pytest.raises(ValueError, match=f"; a leak of at most {named} takes it\\): .* tokens$"):
+        _fits_window(p, train_len, weave)
+    assert _fits_window(p, train_len, replace(weave, leak=float(named) * (1 - 1e-12)))
+    with pytest.raises(ValueError, match=f"position {p} would score"):
+        _fits_window(p, train_len, replace(weave, leak=float(named) * (1 + 1e-12)))
 
 
 def test_generate_names_no_max_new_for_a_prompt_past_the_window(monkeypatch):
