@@ -47,7 +47,7 @@ def _last_chunk_attention(benchmark, scale):
     k = rng.normal(size=(HEAD_DIM, KEYS))
     v = rng.normal(size=(HEAD_DIM, KEYS))
     pos = _Rotation(*rotary_table(np.arange(KEYS, dtype=np.float64), HEAD_DIM, 10000.0), np.arange(KEYS))
-    out = benchmark(_attend, q, (k,), (v,), CTX, 0.0, pos)
+    out = benchmark(_attend, q, (k,), (v,), CTX, pos)
     assert out.shape == (HEAD_DIM, LAST_ROWS) and np.isfinite(out).all()
 
 
@@ -82,7 +82,7 @@ def test_last_chunk_attention_shifted(benchmark):
         seen = np.arange(KEYS) <= CTX + r + np.arange(s.shape[0])[:, None]
         assert np.all(np.where(seen, s, -np.inf).max(axis=1) - np.where(seen, s, np.inf).min(axis=1) < 708)
     del s, seen, qr, kr
-    out = benchmark(_attend, q, (k,), (v,), CTX, 0.0, _Rotation(*table, np.arange(KEYS)))
+    out = benchmark(_attend, q, (k,), (v,), CTX, _Rotation(*table, np.arange(KEYS)))
     assert out.shape == (HEAD_DIM, LAST_ROWS) and np.isfinite(out).all()
 
 

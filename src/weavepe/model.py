@@ -12,13 +12,18 @@ beyond one block.
 
 forward, each prefill chunk and each decode step run the same layers
 (_run_layers) and the same attention (_attend); _positions alone turns their
-keys' coordinates (and forward's weave) into the positional input.  Rows
-run in tiles of TILE_ROWS queries, and the keys in blocks of KEY_BLOCK
-(stacked heads share one head's block over the keys: min(KEY_BLOCK, keys)
-/ heads), the blocks outermost, as in FlashAttention's loop order (Dao et
-al., arXiv 2205.14135): each block is taken once per call, rotated once for the
-rotary family, and scored against every row tile that sees any of it,
-while each tile keeps its softmax state from block to block.  Each block
+keys' coordinates (and forward's weave) into a positional form (_Form):
+the dot product, a rotation (_Rotation, _Woven, _Cells) or a per-head
+distance penalty (_Penalty).  _attend asks the form only to prepare the
+queries, take each key block and score a tile against it, so it branches
+on no family, as FlexAttention plugs its score into one kernel (Dong et
+al., arXiv 2412.05496).  Rows run in tiles of TILE_ROWS queries, and the
+keys in blocks of KEY_BLOCK (stacked heads share one head's block over the
+keys: min(KEY_BLOCK, keys) / heads), the blocks outermost, as in
+FlashAttention's loop order (Dao et al., arXiv 2205.14135): each block is
+taken once per call, rotated once by a rotary form, and scored against
+every row tile that sees any of it, while each tile keeps its softmax
+state from block to block.  Each block
 gets the causal -inf on the diagonal tail cells it holds (and, under
 forward's mask, -inf on its cells outside it), and the softmax runs online
 over the blocks, in place, with its normalisation deferred past the value
@@ -35,7 +40,7 @@ rotary turns are read from its weave's runs kept across steps
 distance or mask matrix larger than one block is held, and a block is freed before the next is scored, so
 the working set is the queries, their value sums and one block, however
 long the context; only forward keeps each head's normalised n x n weights.
-A block is read one way for every family, as PagedAttention reads its
+A block is read one way for every form, as PagedAttention reads its
 pages (Kwon et al., arXiv 2309.06180): a view when it lies inside one
 span, joined when it crosses spans, and its values one product per span
 piece, never copied.  Rotary keys are rotated by their offsets from the
@@ -112,14 +117,16 @@ class DenseFF:
 
     w1: np.ndarray  # (d, m)
     w2: np.ndarray  # (d, m)
-    activation: str = "relu"
+    activation: str = "relu"  # "relu" | "identity"
+
+    def __post_init__(self) -> None:
+        if self.activation not in ("relu", "identity"):
+            raise ValueError(f"unknown activation {self.activation}")
 
     def __call__(self, z: np.ndarray) -> np.ndarray:
         pre = self.w1.T @ z
         if self.activation == "relu":
             np.maximum(pre, 0.0, out=pre)
-        elif self.activation != "identity":
-            raise ValueError(f"unknown activation {self.activation}")
         return self.w2 @ pre
 
 
@@ -163,8 +170,9 @@ class LayerWeights:
 class ModelWeights:
     """Embedding plus per-layer head and feed-forward weights.
 
-    head_slopes applies to the additive families; None means the geometric
-    slope set for the head count.  pe_family picks the score kernel.
+    head_slopes, one per head, applies to the additive family; None means
+    the geometric slope set for the head count.  pe_family picks the score
+    kernel.
     """
 
     w_e: np.ndarray  # (d, V)
@@ -178,6 +186,8 @@ class ModelWeights:
             raise ValueError(f"unknown pe_family {self.pe_family}")
         if self.w_e.shape[1] < 2:
             raise ValueError("vocabulary must contain at least <bos> and one token")
+        if self.head_slopes is not None and len(self.head_slopes) != len(self.layers[0].heads):
+            raise ValueError(f"{len(self.head_slopes)} head slopes for {len(self.layers[0].heads)} heads")
 
     @property
     def d(self) -> int:
@@ -261,8 +271,45 @@ _SAFE = 350.0
 _CAUSAL_TAIL = np.triu(np.full((TILE_ROWS, TILE_ROWS), -np.inf), 1)
 
 
+class _Form:
+    """A positional form, the one positional input of _attend; this base
+    form is the dot family's: raw queries and keys, each score q . k.
+
+    _attend prepares its queries once per call (queries), takes each key
+    block once for every row tile (keys) and scores each tile's rows
+    against it (scores), and asks nothing else, so a positional encoding is
+    one more form, not a branch of the attention core.
+    """
+
+    #: per head, whether |q_r| max_i |k_i| bounds every score from above, as
+    #: a tile's unshifted softmax needs (see _attend): True for every head,
+    #: or a heads x 1 x 1 mask of them.  Cauchy-Schwarz bounds the dot and
+    #: rotary scores (a rotation keeps norms)
+    norm_bound: bool | np.ndarray = True
+    #: whether the loop's one block holds every key: the form then scores
+    #: its row over the spans themselves, which keys hands on
+    one_block = False
+
+    def queries(self, q: np.ndarray, first: int) -> np.ndarray:
+        """The queries q ([heads x] h x m), keys first.. on, ready to score."""
+        return q
+
+    def keys(self, ks: tuple[np.ndarray, ...], pieces, c0: int):
+        """The key block that pieces (_pieces) lays over the spans ks, its
+        first key c0, taken once for every tile: a view when it lies inside
+        one span, joined when it crosses spans."""
+        parts = [ks[j][..., a:b] for j, a, b, _ in pieces]
+        return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-1)
+
+    def scores(self, qr: np.ndarray, kb, lo: int, c0: int, e: int) -> np.ndarray:
+        """Scores ([heads x] rows x (e - c0)) of the query rows qr ([heads x]
+        rows x h), the first being key lo, against the keys c0..e-1 of the
+        block kb that keys took."""
+        return qr @ kb[..., : e - c0]
+
+
 @dataclass(frozen=True)
-class _Woven:
+class _Woven(_Form):
     """Rotary positional input of one query, key t: its keys 0..t at woven
     distances W(t - i).
 
@@ -286,9 +333,11 @@ class _Woven:
     view crosses one, so the segments are cut at the spans' boundaries, a
     run that crosses one scored in two parts with its one turn; they are
     cut once per layout of spans, on the first layer's call, and kept for
-    the others.
+    the others.  Its row is _attend's one block, as wide as all the keys,
+    and keys hands on the spans themselves.
     """
 
+    one_block = True
     turns: np.ndarray  # runs x h/2 complex, contiguous: e^(-i w theta) per run, the conjugate of its distance's _angles row
     segments: tuple  # (first run, end run, run length, first key) each, over the joined keys
     cut: dict = field(default_factory=dict, compare=False, repr=False)  # span lengths -> their layout
@@ -315,10 +364,14 @@ class _Woven:
             self.cut[lengths] = tuple(parts)
         return self.cut[lengths]
 
-    def scores(self, q: np.ndarray, ks: tuple[np.ndarray, ...]) -> np.ndarray:
-        """Scores ([heads x] 1 x n) of each head's query q ([heads x] h x 1)
-        against its keys: the spans ks ([heads x] h x length each), joined."""
-        pairs = np.ascontiguousarray(q[..., 0]).view(np.complex128)
+    def keys(self, ks: tuple[np.ndarray, ...], pieces, c0: int) -> tuple[np.ndarray, ...]:
+        return ks
+
+    def scores(self, qr: np.ndarray, ks: tuple[np.ndarray, ...], lo: int, c0: int, e: int) -> np.ndarray:
+        """Scores ([heads x] 1 x n) of each head's query row qr ([heads x] 1
+        x h) against its keys: the spans ks ([heads x] h x length each),
+        joined."""
+        pairs = np.ascontiguousarray(qr[..., 0, :]).view(np.complex128)
         # each head's query once per run, then times the runs' turns in place:
         # against a query broadcast over the runs, numpy multiplies h/2 numbers
         # per inner loop, about twice as slow (the operands keep their order,
@@ -326,7 +379,7 @@ class _Woven:
         rows = np.repeat(pairs[..., None, :], len(self.turns), axis=-2)
         rows = np.multiply(rows, self.turns, out=rows).view(np.float64)[..., None, :]  # [heads x] runs x 1 x h
         lengths = tuple([k.shape[-1] for k in ks])
-        s = np.empty(q.shape[:-2] + (1, sum(lengths)))
+        s = np.empty(qr.shape[:-2] + (1, sum(lengths)))
         for r0, r1, length, j, a, c in self.layout(lengths):
             k, b = ks[j], a + (r1 - r0) * length
             if length == 1:  # one key per run: products summed over the dims, the keys read row by row
@@ -339,7 +392,7 @@ class _Woven:
 
 
 @dataclass(frozen=True)
-class _Rotation:
+class _Rotation(_Form):
     """Rotary positional input of many queries: each key's rotation, by its
     offset from the last key's coordinate, from one table row per offset.
 
@@ -362,87 +415,112 @@ class _Rotation:
         row = self.row[a : a + x.shape[-1]]
         return apply_rotary(x, (self.cos[:, row], self.sin[:, row]), out=out)
 
+    def queries(self, q: np.ndarray, first: int) -> np.ndarray:
+        return self.rotate(q, first, out=q)
+
+    def keys(self, ks: tuple[np.ndarray, ...], pieces, c0: int) -> np.ndarray:
+        """The block, rotated: a view into a new array, so the cached keys
+        stay raw, and a joined block in place."""
+        kb = super().keys(ks, pieces, c0)
+        return self.rotate(kb, c0, out=None if len(pieces) == 1 else kb)
+
 
 @dataclass(frozen=True)
-class _Distances:
-    """Positional input scored per tile from each pair's distance: forward's
-    distances, or the pipeline's additive coordinate differences."""
+class _Cells(_Form):
+    """Rotary positional input scored per cell from each pair's distance:
+    forward's under a distance weave or the grouped remap."""
 
     tile: Callable[[int, int, int, int], np.ndarray]  # (lo, hi, c0, c1): keys lo..hi-1 against keys c0..c1-1
-    theta_base: float | None  # the rotary family's; None for the additive family
-    table: np.ndarray | None = None  # the weave table whose windows the tiles are, if they are
+    theta_base: float
 
-    def scores(self, qt: np.ndarray, k: np.ndarray, lo: int, c0: int) -> np.ndarray:
-        """Rotary scores of the query rows qt ([heads x] rows x h), the first
-        being key lo, against the keys k ([heads x] h x cols), the first
-        being key c0."""
-        dist = self.tile(lo, lo + qt.shape[-2], c0, c0 + k.shape[-1])
-        return scores_rotary(qt, np.swapaxes(k, -1, -2), dist, self.theta_base)
+    def scores(self, qr: np.ndarray, kb: np.ndarray, lo: int, c0: int, e: int) -> np.ndarray:
+        dist = self.tile(lo, lo + qr.shape[-2], c0, e)
+        return scores_rotary(qr, np.swapaxes(kb[..., : e - c0], -1, -2), dist, self.theta_base)
 
-    def penalty(self, slope: float | np.ndarray) -> Callable[[int, int, int, int], np.ndarray]:
-        """The additive family's slope x distance of each tile, by the same
-        (lo, hi, c0, c1) as tile; built once per _attend call, and slope,
-        one per head, broadcasts against the scores.
 
-        Over a weave table, the table is scaled by each head's slope here,
-        once, and a tile is a window onto it (toeplitz_tiles), so a tile
-        holds one score array; each slope * W(d) is the product slope *
-        dist would have taken.
-        """
-        if self.table is None:
-            return lambda lo, hi, c0, c1: slope * self.tile(lo, hi, c0, c1)
-        return toeplitz_tiles((slope * self.table).reshape(np.shape(slope)[:-2] + self.table.shape))
+class _Penalty(_Form):
+    """Additive positional input: each head's slope x each pair's distance,
+    subtracted from its dot score.
+
+    slope, one per head (heads x 1 x 1), broadcasts against the scores.
+    Distances given as tiles (lo, hi, c0, c1), keys lo..hi-1 against keys
+    c0..c1-1, are scaled tile by tile.  Distances given as a weave table
+    (forward's) are scaled here, once, and a tile is a window onto the
+    scaled table (toeplitz_tiles), so it holds one array; each slope * W(d)
+    is the product slope * distance would have taken.  The penalty, with W
+    >= 0, only lowers a score when the slope is >= 0, and a row's own key
+    (W(0) = 0, which no AttentionMask hides) keeps its total above
+    e^-_SAFE, so |q_r| max_i |k_i| bounds those heads' scores.
+    """
+
+    def __init__(self, slope: float | np.ndarray, dist: Callable | None = None, table: np.ndarray | None = None):
+        self.norm_bound = np.asarray(slope) >= 0
+        if table is None:
+            self.tile = lambda lo, hi, c0, c1: slope * dist(lo, hi, c0, c1)
+        else:
+            self.tile = toeplitz_tiles((slope * table).reshape(np.shape(slope)[:-2] + table.shape))
+
+    def scores(self, qr: np.ndarray, kb: np.ndarray, lo: int, c0: int, e: int) -> np.ndarray:
+        s = qr @ kb[..., : e - c0]
+        s -= self.tile(lo, lo + qr.shape[-2], c0, e)
+        return s
 
 
 def _positions(
     weights: ModelWeights, coords: np.ndarray | int | None, m: int, weave: WeaveParams | None = None
-):
-    """Positional input of _attend for m queries over keys at coords; the one
-    place that picks a positional form.
+) -> _Form:
+    """The positional form of _attend for m queries over keys at coords; the
+    one place that picks a form.
 
     Built once per chunk, forward or decode step and shared by every layer
     and head; the queries are the last m keys, so they take the tail of
     coords.  forward passes no coords: its m keys sit at 0..m-1, and each
     pair's distance is its weave's (the raw t - i without one).  The dot
-    family gets None.  forward's additive family, and any family under a
-    distance weave, gets _Distances whose tiles are windows onto that
-    weave's one weave_table (toeplitz_tiles); the grouped remap, which is
-    not a function of t - i, gets _Distances of woven_distances per tile.
-    The pipeline's additive chunks get _Distances of coordinate
+    family gets the base _Form.  The additive family gets a _Penalty with
+    each head's slope: forward's over that weave's one weave_table, scaled
+    once per forward, and the pipeline's chunks over coordinate
     differences, since the last chunk's anchored coordinates are not
     evenly spaced.  The rotary family gets a _Rotation: each key's offset
     coords[-1] - coords, a row of _angles' table, which in the pipeline
-    are its woven distances from the anchor.  Only forward, whose keys are
-    one span, scores rotary _Distances.
+    are its woven distances from the anchor; forward, whose keys are one
+    span, gets _Cells instead under a distance weave, whose tiles are
+    windows onto its one weave_table (toeplitz_tiles).  The grouped remap,
+    which is not a function of t - i, gives either family woven_distances
+    per tile.
 
     One query (m = 1: a decode step, or a one-token chunk) passes its own
     key index t as coords, and weave: its keys 0..t sit at the woven
     distances W(t - i) (raw without a weave), read from the weave's runs
     kept across calls (pe_core.weave_runs), so nothing over the keys is
     searched or gathered.  The rotary family gets a _Woven, which rotates
-    the query by each run's distance (_woven); the additive family gets
-    _Distances whose one row, block by block, is the runs' window over the
+    the query by each run's distance (_woven); the additive family gets a
+    _Penalty whose one row, block by block, is the runs' window over the
     block's distances, reversed.
     """
-    fam = weights.pe_family
+    fam, base = weights.pe_family, weights.theta_base
     if fam == "dot":
-        return None
-    base = weights.theta_base if fam == "rotary" else None
+        return _Form()
+    if fam == "additive":
+        slope = np.array([weights.slope_for_head(i) for i in range(len(weights.layers[0].heads))])[:, None, None]
     if isinstance(coords, int):
         t = coords
         runs = weave_runs(weave, t)
-        if fam == "additive":
-            return _Distances(lambda lo, hi, c0, c1: runs.window(t + 1 - c1, t + 1 - c0)[None, ::-1], None)
-        return _woven(runs, t, weights.head_dim, base)
+        if fam == "rotary":
+            return _woven(runs, t, weights.head_dim, base)
+        return _Penalty(slope, lambda lo, hi, c0, c1: runs.window(t + 1 - c1, t + 1 - c0)[None, ::-1])
     if coords is None:
         if weave is not None and weave.scheme is Scheme.SELF_EXTEND:
-            return _Distances(lambda lo, hi, c0, c1: woven_distances(weave, np.arange(lo, hi), np.arange(c0, c1)), base)
-        if fam == "additive" or (weave is not None and weave.scheme not in IDENTITY_SCHEMES):
-            table = weave_table(weave, m)
-            return _Distances(toeplitz_tiles(table), base, table)
+            def dist(lo, hi, c0, c1):
+                return woven_distances(weave, np.arange(lo, hi), np.arange(c0, c1))
+
+            return _Penalty(slope, dist) if fam == "additive" else _Cells(dist, base)
+        if fam == "additive":
+            return _Penalty(slope, table=weave_table(weave, m))
+        if weave is not None and weave.scheme not in IDENTITY_SCHEMES:
+            return _Cells(toeplitz_tiles(weave_table(weave, m)), base)
         coords = np.arange(m, dtype=np.float64)
     if fam == "additive":
-        return _Distances(lambda lo, hi, c0, c1: coords[lo:hi, None] - coords[None, c0:c1], None)
+        return _Penalty(slope, lambda lo, hi, c0, c1: coords[lo:hi, None] - coords[None, c0:c1])
     return _Rotation(*_angles(coords[-1] - coords, weights.head_dim, base))
 
 
@@ -538,77 +616,61 @@ def _attend(
     ks: tuple[np.ndarray, ...],
     vs: tuple[np.ndarray, ...],
     ctx_len: int,
-    slope: float | np.ndarray,
-    pos,
+    pos: _Form,
     mask: AttentionMask | None = None,
     alpha: np.ndarray | None = None,
 ) -> np.ndarray:
     """Causal attention of the m columns of q over ctx_len context keys, then
-    the m queries' own keys.  The keys and values come as spans: ks and vs
-    are tuples of h x length arrays, views of the cache's pages, that joined
-    hold the keys in order, and nothing joins them here.  The queries are
-    keys ctx_len..ctx_len+m-1; any keys past the last one (a row group's,
-    which is given all its chunk's keys) no query sees, and they only set
-    the block width and the score bound, so both are the whole chunk's.
+    the m queries' own keys, scored by the positional form pos.  The keys
+    and values come as spans: ks and vs are tuples of h x length arrays,
+    views of the cache's pages, that joined hold the keys in order, and
+    nothing joins them here.  The queries are keys ctx_len..ctx_len+m-1;
+    any keys past the last one (a row group's, which is given all its
+    chunk's keys) no query sees, and they only set the block width and the
+    score bound, so both are the whole chunk's.
 
     Any leading axes are heads: q (heads x h x m) and every span (heads x h
-    x length) attend head by head in the same passes, and slope, one per
-    head (heads x 1 x 1), broadcasts against their scores; one head's arrays
-    may also come without the axis.  Query row r sees keys [0, ctx_len +
-    r] of the joined index.  Rows run in tiles of TILE_ROWS, and a tile
-    ending at row r1 sees keys [0, ctx_len + r1).  The keys up to the last
-    query's are walked once, outermost, in blocks of min(KEY_BLOCK, n) /
-    heads columns, n all the keys given, so a stacked block holds at most
-    the cells of one head's block over them, and each block is scored
-    against every row tile that sees any of it, a tile's last block cut at
-    its own end.  A block is a view of its keys when it lies inside one
-    span and joined when it crosses spans, for every family;
-    the rotary family rotates it once for all those tiles, a view into a
-    new array (the cached keys stay raw) and a joined block in place.
-    Each tile keeps its running row max, row sums and value accumulators
-    (s @ v^T, one product per span piece, so no value is copied) from
-    block to block, as in FlashAttention, and the accumulators, normalised
-    after the last block, fill the result.  Per tile, the blocks run in
-    key order, so a tile's arithmetic is the one it would do alone.
+    x length) attend head by head in the same passes; one head's arrays may
+    also come without the axis.  Query row r sees keys [0, ctx_len + r] of
+    the joined index.  Rows run in tiles of TILE_ROWS, and a tile ending at
+    row r1 sees keys [0, ctx_len + r1).  The keys up to the last query's
+    are walked once, outermost, in blocks of min(KEY_BLOCK, n) / heads
+    columns, n all the keys given, so a stacked block holds at most the
+    cells of one head's block over them, or in one block of them all when
+    pos.one_block.  pos takes each block once (keys) and scores it against
+    every row tile that sees any of it (scores), a tile's last block cut at
+    its own end, after preparing the queries once (queries).  Each tile
+    keeps its running row max, row sums and value accumulators (s @ v^T,
+    one product per span piece, so no value is copied) from block to
+    block, as in FlashAttention, and the accumulators, normalised after the
+    last block, fill the result.  Per tile, the blocks run in key order, so
+    a tile's arithmetic is the one it would do alone.
 
-    A tile runs unshifted when none of its scores can leave +-_SAFE.  By
-    Cauchy-Schwarz, |s| <= |q_r| max_i |k_i| for the dot and rotary families
-    (a rotation keeps norms), so the squared norms of the raw queries and
-    of all the keys given give every tile's bound at once, with one
-    reduction over the tiles.  The additive family's penalty, slope x W(d)
-    with W >= 0, only lowers a score when the slope is >= 0, and a row's own key (W(0) = 0,
-    which no AttentionMask hides) keeps its total above e^-_SAFE.  Such a
-    tile's blocks are exponentiated as they are: four passes each (scores,
-    exp, sum, values).  Any other tile shifts each block by the running row
-    max, which takes two more passes (the max and the shift), and rescales
-    the sums by exp(old max - new max) when a block raises the max; the
-    max starts at the lowest finite float, not -inf, so a row that sees no
-    key of a block adds zeros, not NaN.  With heads stacked, a tile whose
-    heads differ shifts every head, a bounded one by 0, so each head's
-    result is bit for bit the one it gives alone.  A call with one query
-    (every decode step) always shifts: its bound would add a third read of
-    the cached keys to a step close to memory bound, to save one max over
-    one row.  A tile of one block is plain softmax arithmetic.
+    A tile runs unshifted when none of its scores can leave +-_SAFE: its
+    heads' scores are bounded by |q_r| max_i |k_i| (pos.norm_bound), so the
+    squared norms of the raw queries and of all the keys given give every
+    tile's bound at once, with one reduction over the tiles.  Such a tile's
+    blocks are exponentiated as they are: four passes each (scores, exp,
+    sum, values).  Any other tile shifts each block by the running row max,
+    which takes two more passes (the max and the shift), and rescales the
+    sums by exp(old max - new max) when a block raises the max; the max
+    starts at the lowest finite float, not -inf, so a row that sees no key
+    of a block adds zeros, not NaN.  With heads stacked, a tile whose heads
+    differ shifts every head, a bounded one by 0, so each head's result is
+    bit for bit the one it gives alone.  A call with one query (every
+    decode step) always shifts: its bound would add a third read of the
+    cached keys to a step close to memory bound, to save one max over one
+    row.  A tile of one block is plain softmax arithmetic.
 
     pos is _positions over the keys, and the queries, keys ctx_len on,
-    take its rows from there.  A _Rotation rotates q in place, and each key
-    block as it is taken; a _Woven (one query,
-    every decode step of the rotary family) makes the loop's one block as
-    wide as all the keys and scores its row over the spans itself, with
-    no key rotated.  forward passes its mask, which sets
-    -inf on each block's cells outside it, and alpha, zeros of the weights'
-    shape ([heads x] m x n) into which each block writes its weights,
-    rescaled and normalised after the last block.  Returns [heads
-    x] h x m values.
+    take its rows from there.  forward passes its mask, which sets -inf on
+    each block's cells outside it, and alpha, zeros of the weights' shape
+    ([heads x] m x n) into which each block writes its weights, rescaled
+    and normalised after the last block.  Returns [heads x] h x m values.
     """
-    starts = [0]  # each span's first key in the joined index, then their total
-    for k in ks:
-        starts.append(starts[-1] + k.shape[-1])
+    # each span's first key in the joined index, then their total
+    starts = [0, *np.cumsum([k.shape[-1] for k in ks]).tolist()]
     vts = [np.swapaxes(v, -1, -2) for v in vs]
-    woven = isinstance(pos, _Woven)
-    rotary = isinstance(pos, _Rotation)
-    cells = isinstance(pos, _Distances) and pos.theta_base is not None  # rotary scores per cell
-    additive = isinstance(pos, _Distances) and not cells
     m = q.shape[-1]
     tiles = range(0, m, TILE_ROWS)
     # per tile, the heads whose scores cannot pass +-_SAFE, which run unshifted:
@@ -618,47 +680,30 @@ def _attend(
         kk = np.max([np.einsum("...ij,...ij->...j", k, k).max(axis=-1, initial=0.0) for k in ks], axis=0)
         qq = np.einsum("...ij,...ij->...j", q, q).reshape(-1, m)
         fits = np.maximum.reduceat(qq, tiles, axis=-1) * kk.reshape(-1, 1) <= _SAFE * _SAFE  # heads x tiles
+        fits &= np.reshape(pos.norm_bound, (-1, 1))
         del qq  # no norm array stays alive beside the blocks
-        if additive:  # the penalty, slope x W(d) with W >= 0, only lowers a score when slope >= 0
-            fits &= np.reshape(slope, (-1, 1)) >= 0
         every, some = fits.all(axis=0).tolist(), fits.any(axis=0).tolist()
         free = [True if a else fits[:, i, None, None] if b else False for i, (a, b) in enumerate(zip(every, some))]
-    if rotary:
-        pos.rotate(q, ctx_len, out=q)
-    qt = np.swapaxes(q, -1, -2)
+    qt = np.swapaxes(pos.queries(q, ctx_len), -1, -2)
     top = [_LOWEST] * len(tiles)  # each tile's running row max
     total = [None] * len(tiles)  # each tile's row sums
     acc = [None] * len(tiles)  # each tile's value sums, s @ v^T
     shifts = [[] for _ in tiles]  # per tile, (first key, end key, max subtracted or None) of each block in alpha
-    penalty = pos.penalty(slope) if additive else None
-    # a _Woven query's row is one block of every key; stacked heads share the
-    # cells of one head's block over all the keys, so the edges depend on the
-    # keys alone, not on the rows a call takes
-    width = starts[-1] if woven else max(min(KEY_BLOCK, starts[-1]) // math.prod(q.shape[:-2]), 1)
+    # stacked heads share the cells of one head's block over all the keys, so
+    # the edges depend on the keys alone, not on the rows a call takes
+    width = starts[-1] if pos.one_block else max(min(KEY_BLOCK, starts[-1]) // math.prod(q.shape[:-2]), 1)
     end = ctx_len + m  # no query sees a key past its own
     for c0 in range(0, end, width):
         c1 = min(c0 + width, end)
         pieces = _pieces(starts, c0, c1)  # the block's share of each span, once for every tile
-        if not woven:  # the block's keys, once for every tile: a view of one span, or joined across spans
-            parts = [ks[j][..., a:b] for j, a, b, _ in pieces]
-            kb = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-1)
-            if rotary:  # a view into a new array, so the cached keys stay raw; a joined block in place
-                kb = pos.rotate(kb, c0, out=None if len(parts) == 1 else kb)
+        kb = pos.keys(ks, pieces, c0)
         # the tiles that see the block: those whose rows reach past key c0
         for i in range(max(c0 - ctx_len, 0) // TILE_ROWS, len(tiles)):
             r0, bounded = tiles[i], free[i]
             r1 = min(r0 + TILE_ROWS, m)
             lo, nk = ctx_len + r0, ctx_len + r1  # the tile's first query is key lo; its rows see keys [0, nk)
             e = min(c1, nk)  # the block's keys c0..e-1 that the tile sees
-            qr = qt[..., r0:r1, :]
-            if woven:
-                s = pos.scores(q, ks)
-            elif cells:
-                s = pos.scores(qr, kb[..., : e - c0], lo, c0)
-            else:
-                s = qr @ kb[..., : e - c0]
-                if penalty is not None:
-                    s -= penalty(lo, nk, c0, e)
+            s = pos.scores(qt[..., r0:r1, :], kb, lo, c0, e)
             if e > lo:  # the block holds part of the diagonal tail
                 s[..., max(c0, lo) - c0 :] += _CAUSAL_TAIL[: r1 - r0, max(c0, lo) - lo : e - lo]
             if mask is not None:
@@ -820,7 +865,6 @@ def _run_layers(
     """
     m = h.shape[1]
     n_heads = len(weights.layers[0].heads)
-    slopes = np.array([weights.slope_for_head(mi) for mi in range(n_heads)])[:, None, None]
     workers = 1 if m == 1 or _on_pool() else min(_usable_cpus(), n_heads)
     keep_alphas = trace is not None and trace.alphas is not None
     r0 = 0
@@ -849,7 +893,7 @@ def _run_layers(
             and their result (a view of out when out is given)."""
             x = h[:, g]
             heads_out = _attend(
-                layer.qkv[0] @ x, ks, vs, ctx_len + r0 + g.start, slopes, pos, mask,
+                layer.qkv[0] @ x, ks, vs, ctx_len + r0 + g.start, pos, mask,
                 None if alphas is None else alphas[:, g],
             )
             # the sum starts as the first head's projection, no zeros beside
@@ -1090,12 +1134,7 @@ def load_weights(text: str) -> ModelWeights:
     layers = []
     for lw in doc["layers"]:
         heads = [
-            HeadWeights(
-                w_q=np.asarray(hd["w_q"], dtype=np.float64),
-                w_k=np.asarray(hd["w_k"], dtype=np.float64),
-                w_v=np.asarray(hd["w_v"], dtype=np.float64),
-                w_o=np.asarray(hd["w_o"], dtype=np.float64),
-            )
+            HeadWeights(*(np.asarray(hd[name], dtype=np.float64) for name in ("w_q", "w_k", "w_v", "w_o")))
             for hd in lw["heads"]
         ]
         ff_doc = lw["ff"]

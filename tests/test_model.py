@@ -15,7 +15,9 @@ from weavepe.model import (
     LayerWeights,
     ModelWeights,
     WhitespaceVocab,
-    _Distances,
+    _Cells,
+    _Form,
+    _Penalty,
     _Rotation,
     _Woven,
     _positions,
@@ -208,6 +210,16 @@ _PURE_WEAVES = {
 _WEAVES = {"none": None, **_PURE_WEAVES, "grouped": WeaveParams(scheme=Scheme.SELF_EXTEND, neighbor=8, group=3)}
 
 
+def _slopes(weights):
+    """Each head's slope, heads x 1 x 1, as the additive family scales its distances."""
+    return np.array([weights.slope_for_head(i) for i in range(len(weights.layers[0].heads))])[:, None, None]
+
+
+def _coordinate_tiles(coords):
+    """Distance tiles (lo, hi, c0, c1) of keys at coords: coordinate differences."""
+    return lambda lo, hi, c0, c1: coords[lo:hi, None] - coords[None, c0:c1]
+
+
 def _per_tile_positions(weights, coords, m, weave=None):
     """forward's positional input rebuilt for every tile: woven_distances of
     each pair under a non-identity weave, else coordinate differences (or
@@ -215,8 +227,13 @@ def _per_tile_positions(weights, coords, m, weave=None):
     if coords is None:
         coords = np.arange(m, dtype=np.float64)
         if weights.pe_family != "dot" and weave is not None and weave.scheme not in IDENTITY_SCHEMES:
-            base = weights.theta_base if weights.pe_family == "rotary" else None
-            return _Distances(lambda lo, hi, c0, c1: woven_distances(weave, np.arange(lo, hi), np.arange(c0, c1)), base)
+
+            def dist(lo, hi, c0, c1):
+                return woven_distances(weave, np.arange(lo, hi), np.arange(c0, c1))
+
+            if weights.pe_family == "rotary":
+                return _Cells(dist, weights.theta_base)
+            return _Penalty(_slopes(weights), dist)
     return _positions(weights, coords, m)
 
 
@@ -239,24 +256,31 @@ def test_forward_distance_windows_change_no_bit(monkeypatch, family, weave, mask
 @pytest.mark.parametrize("family", ["additive", "rotary"])
 @pytest.mark.parametrize("weave", list(_PURE_WEAVES))
 def test_distance_tiles_are_windows_onto_the_position_matrix(family, weave):
+    # the additive family's tiles come scaled by each head's slope
     n = 150
     params = _PURE_WEAVES[weave]
-    pos = _positions(random_model(d=8, n_heads=2, n_layers=1, vocab=8, pe_family=family), None, n, params)
+    w = random_model(d=8, n_heads=2, n_layers=1, vocab=8, pe_family=family)
+    pos = _positions(w, None, n, params)
     entries = position_matrix(params, n).entries
+    if family == "additive":
+        entries = _slopes(w) * entries
     spans = [(lo, min(lo + TILE_ROWS, n)) for lo in range(0, n, TILE_ROWS)] + [(0, 1), (7, 8), (3, 97), (149, 150)]
     for lo, hi in spans:
         # every key, then a block of columns off the diagonal and one across it
         for c0, c1 in [(0, hi), (lo // 2, lo // 2 + 1), (lo // 3, hi)]:
             tile = pos.tile(lo, hi, c0, c1)
-            assert tile.shape == (hi - lo, c1 - c0) and not tile.flags.owndata  # a view, not a built array
+            assert tile.shape[-2:] == (hi - lo, c1 - c0) and not tile.flags.owndata  # a view, not a built array
             seen = np.tri(hi - lo, hi, lo, dtype=bool)[:, c0:c1]  # on and below the diagonal
-            assert np.array_equal(tile[seen], entries[lo:hi, c0:c1][seen])
+            assert np.array_equal(tile[..., seen], entries[..., lo:hi, c0:c1][..., seen])
 
 
 @pytest.mark.parametrize("weave", list(_WEAVES.values()), ids=list(_WEAVES))
 def test_forward_builds_one_weave_table(monkeypatch, weave):
-    # a distance weave reads every tile from one table; only the grouped remap rebuilds per tile
-    calls = {"weave_table": 0, "woven_distances": 0}
+    # a distance weave reads every tile from one table, scaled by the heads'
+    # slopes once per forward, not once per layer and row group, so its
+    # tiles come from one toeplitz_tiles call; only the grouped remap
+    # rebuilds per tile
+    calls = {"weave_table": 0, "woven_distances": 0, "toeplitz_tiles": 0}
 
     def spy(name):
         real = getattr(model_module, name)
@@ -269,12 +293,50 @@ def test_forward_builds_one_weave_table(monkeypatch, weave):
 
     for name in calls:
         monkeypatch.setattr(model_module, name, spy(name))
-    w = random_model(d=8, n_heads=2, n_layers=2, vocab=16, seed=1, pe_family="additive")
+    w = random_model(d=8, n_heads=2, n_layers=3, vocab=16, seed=1, pe_family="additive")
     forward(np.random.default_rng(2).integers(1, 16, size=199).tolist(), w, weave=weave)
     if weave is not None and weave.scheme is Scheme.SELF_EXTEND:
-        assert calls["weave_table"] == 0 and calls["woven_distances"] > 0
+        assert calls["weave_table"] == calls["toeplitz_tiles"] == 0 and calls["woven_distances"] > 0
     else:
-        assert calls == {"weave_table": 1, "woven_distances": 0}
+        assert calls == {"weave_table": 1, "woven_distances": 0, "toeplitz_tiles": 1}
+
+
+@pytest.mark.parametrize("family", ["dot", "additive", "rotary"])
+def test_positions_returns_a_form_for_every_family(family):
+    # forward's keys, a chunk's coordinates and one decode query: never None
+    w = random_model(d=8, n_heads=2, n_layers=1, vocab=8, pe_family=family)
+    stair = WeaveParams(scheme=Scheme.STAIR, cap=5, tread=3)
+    cases = [(None, 20, None), (None, 20, stair), (np.arange(20, dtype=np.float64), 5, None), (19, 1, stair)]
+    for coords, m, weave in cases:
+        assert isinstance(_positions(w, coords, m, weave), _Form), (coords, weave)
+
+
+def test_attend_takes_each_key_block_once_per_call(monkeypatch):
+    # three row tiles over two spans, split inside a block: each key block is
+    # taken once, in key order, and scored for every tile that sees it
+    from weavepe.model import _attend
+
+    class Counted(_Form):
+        def __init__(self):
+            self.taken, self.scored = [], []
+
+        def keys(self, ks, pieces, c0):
+            self.taken.append(c0)
+            return super().keys(ks, pieces, c0)
+
+        def scores(self, qr, kb, lo, c0, e):
+            self.scored.append(c0)
+            return super().scores(qr, kb, lo, c0, e)
+
+    monkeypatch.setattr(model_module, "KEY_BLOCK", 64)  # blocks of 32 keys for 2 stacked heads
+    rng = np.random.default_rng(3)
+    h, m, n, split = 8, 2 * TILE_ROWS + 10, 300, 100
+    q, k, v = rng.normal(size=(2, h, m)), rng.normal(size=(2, h, n)), rng.normal(size=(2, h, n))
+    pos = Counted()
+    out = _attend(q, (k[..., :split], k[..., split:]), (v[..., :split], v[..., split:]), n - m, pos)
+    assert pos.taken == list(range(0, n, 32))
+    assert pos.scored == [c0 for c0 in pos.taken for _ in range(max(c0 - (n - m), 0) // TILE_ROWS, 3)]
+    np.testing.assert_allclose(out, _attend(q, (k,), (v,), n - m, _Form()), rtol=0, atol=1e-12)
 
 
 def _commit(cache, k_blocks, v_blocks):
@@ -300,11 +362,11 @@ def test_attend_holds_one_score_tile():
     # forward's table-backed additive tiles: one block, plus the slope-scaled
     # table reversed and padded to 2n - 1 values
     stair = WeaveParams(scheme=Scheme.STAIR, cap=512, tread=50)
-    additive = _positions(random_model(d=h, n_heads=1, n_layers=1, pe_family="additive"), None, n, stair)
+    additive = _Penalty(0.5, table=weave_table(stair, n))
     for pos, held in [(rotary, (m + n) * h * 8), (additive, (2 * n - 1) * 8)]:  # rotated q and k; the table
         tracemalloc.start()
         try:
-            _attend(q, (k,), (v,), n - m, 0.5, pos)
+            _attend(q, (k,), (v,), n - m, pos)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -326,7 +388,7 @@ def test_attend_over_the_last_chunk_of_16k_stays_under_5_mib():
     rotary = _Rotation(*rotary_table(np.arange(n, dtype=np.float64), h, 10000.0), np.arange(n))
     tracemalloc.start()
     try:
-        out = _attend(q, (k,), (v,), n - m, 0.0, rotary)
+        out = _attend(q, (k,), (v,), n - m, rotary)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -350,7 +412,7 @@ def test_attend_over_the_last_chunk_holds_no_rotated_span():
     pos = _positions(random_model(d=h, n_heads=1, n_layers=1), (n - 1) - decode_distances(n - 1, config), m)
     tracemalloc.start()
     try:
-        out = _attend(q, (k,), (v,), n - m, 0.0, pos)
+        out = _attend(q, (k,), (v,), n - m, pos)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -379,7 +441,7 @@ def test_attend_blocks_that_only_later_tiles_see_match_the_dense_oracle(monkeypa
         table = rotary_table(coords, 16, 10000.0)
         scores = apply_rotary(q, tuple(t[:, ctx:] for t in table)).T @ apply_rotary(k, table)
     alpha = np.zeros((m, n))
-    out = _attend(q, (k[:, :split], k[:, split:]), (v[:, :split], v[:, split:]), ctx, 0.5, pos, None, alpha)
+    out = _attend(q, (k[:, :split], k[:, split:]), (v[:, :split], v[:, split:]), ctx, pos, None, alpha)
     want = masked_softmax(scores, causal_mask(n).tile(ctx, n, 0, n))
     np.testing.assert_allclose(alpha, want, rtol=0, atol=1e-12)
     np.testing.assert_allclose(out, v @ want.T, rtol=0, atol=1e-12)
@@ -400,13 +462,13 @@ def test_attend_peaked_rows_over_two_spans_match_the_dense_oracle(family):
     q, k, v = 60.0 * rng.normal(size=(h, m)), rng.normal(size=(h, n)), rng.normal(size=(h, n))
     assert split < KEY_BLOCK < ctx
     mask = sink_mask(n, 4, 1500)
-    pos, qr, kr = None, q, k
+    pos, qr, kr = _Form(), q, k
     if family == "rotary":
         table = rotary_table(np.arange(n, dtype=np.float64), h, 10000.0)
         pos = _Rotation(*table, np.arange(n))
         qr, kr = apply_rotary(q, tuple(t[:, ctx:] for t in table)), apply_rotary(k, table)
     alpha = np.zeros((m, n))
-    out = _attend(q, (k[:, :split], k[:, split:]), (v[:, :split], v[:, split:]), ctx, 0.0, pos, mask, alpha)
+    out = _attend(q, (k[:, :split], k[:, split:]), (v[:, :split], v[:, split:]), ctx, pos, mask, alpha)
     scores, visible = qr.T @ kr, mask.tile(ctx, n, 0, n)
     spread = np.where(visible, scores, -np.inf).max(axis=1) - np.where(visible, scores, np.inf).min(axis=1)
     assert spread.min() > 708
@@ -432,7 +494,7 @@ def test_rotary_attend_leaves_the_cached_keys_raw(monkeypatch):
         cache = KVCache(n_layers=1, n_heads=2, capacity=capacity)
         ks, vs = cache.write(0, 0, k, v)
         assert len(ks) == (1 if capacity == n else 2)
-        outs.append(_attend(q.copy(), ks, vs, n - m, np.zeros((2, 1, 1)), pos))
+        outs.append(_attend(q.copy(), ks, vs, n - m, pos))
         assert np.array_equal(np.concatenate(ks, axis=-1), k) and np.array_equal(np.concatenate(vs, axis=-1), v)
     np.testing.assert_allclose(outs[1], outs[0], rtol=0, atol=1e-12)
 
@@ -465,14 +527,14 @@ def _at_bound(family, factors, n, seed=8, slope=0.5):
     q = rng.normal(size=(h, m))
     q[:, ::2] = k[:, [0]]
     q *= np.asarray(factors) * _SAFE / (np.linalg.norm(q, axis=0) * np.linalg.norm(k[:, 0]))
-    ctx, pos, qr, kr, penalty = n - m, None, q, k, 0.0
+    ctx, pos, qr, kr, penalty = n - m, _Form(), q, k, 0.0
     if family == "rotary":
         table = rotary_table(np.arange(n, dtype=np.float64), h, 10000.0)
         pos = _Rotation(*table, np.arange(n))
         qr, kr = apply_rotary(q, tuple(t[:, ctx:] for t in table)), apply_rotary(k, table)
     elif family == "additive":
         coords = np.arange(n, dtype=np.float64)
-        pos = _positions(random_model(d=h, n_heads=1, n_layers=1, pe_family="additive"), coords, m)
+        pos = _Penalty(slope, _coordinate_tiles(coords))
         penalty = slope * (coords[ctx:, None] - coords[None, :])
     return q, k, v, pos, qr.T @ kr - penalty
 
@@ -491,7 +553,7 @@ def test_attend_tiles_either_side_of_the_score_bound_match_the_dense_oracle(fami
     visible = (amask or causal_mask(n)).tile(n - m, n, 0, n)
     alpha = np.zeros((m, n))
     _RowMaxSpy.calls = []
-    out = _attend(q.view(_RowMaxSpy), (k,), (v,), n - m, 0.5, pos, amask, alpha)
+    out = _attend(q.view(_RowMaxSpy), (k,), (v,), n - m, pos, amask, alpha)
     if family != "rotary":  # the rotation makes the queries plain arrays again
         assert _RowMaxSpy.calls == [36]
     want = masked_softmax(scores, visible)
@@ -507,7 +569,7 @@ def test_attend_keeps_the_shift_for_a_negative_slope():
     m, n = 20, 200
     q, k, v, pos, scores = _at_bound("additive", [0.5] * m, n, slope=-0.5)
     _RowMaxSpy.calls = []
-    out = _attend(q.view(_RowMaxSpy), (k,), (v,), n - m, -0.5, pos)
+    out = _attend(q.view(_RowMaxSpy), (k,), (v,), n - m, pos)
     assert _RowMaxSpy.calls == [m]
     want = masked_softmax(scores, causal_mask(n).tile(n - m, n, 0, n))
     np.testing.assert_allclose(out, v @ want.T, rtol=0, atol=1e-12)
@@ -527,7 +589,7 @@ def test_attend_16k_keys_at_the_score_bound_stay_finite():
     q = np.repeat(u, m, axis=1) * (0.999 * _SAFE / np.linalg.norm(u) / np.linalg.norm(k, axis=0).max())
     v = rng.normal(size=(h, n))
     _RowMaxSpy.calls = []
-    out = _attend(q.view(_RowMaxSpy), (k[:, :9000], k[:, 9000:]), (v[:, :9000], v[:, 9000:]), n - m, 0.0, None)
+    out = _attend(q.view(_RowMaxSpy), (k[:, :9000], k[:, 9000:]), (v[:, :9000], v[:, 9000:]), n - m, _Form())
     assert _RowMaxSpy.calls == []
     assert np.isfinite(out).all()
     scores = q.T @ k
@@ -549,10 +611,10 @@ def test_attend_additive_row_whose_far_keys_underflow():
     k /= np.linalg.norm(k, axis=0)  # unit keys
     q = -0.85 * _SAFE * k[:, n - m :]
     coords = 1000.0 * np.arange(n)
-    pos = _positions(random_model(d=h, n_heads=1, n_layers=1, pe_family="additive"), coords, m)
+    pos = _Penalty(1.0, _coordinate_tiles(coords))
     alpha = np.zeros((m, n))
     _RowMaxSpy.calls = []
-    out = _attend(q.view(_RowMaxSpy), (k,), (v,), n - m, 1.0, pos, None, alpha)
+    out = _attend(q.view(_RowMaxSpy), (k,), (v,), n - m, pos, None, alpha)
     assert _RowMaxSpy.calls == []
     visible = causal_mask(n).tile(n - m, n, 0, n)
     scores = np.where(visible, q.T @ k - (coords[n - m :, None] - coords[None, :]), -np.inf)
@@ -617,7 +679,8 @@ def test_kept_runs_row_matches_runs_found_from_the_weave_table(weave):
     # runs' growth at every power of two up to 64: each step's runs,
     # segments and turns are those found from its own weave table, its
     # turns a view of the ones kept beside the runs, its scores the
-    # per-key rotation's, and the additive row is the reversed table
+    # per-key rotation's, and the additive row is the reversed table,
+    # scaled by each head's slope
     from weavepe import pe_core
 
     w = random_model(d=8, n_heads=2, n_layers=1, vocab=8, seed=6)
@@ -631,10 +694,11 @@ def test_kept_runs_row_matches_runs_found_from_the_weave_table(weave):
         assert np.shares_memory(pos.turns, pe_core.weave_runs(weave, t).turns[4, w.theta_base])
         q, k = rng.normal(size=(2, 4, 1)), rng.normal(size=(2, 4, t + 1))
         rotated = apply_rotary(np.repeat(q, t + 1, axis=-1), rotary_table(dist, 4, w.theta_base))
-        np.testing.assert_allclose(pos.scores(q, (k,))[:, 0], (rotated * k).sum(axis=-2), rtol=0, atol=1e-12)
+        scores = pos.scores(np.swapaxes(q, -1, -2), (k,), t, 0, t + 1)
+        np.testing.assert_allclose(scores[:, 0], (rotated * k).sum(axis=-2), rtol=0, atol=1e-12)
         row = _positions(additive, t, 1, weave)
         for c0, c1 in ((0, t + 1), (0, (t + 1) // 2), ((t + 1) // 3, t + 1)):
-            assert np.array_equal(row.tile(t, t + 1, c0, c1), dist[None, c0:c1]), (t, c0, c1)
+            assert np.array_equal(row.tile(t, t + 1, c0, c1), _slopes(additive) * dist[None, c0:c1]), (t, c0, c1)
 
 
 def test_woven_scores_over_spans_split_anywhere_match_one_span():
@@ -647,11 +711,12 @@ def test_woven_scores_over_spans_split_anywhere_match_one_span():
     for weave in ONE_QUERY_WEAVES:
         pos = _positions(w, t, 1, weave)
         q, k = rng.normal(size=(2, 4, 1)), rng.normal(size=(2, 4, t + 1))
-        whole = pos.scores(q, (k,))
+        qr = np.swapaxes(q, -1, -2)
+        whole = pos.scores(qr, (k,), t, 0, t + 1)
         for a in range(1, t + 1):
             for b in (a + 1, a + 5):
                 spans = tuple(x for x in (k[..., :a], k[..., a:b], k[..., b:]) if x.shape[-1])
-                np.testing.assert_allclose(pos.scores(q, spans), whole, rtol=0, atol=1e-14)
+                np.testing.assert_allclose(pos.scores(qr, spans, t, 0, t + 1), whole, rtol=0, atol=1e-14)
 
 
 def test_run_layers_leaves_its_input_unchanged():
@@ -690,7 +755,7 @@ def test_attend_one_woven_query_fills_alpha_under_a_mask():
     scores = apply_rotary(q, tuple(t[:, n - 1 :] for t in table)).T @ apply_rotary(k, table)
     visible = mask.tile(n - 1, n, 0, n)
     alpha = np.zeros((1, n))
-    out = _attend(q, (k[:, :split], k[:, split:]), (v[:, :split], v[:, split:]), n - 1, 0.0, pos, mask, alpha)
+    out = _attend(q, (k[:, :split], k[:, split:]), (v[:, :split], v[:, split:]), n - 1, pos, mask, alpha)
     want = masked_softmax(scores, visible)
     np.testing.assert_allclose(alpha, want, rtol=0, atol=1e-12)
     np.testing.assert_allclose(out, v @ want.T, rtol=0, atol=1e-12)
@@ -885,6 +950,33 @@ def test_zero_ff_means_pure_residual():
     w.layers[0].ff = zero_ff(8)
     tr = forward([1, 2], w)
     assert np.allclose(tr.final, tr.attn[0] + tr.hidden[0], atol=0)
+
+
+def test_load_weights_rejects_a_slope_count_other_than_the_head_count():
+    # a document's head_slopes give one slope per head: 3 slopes for 2 heads
+    # would silently drop one, and 1 would fail inside attention
+    import json
+
+    doc = json.loads(save_weights(random_model(d=8, n_heads=2, n_layers=1, vocab=8, pe_family="additive")))
+    for slopes in ([0.5, 0.25, 0.125], [0.5]):
+        doc["head_slopes"] = slopes
+        with pytest.raises(ValueError, match=f"{len(slopes)} head slopes for 2 heads"):
+            load_weights(json.dumps(doc))
+    doc["head_slopes"] = [0.5, -0.25]
+    assert load_weights(json.dumps(doc)).slope_for_head(1) == -0.25
+
+
+def test_load_weights_rejects_an_unknown_activation():
+    # caught when the document is read, not at the first forward
+    import json
+
+    doc = json.loads(save_weights(random_model(d=8, n_heads=2, n_layers=1, vocab=8)))
+    doc["layers"][0]["ff"]["activation"] = "gelu"
+    with pytest.raises(ValueError, match="unknown activation gelu"):
+        load_weights(json.dumps(doc))
+    doc["layers"][0]["ff"]["activation"] = "identity"
+    w = load_weights(json.dumps(doc))
+    assert np.array_equal(w.layers[0].ff(np.eye(8)), w.layers[0].ff.w2 @ w.layers[0].ff.w1.T)
 
 
 def test_whitespace_vocab_round_trip():
