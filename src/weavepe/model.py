@@ -56,7 +56,7 @@ batched call each.  A call with several queries that is not on a pool
 thread (forward, the single pass, the first and last chunk) splits its
 rows, not its heads, as FlashAttention-2 splits row blocks (Dao, arXiv
 2307.08691): min(usable CPUs, heads) groups of whole row tiles, balanced
-by estimated work, each run through the whole layer on a pool thread
+by the keys their rows see, each run through the whole layer on a pool thread
 (query projection, attention, head sum in head order, residual and
 feed-forward), after the calling thread has projected and written the
 layer's keys and values.  numpy releases the GIL in the elementwise passes
@@ -186,8 +186,7 @@ class ModelWeights:
             raise ValueError(f"unknown pe_family {self.pe_family}")
         if self.w_e.shape[1] < 2:
             raise ValueError("vocabulary must contain at least <bos> and one token")
-        if self.head_slopes is not None and len(self.head_slopes) != len(self.layers[0].heads):
-            raise ValueError(f"{len(self.head_slopes)} head slopes for {len(self.layers[0].heads)} heads")
+        self.slopes()
 
     @property
     def d(self) -> int:
@@ -202,10 +201,17 @@ class ModelWeights:
         """Query/key dimension h, shared by every head."""
         return self.layers[0].heads[0].w_q.shape[0]
 
+    def slopes(self) -> list[float]:
+        """Each head's additive slope: head_slopes, checked to hold one per
+        head however it was set, or the geometric set for the head count."""
+        heads = len(self.layers[0].heads)
+        slopes = alibi_slopes(heads) if self.head_slopes is None else list(self.head_slopes)
+        if len(slopes) != heads:
+            raise ValueError(f"{len(slopes)} head slopes for {heads} heads")
+        return slopes
+
     def slope_for_head(self, m: int) -> float:
-        if self.head_slopes is not None:
-            return self.head_slopes[m]
-        return alibi_slopes(len(self.layers[0].heads))[m]
+        return self.slopes()[m]
 
 
 def layer_norm_cols(x: np.ndarray) -> np.ndarray:
@@ -281,11 +287,10 @@ class _Form:
     one more form, not a branch of the attention core.
     """
 
-    #: per head, whether |q_r| max_i |k_i| bounds every score from above, as
-    #: a tile's unshifted softmax needs (see _attend): True for every head,
-    #: or a heads x 1 x 1 mask of them.  Cauchy-Schwarz bounds the dot and
-    #: rotary scores (a rotation keeps norms)
-    norm_bound: bool | np.ndarray = True
+    #: whether |q_r| max_i |k_i| bounds every head's scores from above, as a
+    #: tile's unshifted softmax needs (see _attend).  Cauchy-Schwarz bounds
+    #: the dot and rotary scores (a rotation keeps norms)
+    norm_bound = True
     #: whether the loop's one block holds every key: the form then scores
     #: its row over the spans themselves, which keys hands on
     one_block = False
@@ -450,11 +455,11 @@ class _Penalty(_Form):
     is the product slope * distance would have taken.  The penalty, with W
     >= 0, only lowers a score when the slope is >= 0, and a row's own key
     (W(0) = 0, which no AttentionMask hides) keeps its total above
-    e^-_SAFE, so |q_r| max_i |k_i| bounds those heads' scores.
+    e^-_SAFE, so |q_r| max_i |k_i| bounds the scores when every slope is.
     """
 
     def __init__(self, slope: float | np.ndarray, dist: Callable | None = None, table: np.ndarray | None = None):
-        self.norm_bound = np.asarray(slope) >= 0
+        self.norm_bound = bool(np.all(np.asarray(slope) >= 0))
         if table is None:
             self.tile = lambda lo, hi, c0, c1: slope * dist(lo, hi, c0, c1)
         else:
@@ -501,7 +506,7 @@ def _positions(
     if fam == "dot":
         return _Form()
     if fam == "additive":
-        slope = np.array([weights.slope_for_head(i) for i in range(len(weights.layers[0].heads))])[:, None, None]
+        slope = np.array(weights.slopes())[:, None, None]
     if isinstance(coords, int):
         t = coords
         runs = weave_runs(weave, t)
@@ -646,21 +651,20 @@ def _attend(
     last block, fill the result.  Per tile, the blocks run in key order, so
     a tile's arithmetic is the one it would do alone.
 
-    A tile runs unshifted when none of its scores can leave +-_SAFE: its
-    heads' scores are bounded by |q_r| max_i |k_i| (pos.norm_bound), so the
-    squared norms of the raw queries and of all the keys given give every
-    tile's bound at once, with one reduction over the tiles.  Such a tile's
-    blocks are exponentiated as they are: four passes each (scores, exp,
-    sum, values).  Any other tile shifts each block by the running row max,
-    which takes two more passes (the max and the shift), and rescales the
-    sums by exp(old max - new max) when a block raises the max; the max
-    starts at the lowest finite float, not -inf, so a row that sees no key
-    of a block adds zeros, not NaN.  With heads stacked, a tile whose heads
-    differ shifts every head, a bounded one by 0, so each head's result is
-    bit for bit the one it gives alone.  A call with one query (every
-    decode step) always shifts: its bound would add a third read of the
-    cached keys to a step close to memory bound, to save one max over one
-    row.  A tile of one block is plain softmax arithmetic.
+    A tile runs unshifted when none of its scores can leave +-_SAFE: when
+    the form's scores are bounded by |q_r| max_i |k_i| (pos.norm_bound),
+    the squared norms of the raw queries and of all the keys given give
+    every tile's bound at once, with one reduction over the tiles, and a
+    tile runs unshifted when every head's bound fits.  Such a tile's blocks
+    are exponentiated as they are: four passes each (scores, exp, sum,
+    values).  Any other tile shifts each head's block by its own running
+    row max, which takes two more passes (the max and the shift), and
+    rescales the sums by exp(old max - new max) when a block raises the
+    max; the max starts at the lowest finite float, not -inf, so a row that
+    sees no key of a block adds zeros, not NaN.  A call with one query
+    (every decode step) always shifts: its bound would add a third read of
+    the cached keys to a step close to memory bound, to save one max over
+    one row.  A tile of one block is plain softmax arithmetic.
 
     pos is _positions over the keys, and the queries, keys ctx_len on,
     take its rows from there.  forward passes its mask, which sets -inf on
@@ -673,22 +677,19 @@ def _attend(
     vts = [np.swapaxes(v, -1, -2) for v in vs]
     m = q.shape[-1]
     tiles = range(0, m, TILE_ROWS)
-    # per tile, the heads whose scores cannot pass +-_SAFE, which run unshifted:
-    # True for every head, False for none, else a heads x 1 x 1 mask of them
+    # per tile, whether no head's scores can pass +-_SAFE, so the tile runs unshifted
     free = [False] * len(tiles)
-    if m > 1:
+    if m > 1 and pos.norm_bound:
         kk = np.max([np.einsum("...ij,...ij->...j", k, k).max(axis=-1, initial=0.0) for k in ks], axis=0)
         qq = np.einsum("...ij,...ij->...j", q, q).reshape(-1, m)
         fits = np.maximum.reduceat(qq, tiles, axis=-1) * kk.reshape(-1, 1) <= _SAFE * _SAFE  # heads x tiles
-        fits &= np.reshape(pos.norm_bound, (-1, 1))
         del qq  # no norm array stays alive beside the blocks
-        every, some = fits.all(axis=0).tolist(), fits.any(axis=0).tolist()
-        free = [True if a else fits[:, i, None, None] if b else False for i, (a, b) in enumerate(zip(every, some))]
+        free = fits.all(axis=0).tolist()
     qt = np.swapaxes(pos.queries(q, ctx_len), -1, -2)
     top = [_LOWEST] * len(tiles)  # each tile's running row max
     total = [None] * len(tiles)  # each tile's row sums
     acc = [None] * len(tiles)  # each tile's value sums, s @ v^T
-    shifts = [[] for _ in tiles]  # per tile, (first key, end key, max subtracted or None) of each block in alpha
+    shifts = [[] for _ in tiles]  # per tile, (first key, end key, max subtracted) of each block in alpha
     # stacked heads share the cells of one head's block over all the keys, so
     # the edges depend on the keys alone, not on the rows a call takes
     width = starts[-1] if pos.one_block else max(min(KEY_BLOCK, starts[-1]) // math.prod(q.shape[:-2]), 1)
@@ -699,7 +700,7 @@ def _attend(
         kb = pos.keys(ks, pieces, c0)
         # the tiles that see the block: those whose rows reach past key c0
         for i in range(max(c0 - ctx_len, 0) // TILE_ROWS, len(tiles)):
-            r0, bounded = tiles[i], free[i]
+            r0 = tiles[i]
             r1 = min(r0 + TILE_ROWS, m)
             lo, nk = ctx_len + r0, ctx_len + r1  # the tile's first query is key lo; its rows see keys [0, nk)
             e = min(c1, nk)  # the block's keys c0..e-1 that the tile sees
@@ -708,12 +709,10 @@ def _attend(
                 s[..., max(c0, lo) - c0 :] += _CAUSAL_TAIL[: r1 - r0, max(c0, lo) - lo : e - lo]
             if mask is not None:
                 s[..., ~mask.tile(lo, nk, c0, e)] = -np.inf
-            if bounded is not True:  # shift by the running row max, and rescale the sums to it
+            if not free[i]:  # shift by the running row max, and rescale the sums to it
                 new = s.max(axis=-1, keepdims=True)
                 if c0 or mask is not None:  # every row sees key 0 of the first block, unless a mask hides it
                     np.maximum(new, top[i], out=new)
-                if bounded is not False:  # bounded heads among stacked ones shift by 0, as alone
-                    np.copyto(new, 0.0, where=bounded)
                 s -= new
                 if c0:
                     rescale = np.exp(top[i] - new)
@@ -729,7 +728,7 @@ def _attend(
                 acc[i] += pv
             if alpha is not None:
                 alpha[..., r0:r1, c0:e] = s
-                shifts[i].append((c0, e, None if bounded is True else top[i]))
+                shifts[i].append((c0, e, top[i]))
             del s, pv  # free this block's scores before the next are made: one alive, not two
     out = np.empty(vs[0].shape[:-1] + (m,))
     for i, r0 in enumerate(tiles):
@@ -738,8 +737,7 @@ def _attend(
         acc[i] = None  # each tile's sums are freed once copied into the result
         for c0, c1, shift in shifts[i]:
             kept = alpha[..., r0:r1, c0:c1]
-            if shift is not None:
-                kept *= np.exp(shift - top[i])
+            kept *= np.exp(shift - top[i])  # exactly 1 in an unshifted tile, whose top stays _LOWEST
             kept /= total[i]
     return out
 
@@ -780,34 +778,23 @@ def _pool_map(fn: Callable, items) -> Iterator:
     return _pool(workers).map(fn, items)
 
 
-def _row_groups(rows: int, ctx_len: int, groups: int, dense: float) -> list[slice]:
+def _row_groups(rows: int, ctx_len: int, groups: int) -> list[slice]:
     """At most groups runs of whole TILE_ROWS tiles over rows query rows, the
-    first of which sees ctx_len + 1 keys, balanced by estimated work: each
-    row's visible keys, plus dense, its work outside attention counted in
-    visible keys.  Row r sees ctx_len + r + 1 keys, so rows 0..r-1 weigh
-    r (ctx_len + 1 + dense) + r (r - 1) / 2, and each cut is the tile edge
-    whose weight lies nearest a multiple of total / groups.  A last tile of
-    one row joins the group before it: _attend always shifts a call of one
-    query, so that row would shift where the whole call leaves it
-    unshifted."""
+    first of which sees ctx_len + 1 keys, balanced by the keys the rows see,
+    as FlashAttention-2 balances its row blocks.  Row r sees ctx_len + r + 1
+    keys, so rows 0..r-1 see r (ctx_len + 1) + r (r - 1) / 2, and each cut
+    is the tile edge whose count lies nearest a multiple of total / groups;
+    one group is all the rows.  A last tile of one row joins the group
+    before it: _attend always shifts a call of one query, so that row would
+    shift where the whole call leaves it unshifted."""
 
-    def weight(r: int) -> float:  # of rows 0..r-1
-        return r * (ctx_len + 1 + dense) + r * (r - 1) / 2
+    def seen(r: int) -> float:  # keys seen by rows 0..r-1
+        return r * (ctx_len + 1) + r * (r - 1) / 2
 
     edges = range(TILE_ROWS, rows - 1, TILE_ROWS)  # no cut at rows - 1
-    targets = [k * weight(rows) / groups for k in range(1, groups)] if edges else []
-    bounds = [0, *sorted({min(edges, key=lambda e: abs(weight(e) - t)) for t in targets}), rows]
+    targets = [k * seen(rows) / groups for k in range(1, groups)] if edges else []
+    bounds = [0, *sorted({min(edges, key=lambda e: abs(seen(e) - t)) for t in targets}), rows]
     return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
-
-
-def _dense_work(layer: LayerWeights) -> float:
-    """A row's work outside attention, in visible keys: a visible key costs
-    its score and value products, 2 h multiply-adds per head, and a row its
-    query and output projections, 2 h d per head, and its feed-forward's
-    products, one per weight of a DenseFF (any other counted as none)."""
-    heads, h, d = layer.qkv.shape[1:]
-    ff = layer.ff.w1.size + layer.ff.w2.size if isinstance(layer.ff, DenseFF) else 0
-    return d + ff / (2 * heads * h)
 
 
 def _run_layers(
@@ -854,14 +841,15 @@ def _run_layers(
     A call with several queries and heads that is not on a pool thread
     (forward, the single pass, the first and last chunk) splits each
     layer's rows into min(usable CPUs, heads) groups of whole row tiles
-    (_row_groups), balanced by their estimated work, and each pool thread
+    (_row_groups), balanced by the keys their rows see, and each pool thread
     runs its group through the whole layer, writing its columns of the
     layer's result.  The cache writes happen on the thread that called
     this, before the groups start.  Every group attends over the same
     keys, so its tiles, key blocks and score bounds are the ones the whole
     call would have, and the split changes no bit.  One query (every
     decode step), a one-head model, a one-CPU host and a call on a pool
-    thread (a middle chunk) run each layer as one call on their own thread.
+    thread (a middle chunk) have one group, and run each layer as one call
+    on their own thread.
     """
     m = h.shape[1]
     n_heads = len(weights.layers[0].heads)
@@ -876,7 +864,7 @@ def _run_layers(
             if r0 == m:
                 break
         rows = h.shape[1]
-        groups = _row_groups(rows, ctx_len + r0, workers, _dense_work(layer)) if workers > 1 else [slice(0, rows)]
+        groups = _row_groups(rows, ctx_len + r0, workers)
         alphas = np.zeros((n_heads, rows, ctx_len + m)) if keep_alphas else None
         attn = out = None
         if len(groups) > 1:

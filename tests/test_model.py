@@ -625,6 +625,45 @@ def test_attend_additive_row_whose_far_keys_underflow():
     np.testing.assert_allclose(out, v @ want.T, rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("family", ["dot", "rotary", "additive"])
+def test_attend_tiles_mixing_bounded_and_unbounded_heads_match_the_dense_oracle(family):
+    # two stacked heads: the first's scores stay far under the bound, the
+    # second's queries x 3e4 put every one of its tiles past it, so every
+    # tile mixes a bounded head with an unbounded one; the tile shifts both,
+    # each by its own row max, and both match the oracle
+    from weavepe.model import _SAFE, _attend
+
+    rng = np.random.default_rng(11)
+    heads, h, m, n = 2, 16, TILE_ROWS + 36, 400
+    q, k, v = rng.normal(size=(heads, h, m)), rng.normal(size=(heads, h, n)), rng.normal(size=(heads, h, n))
+    q[1] *= 3e4
+    norms = np.maximum.reduceat(np.linalg.norm(q, axis=1), range(0, m, TILE_ROWS), axis=-1)
+    bound = norms * np.linalg.norm(k, axis=1).max(axis=-1, keepdims=True)  # heads x tiles
+    assert bound[0].max() < _SAFE < bound[1].min()
+    ctx, pos, qr, kr, penalty = n - m, _Form(), q, k, 0.0
+    if family == "rotary":
+        table = rotary_table(np.arange(n, dtype=np.float64), h, 10000.0)
+        pos = _Rotation(*table, np.arange(n))
+        qr, kr = apply_rotary(q, tuple(t[:, ctx:] for t in table)), apply_rotary(k, table)
+    elif family == "additive":
+        coords = np.arange(n, dtype=np.float64)
+        slope = np.array([0.5, 0.25])[:, None, None]
+        pos = _Penalty(slope, _coordinate_tiles(coords))
+        penalty = slope * (coords[ctx:, None] - coords[None, :])
+    scores = np.swapaxes(qr, -1, -2) @ kr - penalty
+    visible = causal_mask(n).tile(ctx, n, 0, n)
+    alpha = np.zeros((heads, m, n))
+    _RowMaxSpy.calls = []
+    out = _attend(q.copy().view(_RowMaxSpy), (k,), (v,), ctx, pos, None, alpha)
+    if family != "rotary":  # two blocks of 200 keys (2,048 / 2 heads, cut at 400), each tile shifting both
+        assert _RowMaxSpy.calls == [TILE_ROWS, 36] * 2
+    for i in range(heads):
+        # the second head's hidden cells may score far past its visible max
+        want = masked_softmax(np.where(visible, scores[i], -np.inf), visible)
+        np.testing.assert_allclose(alpha[i], want, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(out[i], v[i] @ want.T, rtol=0, atol=1e-12)
+
+
 def test_layer_projects_every_head_from_one_stack():
     # the stacked weights are the heads' own arrays, so the cached keys and
     # values are bit for bit each head's w_k @ h and w_v @ h, and an
@@ -964,6 +1003,65 @@ def test_load_weights_rejects_a_slope_count_other_than_the_head_count():
             load_weights(json.dumps(doc))
     doc["head_slopes"] = [0.5, -0.25]
     assert load_weights(json.dumps(doc)).slope_for_head(1) == -0.25
+
+
+@pytest.mark.parametrize("slopes", [[0.5], [0.5, 0.25, 9.0]])
+def test_head_slopes_set_after_construction_are_checked_where_they_are_read(slopes):
+    # a list assigned once the weights are built is checked when forward or
+    # prefill reads it: one slope for 2 heads would fail inside attention,
+    # and 3 would drop the third silently
+    from weavepe.pipeline import MesaConfig, prefill
+
+    w = random_model(d=8, n_heads=2, n_layers=1, vocab=8, pe_family="additive")
+    w.head_slopes = slopes
+    config = MesaConfig(train_len=64, weave=WeaveParams(scheme=Scheme.STAIR, cap=32, tread=4), first_len=8)
+    for run in (lambda: forward([1, 2, 3], w), lambda: prefill([1, 2, 3], w, config)):
+        with pytest.raises(ValueError, match=f"{len(slopes)} head slopes for 2 heads"):
+            run()
+
+
+def test_forward_rejects_a_mask_of_another_length():
+    w = random_model(d=8, n_heads=2, n_layers=1, vocab=8)
+    with pytest.raises(ValueError, match="mask length 5 does not match sequence length 4"):
+        forward([1, 2, 3], w, mask=causal_mask(5))
+
+
+def test_model_weights_reject_an_unknown_family_and_a_one_token_vocabulary():
+    w = random_model(d=8, n_heads=2, n_layers=1, vocab=8)
+    with pytest.raises(ValueError, match="unknown pe_family alibi"):
+        ModelWeights(w_e=w.w_e, layers=w.layers, pe_family="alibi")
+    with pytest.raises(ValueError, match="vocabulary must contain at least <bos> and one token"):
+        ModelWeights(w_e=w.w_e[:, :1], layers=w.layers)
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"d": 0}, "d, n_heads and n_layers must be >= 1, got 0, 2, 2"),
+        ({"n_layers": 0}, "d, n_heads and n_layers must be >= 1, got 8, 2, 0"),
+        ({"d": 9, "n_heads": 2}, "d must be divisible by n_heads"),
+        ({"d": 6, "n_heads": 2}, "per-head dimension must be even for the rotary family"),
+    ],
+)
+def test_random_model_rejects_sizes_it_cannot_build(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        random_model(**kwargs)
+
+
+def test_save_weights_rejects_a_feed_forward_it_cannot_describe():
+    w = random_model(d=8, n_heads=2, n_layers=1, vocab=8)
+    w.layers[0].ff = lambda z: z
+    with pytest.raises(ValueError, match="feed-forward stand-in is not serializable"):
+        save_weights(w)
+
+
+def test_load_weights_rejects_an_unknown_feed_forward_kind():
+    import json
+
+    doc = json.loads(save_weights(random_model(d=8, n_heads=2, n_layers=1, vocab=8)))
+    doc["layers"][0]["ff"]["kind"] = "moe"
+    with pytest.raises(ValueError, match="unknown ff kind moe"):
+        load_weights(json.dumps(doc))
 
 
 def test_load_weights_rejects_an_unknown_activation():

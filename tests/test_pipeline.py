@@ -378,9 +378,10 @@ def test_head_pool_changes_no_bit_over_shifted_and_unshifted_tiles(monkeypatch, 
     # the first head's queries x700 put some of its 8-row tiles past the
     # score bound |q_r| max|k_i| <= _SAFE and leave others under it, while
     # the other heads' tiles all stay under it, the additive family's
-    # second head aside, which a negative slope keeps shifted: shifted and
-    # unshifted tiles share calls, stacked and one head per call, and the
-    # pool changes no bit
+    # second head aside, which a negative slope keeps shifted: a tile whose
+    # first head passes the bound shifts every head, the others run
+    # unshifted, in one call or split over the pool, and the pool changes
+    # no bit
     from weavepe import model
 
     w = random_model(d=16, n_heads=4, n_layers=2, vocab=16, seed=3, pe_family=pe_family)
@@ -497,6 +498,21 @@ def test_stacked_blocks_hold_at_most_one_heads_block(monkeypatch):
     forward(_tokens(150), w)
     assert blocks and all(cells <= limit for cells, limit in blocks)
     assert max(cells / limit for cells, limit in blocks) == 1.0
+
+
+def test_row_groups_balance_the_keys_their_rows_see():
+    # 1,001 rows with no context see 1 + 2 + ... + 1,001 = 501,501 keys; the
+    # tile edge nearest half of them is 704, whose rows see 248,160 (640's
+    # see 205,120 and 768's 295,296).  After 15,808 context keys each row
+    # sees about as many keys as the next, and 577 rows cut at 320, the
+    # tile edge nearest half their keys (256's rows see 564,240 too few,
+    # 320's 465,935 too many).  One group is every row
+    from weavepe.model import TILE_ROWS, _row_groups
+
+    assert TILE_ROWS == 64
+    assert _row_groups(1001, 0, 2) == [slice(0, 704), slice(704, 1001)]
+    assert _row_groups(577, 15_808, 2) == [slice(0, 320), slice(320, 577)]
+    assert _row_groups(1001, 0, 1) == [slice(0, 1001)]
 
 
 def test_row_groups_form_no_one_row_group(monkeypatch):
@@ -964,10 +980,10 @@ def test_every_entry_point_names_a_bad_token_id(bad):
 def test_mesa_config_validation():
     with pytest.raises(ValueError):
         MesaConfig(train_len=50, first_len=100)
-    with pytest.raises(ValueError):
-        MesaConfig(train_len=64, weave=WeaveParams(scheme=Scheme.STAIR, cap=64, tread=2))
-    with pytest.raises(ValueError):
-        MesaConfig(train_len=64, weave=WeaveParams(scheme=Scheme.SELF_EXTEND))
+    with pytest.raises(ValueError, match="weave point must sit inside the trained window"):
+        MesaConfig(train_len=64, weave=WeaveParams(scheme=Scheme.STAIR, cap=64, tread=2), first_len=8)
+    with pytest.raises(ValueError, match="the grouped scheme is not a pure distance weave"):
+        MesaConfig(train_len=64, weave=WeaveParams(scheme=Scheme.SELF_EXTEND), first_len=8)
 
 
 def test_mesa_config_rejects_a_leak_above_one():
